@@ -29,7 +29,7 @@ from .search import (
     corollary_filter,
     max_k_for_limit,
     search_exact_k,
-    search_up_to_limit,
+    solve,
     steinerberger_relevance,
 )
 
@@ -64,7 +64,7 @@ __all__ = [
     "corollary_filter",
     "max_k_for_limit",
     "search_exact_k",
-    "search_up_to_limit",
+    "solve",
     "steinerberger_relevance",
     "__version__",
 ]

@@ -22,8 +22,7 @@ from .search import (
     SearchConfig,
     SearchCounters,
     max_k_for_limit,
-    search_exact_k,
-    search_up_to_limit,
+    solve,
     steinerberger_relevance,
 )
 
@@ -117,10 +116,6 @@ def cmd_search(args: argparse.Namespace) -> int:
             k_max = max(max_k_for_limit(limit), 1)
         else:
             k_max = MAX_UNBOUNDED_K
-    if limit is None and k_max > MAX_UNBOUNDED_K:
-        return _usage_error(
-            f"unbounded search supports k <= {MAX_UNBOUNDED_K}; pass --limit to go further"
-        )
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     try:
         config = SearchConfig(k_min=k_min, k_max=k_max, limit=limit, threads=threads)
@@ -129,13 +124,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     counters = SearchCounters()
     started = time.monotonic()
-    if limit is not None:
-        solutions = search_up_to_limit(limit, config, counters)
-    else:
-        solutions = []
-        for k in range(k_min, k_max + 1):
-            solutions.extend(search_exact_k(k, None, config, counters))
-        solutions.sort(key=lambda s: s.n)
+    solutions = solve(config, counters)
     elapsed = time.monotonic() - started
 
     for sol in solutions:
@@ -240,7 +229,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except FactoringError as exc:
-        print(f"error: {exc}; retry with a larger factoring budget", file=sys.stderr)
+        print(
+            f"error: {exc}; the search is incomplete and printed no solutions "
+            "(factoring is deterministic, so a rerun gives up at the same branch)",
+            file=sys.stderr,
+        )
         return 3
 
 

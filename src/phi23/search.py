@@ -41,7 +41,7 @@ __all__ = [
     "corollary_filter",
     "max_k_for_limit",
     "search_exact_k",
-    "search_up_to_limit",
+    "solve",
     "steinerberger_relevance",
 ]
 
@@ -57,15 +57,14 @@ _TABLE_GROWTH = 4
 class SearchCounters:
     """Tallies of expanded nodes and prunes, by reason.
 
-    nodes_expanded counts visited states (internal and endgame).  The bound
-    counters tick when a branch dies with no admissible next prime; gcd,
-    corollary and infeasible count rejected candidate primes; congruence
-    counts divisor pairs discarded by the endgame residue filter.
+    nodes_expanded counts visited states (internal and endgame).  prune_limit
+    ticks when the limit leaves a branch no admissible next prime (or an
+    endgame target out of reach); corollary and infeasible count rejected
+    candidate primes; congruence counts divisor pairs discarded by the
+    endgame residue filter.
     """
 
     nodes_expanded: int = 0
-    prune_gcd: int = 0
-    prune_finiteness: int = 0
     prune_limit: int = 0
     prune_corollary: int = 0
     prune_congruence: int = 0
@@ -81,19 +80,13 @@ class SearchCounters:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search parameters.
-
-    ``threads`` is the worker process count.  ``epsilon`` is kept for
-    compatibility with configs that tune a floating-point prescreen; the
-    implementation settles every decision in exact integer arithmetic, so
-    the value is never consulted.
-    """
+    """Search parameters: the k range, an optional bound n <= limit, and
+    ``threads``, the worker process count."""
 
     k_min: int = 1
     k_max: int = MAX_UNBOUNDED_K
     limit: int | None = None
     threads: int = 1
-    epsilon: float = 1e-9
 
     def __post_init__(self):
         if self.k_min < 1 or self.k_min > self.k_max:
@@ -102,7 +95,7 @@ class SearchConfig:
             raise ValueError(f"need threads >= 1, got {self.threads}")
         if self.limit is None and self.k_max > MAX_UNBOUNDED_K:
             raise ValueError(
-                f"unbounded search is refused for k > {MAX_UNBOUNDED_K}; pass a limit"
+                f"unbounded search supports k <= {MAX_UNBOUNDED_K}; pass a limit to go further"
             )
         if self.limit is not None and self.limit < 0:
             raise ValueError(f"limit must be nonnegative, got {self.limit}")
@@ -178,49 +171,42 @@ class PrimeSource:
 # ---------------------------------------------------------------------------
 
 
-def _next_prime_bound(
-    state: EquationState, limit: int | None, source: PrimeSource
-) -> tuple[int, str]:
+def _next_prime_bound(state: EquationState, limit: int | None, source: PrimeSource) -> int:
     while True:
         try:
             hi = finiteness_bound(state, source.table)
             break
         except PrimeTableExhausted as exc:
             source.ensure((exc.needed or source.table.limit) * _TABLE_GROWTH)
-    binding = "finiteness"
     if limit is not None:
-        lb = limit_bound(state, limit)
-        if lb < hi:
-            hi, binding = lb, "limit"
-    return hi, binding
+        hi = min(hi, limit_bound(state, limit))
+    return hi
 
 
 def _expand_node(
     state: EquationState, limit: int | None, source: PrimeSource, counters: SearchCounters
 ) -> list[EquationState]:
     counters.nodes_expanded += 1
-    hi, binding = _next_prime_bound(state, limit, source)
+    hi = _next_prime_bound(state, limit, source)
     lo = state.floor
     if hi <= lo:
-        if binding == "limit":
-            counters.prune_limit += 1
-        else:
-            counters.prune_finiteness += 1
+        # Only the limit can close a branch here: a child's first finiteness
+        # test is the one its parent passed at the prime before it, so
+        # finiteness_bound(state) > state.floor on every state the walk makes.
+        counters.prune_limit += 1
         return []
     source.ensure(hi)
     children = []
     for q in source.table.in_range(lo, hi):
-        if not corollary_filter(state.prefix, q):
-            counters.prune_corollary += 1
-            continue
         child = absorb_prime(state, q)
         if isinstance(child, Pruned):
-            if child.reason == "gcd":
-                counters.prune_gcd += 1
-            elif child.reason == "corollary":
-                counters.prune_corollary += 1
-            else:
+            # Every prefix prime divides beta on a reachable state, so a prefix
+            # prime p | q - 1 fails the gcd test before the corollary test:
+            # both reasons are the corollary prune.
+            if child.reason == "infeasible":
                 counters.prune_infeasible += 1
+            else:
+                counters.prune_corollary += 1
             continue
         children.append(child)
     return children
@@ -300,26 +286,21 @@ def _make_tasks(
 def search_exact_k(
     k: int,
     limit: int | None = None,
-    config: SearchConfig | None = None,
+    threads: int = 1,
     counters: SearchCounters | None = None,
+    source: PrimeSource | None = None,
 ) -> list[Solution]:
     """All solutions with exactly k prime factors (and n <= limit if given).
 
     Unbounded runs are refused for k > 6.  ``counters``, when supplied, is
-    updated in place with merged node and prune statistics.
+    updated in place with merged node and prune statistics; ``source`` is
+    the prime table to walk with, fresh when not supplied.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if limit is None and k > MAX_UNBOUNDED_K:
-        raise ValueError(
-            f"unbounded search is refused for k > {MAX_UNBOUNDED_K}; pass a limit"
-        )
-    if config is None:
-        config = SearchConfig(k_min=k, k_max=k, limit=limit)
+    SearchConfig(k_min=k, k_max=k, limit=limit, threads=threads)  # validates the arguments
     if counters is None:
         counters = SearchCounters()
-    threads = config.threads
-    source = PrimeSource()
+    if source is None:
+        source = PrimeSource()
     root = root_state(k)
     found: list[tuple[int, ...]] = []
     if threads == 1:
@@ -338,24 +319,19 @@ def search_exact_k(
     return solutions
 
 
-def search_up_to_limit(
-    limit: int,
-    config: SearchConfig | None = None,
-    counters: SearchCounters | None = None,
-) -> list[Solution]:
-    """All solutions n <= limit, across k from config.k_min up to the cap.
+def solve(config: SearchConfig, counters: SearchCounters | None = None) -> list[Solution]:
+    """All solutions with k_min <= k <= k_max (and n <= limit if set), by n.
 
-    The factor count is capped by the largest k whose smallest possible
-    prime product still fits under the limit, so wide k ranges are safe to
-    request.
+    With a limit, k is capped by the largest count whose smallest possible
+    prime product still fits under it, so wide k ranges are safe to request.
+    One prime table serves every k of the run.
     """
-    if config is None:
-        config = SearchConfig(k_min=1, k_max=max_k_for_limit(limit) or 1, limit=limit)
-    if counters is None:
-        counters = SearchCounters()
-    k_hi = min(config.k_max, max_k_for_limit(limit))
+    k_max = config.k_max
+    if config.limit is not None:
+        k_max = min(k_max, max_k_for_limit(config.limit))
+    source = PrimeSource()
     out: list[Solution] = []
-    for k in range(config.k_min, k_hi + 1):
-        out.extend(search_exact_k(k, limit, config, counters))
+    for k in range(config.k_min, k_max + 1):
+        out.extend(search_exact_k(k, config.limit, config.threads, counters, source))
     out.sort(key=lambda s: s.n)
     return out

@@ -27,7 +27,7 @@ from phi23.search import (
     SearchCounters,
     corollary_filter,
     search_exact_k,
-    search_up_to_limit,
+    solve,
     steinerberger_relevance,
 )
 
@@ -221,7 +221,7 @@ def test_criterion_6e_worker_count_invariance(capsys):
             outputs.add(out)
             counters = SearchCounters()
             config = SearchConfig(k_min=1, k_max=6, limit=2_000_000, threads=threads)
-            sols = search_up_to_limit(2_000_000, config, counters)
+            sols = solve(config, counters)
             assert [s.n for s in sols] == [5, 35, 1295, 1679615]
             counter_dicts.append(counters.as_dict())
         assert len(outputs) == 1
@@ -230,7 +230,7 @@ def test_criterion_6e_worker_count_invariance(capsys):
 
 def test_criterion_7_solution_invariants():
     with criterion("7 every reported solution passes the structural invariants"):
-        solutions = list(search_up_to_limit(10**10, SearchConfig(k_max=12, limit=10**10)))
+        solutions = solve(SearchConfig(k_max=12, limit=10**10))
         for k in range(1, 7):
             solutions.extend(search_exact_k(k))
         assert len(solutions) == 8  # four bounded + the same four unbounded

@@ -68,8 +68,6 @@ def test_search_stats_json(capsys):
     assert report["wall_time_sec"] >= 0
     assert set(report["counters"]) == {
         "nodes_expanded",
-        "prune_gcd",
-        "prune_finiteness",
         "prune_limit",
         "prune_corollary",
         "prune_congruence",

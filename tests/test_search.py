@@ -1,10 +1,13 @@
 """End-to-end tests for the pruned solver and its parallel driver."""
 
+import types
+
 import pytest
 
+import phi23.search
 from helpers import brute_force_k, simple_sieve
 from phi23.arith import factorize
-from phi23.equation import root_state
+from phi23.equation import EquationState, Pruned, corollary_filter, root_state
 from phi23.oracle import scan_solutions
 from phi23.search import (
     MAX_UNBOUNDED_K,
@@ -16,7 +19,7 @@ from phi23.search import (
     _make_tasks,
     max_k_for_limit,
     search_exact_k,
-    search_up_to_limit,
+    solve,
     steinerberger_relevance,
 )
 
@@ -81,7 +84,7 @@ def test_solution_from_factors():
 
 
 def test_relevance_of_known_solutions():
-    sols = search_up_to_limit(2_000_000)
+    sols = solve(SearchConfig(k_max=12, limit=2_000_000))
     assert [s.n for s in sols] == KNOWN_N
     assert [steinerberger_relevance(s) for s in sols] == [True, True, False, False]
     # the two composite (4n+1)/3 values, factored
@@ -95,11 +98,14 @@ def test_relevance_of_known_solutions():
 
 
 def test_limit_boundaries():
-    assert [s.n for s in search_up_to_limit(1_679_615)] == KNOWN_N
-    assert [s.n for s in search_up_to_limit(1_679_614)] == [5, 35, 1295]
-    assert [s.n for s in search_up_to_limit(5)] == [5]
-    assert search_up_to_limit(4) == []
-    assert [s.n for s in search_up_to_limit(1295)] == [5, 35, 1295]
+    def up_to(limit):
+        return [s.n for s in solve(SearchConfig(k_max=12, limit=limit))]
+
+    assert up_to(1_679_615) == KNOWN_N
+    assert up_to(1_679_614) == [5, 35, 1295]
+    assert up_to(5) == [5]
+    assert up_to(4) == []
+    assert up_to(1295) == [5, 35, 1295]
 
 
 def test_exact_k_with_limit():
@@ -111,7 +117,8 @@ def test_exact_k_with_limit():
 
 def test_search_matches_scan():
     for bound in (10_000, 1_000_000, 2_000_000):
-        assert [s.n for s in search_up_to_limit(bound)] == scan_solutions(bound), bound
+        sols = solve(SearchConfig(k_max=12, limit=bound))
+        assert [s.n for s in sols] == scan_solutions(bound), bound
 
 
 def test_prune_soundness_against_brute_force():
@@ -131,7 +138,7 @@ def test_thread_determinism_and_counter_invariance():
     for threads in (1, 2, 3):
         config = SearchConfig(k_min=1, k_max=4, limit=2_000_000, threads=threads)
         counters = SearchCounters()
-        sols = search_up_to_limit(2_000_000, config, counters)
+        sols = solve(config, counters)
         runs[threads] = ([(s.n, s.factors) for s in sols], counters.as_dict())
     # every node is expanded exactly once no matter how the tree is split,
     # so the full counter vector is worker-count invariant
@@ -141,7 +148,7 @@ def test_thread_determinism_and_counter_invariance():
 
 def test_thread_determinism_unbounded_k6():
     seq = search_exact_k(6)
-    par = search_exact_k(6, config=SearchConfig(k_min=6, k_max=6, threads=2))
+    par = search_exact_k(6, threads=2)
     assert seq == par == []
 
 
@@ -152,8 +159,6 @@ def test_counters_populated():
     stats = counters.as_dict()
     assert set(stats) == {
         "nodes_expanded",
-        "prune_gcd",
-        "prune_finiteness",
         "prune_limit",
         "prune_corollary",
         "prune_congruence",
@@ -167,19 +172,89 @@ def test_counters_populated():
 
 
 def test_counters_merge():
-    a = SearchCounters(nodes_expanded=2, prune_gcd=1)
+    a = SearchCounters(nodes_expanded=2, prune_limit=1)
     b = SearchCounters(nodes_expanded=3, prune_congruence=4)
     a.merge(b)
     assert a.nodes_expanded == 5
-    assert a.prune_gcd == 1
+    assert a.prune_limit == 1
     assert a.prune_congruence == 4
 
 
 def test_limit_search_uses_limit_prunes():
     counters = SearchCounters()
-    sols = search_up_to_limit(10**10, SearchConfig(k_max=12, limit=10**10), counters)
+    sols = solve(SearchConfig(k_max=12, limit=10**10), counters)
     assert [s.n for s in sols] == KNOWN_N
     assert counters.prune_limit > 0
+
+
+def _walk_record(monkeypatch, config):
+    """Run ``config`` serially, recording what the walk computes.
+
+    Returns the finiteness bound of every internal node and every
+    (state, q, absorb_prime result) the walk tries.
+    """
+    bounds = []
+    absorbed = []
+    real_bound = phi23.search.finiteness_bound
+    real_absorb = phi23.search.absorb_prime
+
+    def bound_spy(state, table):
+        hi = real_bound(state, table)
+        bounds.append((state, hi))
+        return hi
+
+    def absorb_spy(state, q):
+        out = real_absorb(state, q)
+        absorbed.append((state, q, out))
+        return out
+
+    monkeypatch.setattr(phi23.search, "finiteness_bound", bound_spy)
+    monkeypatch.setattr(phi23.search, "absorb_prime", absorb_spy)
+    solve(config)
+    return bounds, absorbed
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SearchConfig(k_min=1, k_max=6), SearchConfig(k_max=12, limit=10**12)],
+    ids=["k1-6", "limit-1e12"],
+)
+def test_gcd_and_finiteness_prunes_cannot_fire_on_reachable_states(monkeypatch, config):
+    # The walk counts no gcd or finiteness prunes; these are the facts it relies on.
+    bounds, absorbed = _walk_record(monkeypatch, config)
+    children = [out for _, _, out in absorbed if isinstance(out, EquationState)]
+    states = [state for state, _ in bounds] + children
+    for state in states:
+        assert all(state.beta % p == 0 for p in state.prefix), state
+    failed = 0
+    for state, q, out in absorbed:
+        corollary_fails = not corollary_filter(state.prefix, q)
+        failed += corollary_fails
+        dead = isinstance(out, Pruned) and out.reason in ("gcd", "corollary")
+        assert dead == corollary_fails, (state, q, out)
+    assert failed > 0
+    # every internal node had its finiteness bound taken, and it lies above the floor
+    internal = {(s.prefix, s.remaining) for s in states if s.remaining > 2}
+    assert sorted((s.prefix, s.remaining) for s, _ in bounds) == sorted(internal)
+    for state, hi in bounds:
+        assert hi > state.floor, state
+
+
+def test_one_prime_table_per_run(monkeypatch):
+    calls = []
+    real = phi23.search.build_prime_table
+
+    def spy(limit):
+        calls.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(phi23.search, "build_prime_table", spy)
+    assert [s.n for s in solve(SearchConfig(k_min=1, k_max=6))] == KNOWN_N
+    assert len(calls) == 1
+
+
+def test_package_import_keeps_search_a_module():
+    assert isinstance(phi23.search, types.ModuleType)
 
 
 def test_task_partition_covers_the_whole_tree():
