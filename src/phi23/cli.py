@@ -113,7 +113,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         if args.k_max is not None:
             k_max = args.k_max
         elif limit is not None:
-            k_max = max(max_k_for_limit(limit), 1)
+            k_max = max(max_k_for_limit(limit), k_min)
         else:
             k_max = MAX_UNBOUNDED_K
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)

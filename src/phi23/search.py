@@ -7,14 +7,15 @@ work is handed to the closed-form endgames.  Every emitted solution is
 re-verified against the original equation, independent of the search path
 that produced it.
 
-With more than one worker requested, the tree is first expanded
-breadth-first into independent subtree tasks which run in worker
-processes; results are merged and sorted, so output does not depend on
-the worker count.
+With more than one worker requested, ``solve`` expands every k's tree
+breadth-first into independent subtree tasks and runs all of them in one
+process pool for the whole run; results are merged and sorted, so output
+does not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -176,8 +177,8 @@ def _next_prime_bound(state: EquationState, limit: int | None, source: PrimeSour
         try:
             hi = finiteness_bound(state, source.table)
             break
-        except PrimeTableExhausted as exc:
-            source.ensure((exc.needed or source.table.limit) * _TABLE_GROWTH)
+        except PrimeTableExhausted:
+            source.ensure(source.table.limit * _TABLE_GROWTH)
     if limit is not None:
         hi = min(hi, limit_bound(state, limit))
     return hi
@@ -195,7 +196,6 @@ def _expand_node(
         # finiteness_bound(state) > state.floor on every state the walk makes.
         counters.prune_limit += 1
         return []
-    source.ensure(hi)
     children = []
     for q in source.table.in_range(lo, hi):
         child = absorb_prime(state, q)
@@ -245,21 +245,15 @@ def _dfs(
 # Parallel driver
 # ---------------------------------------------------------------------------
 
-_worker_source: PrimeSource | None = None
+@functools.cache
+def _worker_source() -> PrimeSource:
+    return PrimeSource()
 
 
-def _get_worker_source() -> PrimeSource:
-    global _worker_source
-    if _worker_source is None:
-        _worker_source = PrimeSource()
-    return _worker_source
-
-
-def _subtree_worker(task: tuple[EquationState, int | None]) -> tuple[list[tuple[int, ...]], SearchCounters]:
-    state, limit = task
+def _subtree_worker(state: EquationState, limit: int | None) -> tuple[list[tuple[int, ...]], SearchCounters]:
     counters = SearchCounters()
     found: list[tuple[int, ...]] = []
-    _dfs(state, limit, _get_worker_source(), counters, found.append)
+    _dfs(state, limit, _worker_source(), counters, found.append)
     return found, counters
 
 
@@ -286,34 +280,22 @@ def _make_tasks(
 def search_exact_k(
     k: int,
     limit: int | None = None,
-    threads: int = 1,
     counters: SearchCounters | None = None,
     source: PrimeSource | None = None,
 ) -> list[Solution]:
     """All solutions with exactly k prime factors (and n <= limit if given).
 
-    Unbounded runs are refused for k > 6.  ``counters``, when supplied, is
-    updated in place with merged node and prune statistics; ``source`` is
-    the prime table to walk with, fresh when not supplied.
+    A serial walk; ``solve`` spreads a run over worker processes.  Unbounded
+    runs are refused for k > 6.  ``counters``, when supplied, is updated in
+    place; ``source`` is the prime table to walk with, fresh when not supplied.
     """
-    SearchConfig(k_min=k, k_max=k, limit=limit, threads=threads)  # validates the arguments
+    SearchConfig(k_min=k, k_max=k, limit=limit)  # validates the arguments
     if counters is None:
         counters = SearchCounters()
     if source is None:
         source = PrimeSource()
-    root = root_state(k)
     found: list[tuple[int, ...]] = []
-    if threads == 1:
-        _dfs(root, limit, source, counters, found.append)
-    else:
-        tasks = _make_tasks(root, limit, source, counters, want=4 * threads)
-        if tasks:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for sub_found, sub_counters in pool.map(
-                    _subtree_worker, [(s, limit) for s in tasks]
-                ):
-                    found.extend(sub_found)
-                    counters.merge(sub_counters)
+    _dfs(root_state(k), limit, source, counters, found.append)
     solutions = [Solution.from_factors(f) for f in found]
     solutions.sort(key=lambda s: s.n)
     return solutions
@@ -324,14 +306,27 @@ def solve(config: SearchConfig, counters: SearchCounters | None = None) -> list[
 
     With a limit, k is capped by the largest count whose smallest possible
     prime product still fits under it, so wide k ranges are safe to request.
-    One prime table serves every k of the run.
+    One prime table and, with threads > 1, one process pool serve every k.
     """
+    if counters is None:
+        counters = SearchCounters()
     k_max = config.k_max
     if config.limit is not None:
         k_max = min(k_max, max_k_for_limit(config.limit))
+    ks = range(config.k_min, k_max + 1)
     source = PrimeSource()
     out: list[Solution] = []
-    for k in range(config.k_min, k_max + 1):
-        out.extend(search_exact_k(k, config.limit, config.threads, counters, source))
+    if config.threads == 1:
+        # Through the module global, so a wrapper around search_exact_k sees every k.
+        for k in ks:
+            out.extend(search_exact_k(k, config.limit, counters, source))
+    else:
+        want = 4 * config.threads
+        tasks = [s for k in ks for s in _make_tasks(root_state(k), config.limit, source, counters, want)]
+        if tasks:
+            with ProcessPoolExecutor(max_workers=config.threads) as pool:
+                for found, sub_counters in pool.map(_subtree_worker, tasks, [config.limit] * len(tasks)):
+                    out.extend(Solution.from_factors(f) for f in found)
+                    counters.merge(sub_counters)
     out.sort(key=lambda s: s.n)
     return out

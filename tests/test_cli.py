@@ -131,6 +131,14 @@ def test_search_bounded_beyond_k6(capsys):
     assert out == ""
 
 
+def test_search_k_min_above_limit_cap(capsys):
+    # 1e10 admits at most k = 8, so k >= 9 has nothing to report
+    code, out, err = run_cli(
+        capsys, "search", "--k-min", "9", "--limit", "1e10", "--threads", "1"
+    )
+    assert (code, out, err) == (0, "", "")
+
+
 def test_scan_text_matches_search(capsys):
     code_scan, out_scan, _ = run_cli(capsys, "scan", "--limit", "1e5")
     code_search, out_search, _ = run_cli(

@@ -1,5 +1,7 @@
 """End-to-end tests for the pruned solver and its parallel driver."""
 
+import dataclasses
+import multiprocessing
 import types
 
 import pytest
@@ -148,7 +150,7 @@ def test_thread_determinism_and_counter_invariance():
 
 def test_thread_determinism_unbounded_k6():
     seq = search_exact_k(6)
-    par = search_exact_k(6, threads=2)
+    par = solve(SearchConfig(k_min=6, k_max=6, threads=2))
     assert seq == par == []
 
 
@@ -200,6 +202,8 @@ def _walk_record(monkeypatch, config):
 
     def bound_spy(state, table):
         hi = real_bound(state, table)
+        # the walk's primes up to hi come from this table without growing it
+        assert hi <= table.limit, (state, hi, table.limit)
         bounds.append((state, hi))
         return hi
 
@@ -251,6 +255,29 @@ def test_one_prime_table_per_run(monkeypatch):
     monkeypatch.setattr(phi23.search, "build_prime_table", spy)
     assert [s.n for s in solve(SearchConfig(k_min=1, k_max=6))] == KNOWN_N
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("start_method", [None, "spawn"], ids=["default", "spawn"])
+def test_one_pool_per_run(monkeypatch, start_method):
+    # spawn workers inherit no state from this process, fork workers would
+    pool_kwargs = {"mp_context": multiprocessing.get_context(start_method)} if start_method else {}
+    pools = []
+    real = phi23.search.ProcessPoolExecutor
+
+    def spy(*args, **kwargs):
+        pools.append(kwargs)
+        return real(*args, **kwargs, **pool_kwargs)
+
+    monkeypatch.setattr(phi23.search, "ProcessPoolExecutor", spy)
+    config = SearchConfig(k_max=12, limit=2_000_000, threads=2)
+    serial_counters = SearchCounters()
+    serial = solve(dataclasses.replace(config, threads=1), serial_counters)
+    assert pools == []
+    counters = SearchCounters()
+    assert solve(config, counters) == serial
+    assert len(pools) == 1
+    assert counters == serial_counters
+    assert [s.n for s in serial] == KNOWN_N
 
 
 def test_package_import_keeps_search_a_module():
