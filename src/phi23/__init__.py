@@ -12,7 +12,6 @@ from .arith import (
 )
 from .equation import (
     EquationState,
-    FactorPair,
     Pruned,
     absorb_prime,
     finiteness_bound,
@@ -45,7 +44,6 @@ __all__ = [
     "integer_root",
     "is_prime",
     "EquationState",
-    "FactorPair",
     "Pruned",
     "absorb_prime",
     "finiteness_bound",

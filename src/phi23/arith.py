@@ -34,16 +34,11 @@ _SIEVE_CAP = 1 << 32
 
 
 class PrimeTableExhausted(Exception):
-    """A request walked past the end of a prime table.
+    """A request walked past the end of a prime table; the caller grows it."""
 
-    ``needed`` is the smallest limit that would have satisfied the request,
-    or None when the caller should simply grow by its own policy.
-    """
-
-    def __init__(self, limit: int, needed: int | None = None):
+    def __init__(self, limit: int):
         self.limit = limit
-        self.needed = needed
-        super().__init__(f"prime table limit {limit} too small (needed {needed})")
+        super().__init__(f"prime table limit {limit} too small")
 
 
 class FactoringError(Exception):
@@ -82,7 +77,7 @@ class PrimeTable:
         since primes past the limit would be silently missed otherwise.
         """
         if hi > self.limit:
-            raise PrimeTableExhausted(self.limit, needed=hi)
+            raise PrimeTableExhausted(self.limit)
         i = bisect_right(self.primes, lo)
         j = bisect_right(self.primes, hi)
         for k in range(i, j):

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 from .arith import FactoringError
 from .oracle import SCAN_LIMIT_CAP, check_single, scan_solutions
-from .search import (
-    MAX_UNBOUNDED_K,
-    SearchConfig,
-    SearchCounters,
-    max_k_for_limit,
-    solve,
-    steinerberger_relevance,
-)
+from .search import SearchConfig, SearchCounters, solve, steinerberger_relevance
 
 __all__ = ["RunReport", "main", "run"]
 
@@ -103,22 +96,15 @@ def _usage_error(message: str) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    limit = args.limit
     if args.k is not None and (args.k_min is not None or args.k_max is not None):
         return _usage_error("--k cannot be combined with --k-min/--k-max")
     if args.k is not None:
         k_min = k_max = args.k
     else:
-        k_min = args.k_min if args.k_min is not None else 1
-        if args.k_max is not None:
-            k_max = args.k_max
-        elif limit is not None:
-            k_max = max(max_k_for_limit(limit), k_min)
-        else:
-            k_max = MAX_UNBOUNDED_K
+        k_min, k_max = args.k_min or 1, args.k_max
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     try:
-        config = SearchConfig(k_min=k_min, k_max=k_max, limit=limit, threads=threads)
+        config = SearchConfig(k_min=k_min, k_max=k_max, limit=args.limit, threads=threads)
     except ValueError as exc:
         return _usage_error(str(exc))
 
@@ -132,7 +118,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.stats:
         report = RunReport(
             command="search",
-            config={"k_min": k_min, "k_max": k_max, "limit": limit},
+            # the k range searched, which the limit may have capped
+            config={"k_min": config.ks.start, "k_max": config.ks.stop - 1, "limit": config.limit},
             solutions=solutions,
             counters=counters,
             wall_time_sec=elapsed,

@@ -15,10 +15,9 @@ for one and two remaining primes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 from .arith import (
-    Factorization,
     FactoringError,
     PrimeTable,
     PrimeTableExhausted,
@@ -30,7 +29,6 @@ from .arith import (
 __all__ = [
     "EquationState",
     "Pruned",
-    "FactorPair",
     "EndgameParams",
     "BranchFactoringError",
     "root_state",
@@ -38,7 +36,6 @@ __all__ = [
     "absorb_prime",
     "finiteness_bound",
     "limit_bound",
-    "divisor_pairs",
     "endgame_params",
     "one_prime_solve",
     "two_prime_solve",
@@ -117,19 +114,6 @@ class Pruned:
     alpha: int
     beta: int
     gcd: int
-
-
-@dataclass(frozen=True)
-class FactorPair:
-    """Divisor pair f1 * f2 == target with f1 <= f2."""
-
-    f1: int
-    f2: int
-    target: int
-
-    def __post_init__(self):
-        if self.f1 * self.f2 != self.target or self.f1 > self.f2 or self.f1 < 1:
-            raise ValueError(f"bad factor pair ({self.f1}, {self.f2}) for {self.target}")
 
 
 @dataclass(frozen=True)
@@ -238,13 +222,6 @@ def limit_bound(state: EquationState, limit: int) -> int:
     return integer_root(limit // b, state.remaining)
 
 
-def divisor_pairs(fact: Factorization) -> list[FactorPair]:
-    """All pairs f1 <= f2 with f1 * f2 == fact.value, ascending in f1."""
-    n = fact.value
-    root = isqrt(n)
-    return [FactorPair(d, n // d, n) for d in fact.divisors() if d <= root]
-
-
 def endgame_params(state: EquationState) -> EndgameParams:
     """Constants of the two-prime identity for this state.
 
@@ -320,15 +297,18 @@ def two_prime_solve(
 
     alpha = state.alpha
     out = []
-    for pair in divisor_pairs(fact):
-        if pair.f1 % delta != residue:
+    for f1 in fact.divisors():
+        if f1 * f1 > target:
+            break
+        f2 = target // f1
+        if f1 % delta != residue:
             if counters is not None:
                 counters.prune_congruence += 1
             if trace is not None:
-                trace.append((pair.f1, pair.f2, None, None, "congruence"))
+                trace.append((f1, f2, None, None, "congruence"))
             continue
-        q = (pair.f1 + alpha) // delta
-        r = (pair.f2 + alpha) // delta
+        q = (f1 + alpha) // delta
+        r = (f2 + alpha) // delta
         verdict = "accepted"
         if q <= min_prime:
             verdict = "min_prime"
@@ -345,7 +325,7 @@ def two_prime_solve(
         elif not is_prime(r):
             verdict = "r_composite"
         if trace is not None:
-            trace.append((pair.f1, pair.f2, q, r, verdict))
+            trace.append((f1, f2, q, r, verdict))
         if verdict == "accepted":
             out.append((q, r))
         elif counters is not None and verdict == "corollary":

@@ -16,9 +16,12 @@ does not depend on the worker count.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import accumulate
+from operator import mul
 from typing import Callable
 
 from .arith import PrimeTable, PrimeTableExhausted, build_prime_table, is_prime
@@ -53,6 +56,10 @@ MAX_UNBOUNDED_K = 6
 _INITIAL_TABLE_LIMIT = 1 << 17
 _TABLE_GROWTH = 4
 
+# 5, 5*7, 5*7*11, ...: the smallest n with 1, 2, 3, ... admissible prime
+# factors, over the primes below 512 (a limit past the last is refused).
+_SMALLEST_N_BY_K = list(accumulate(build_prime_table(512).in_range(3, 512), mul))
+
 
 @dataclass
 class SearchCounters:
@@ -82,24 +89,38 @@ class SearchCounters:
 @dataclass(frozen=True)
 class SearchConfig:
     """Search parameters: the k range, an optional bound n <= limit, and
-    ``threads``, the worker process count."""
+    ``threads``, the worker process count.
+
+    ``k_max=None`` means every k the limit admits, or ``MAX_UNBOUNDED_K``
+    without a limit; ``ks`` is the range a run searches.
+    """
 
     k_min: int = 1
-    k_max: int = MAX_UNBOUNDED_K
+    k_max: int | None = None
     limit: int | None = None
     threads: int = 1
 
     def __post_init__(self):
-        if self.k_min < 1 or self.k_min > self.k_max:
+        if self.k_min < 1 or (self.k_max is not None and self.k_min > self.k_max):
             raise ValueError(f"need 1 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
         if self.threads < 1:
             raise ValueError(f"need threads >= 1, got {self.threads}")
-        if self.limit is None and self.k_max > MAX_UNBOUNDED_K:
+        if self.limit is None and (self.k_max or self.k_min) > MAX_UNBOUNDED_K:
             raise ValueError(
                 f"unbounded search supports k <= {MAX_UNBOUNDED_K}; pass a limit to go further"
             )
         if self.limit is not None and self.limit < 0:
             raise ValueError(f"limit must be nonnegative, got {self.limit}")
+        self.ks  # refuses a limit beyond any supported search size
+
+    @functools.cached_property
+    def ks(self) -> range:
+        """The k a run searches: k_min..k_max, capped at MAX_UNBOUNDED_K or, with
+        a limit, at the largest k whose smallest n fits under it (empty when
+        k_min exceeds that cap)."""
+        cap = MAX_UNBOUNDED_K if self.limit is None else max_k_for_limit(self.limit)
+        k_max = cap if self.k_max is None else min(self.k_max, cap)
+        return range(self.k_min, k_max + 1)
 
 
 @dataclass(frozen=True)
@@ -136,16 +157,13 @@ def steinerberger_relevance(s: Solution) -> bool:
 
 
 def max_k_for_limit(limit: int) -> int:
-    """Largest k whose k smallest admissible primes already fit under limit."""
-    table = build_prime_table(512)
-    k = 0
-    prod = 1
-    for p in table.in_range(3, 512):
-        prod *= p
-        if prod > limit:
-            return k
-        k += 1
-    raise PrimeTableExhausted(512)  # limit beyond any supported search size
+    """Largest k whose k smallest admissible primes already fit under limit.
+
+    Raises ValueError for a limit beyond any supported search size.
+    """
+    if limit >= _SMALLEST_N_BY_K[-1]:
+        raise ValueError(f"limit {limit} is beyond any supported search size")
+    return bisect_right(_SMALLEST_N_BY_K, limit)
 
 
 class PrimeSource:
@@ -302,18 +320,15 @@ def search_exact_k(
 
 
 def solve(config: SearchConfig, counters: SearchCounters | None = None) -> list[Solution]:
-    """All solutions with k_min <= k <= k_max (and n <= limit if set), by n.
+    """All solutions with k in ``config.ks`` (and n <= limit if set), by n.
 
-    With a limit, k is capped by the largest count whose smallest possible
-    prime product still fits under it, so wide k ranges are safe to request.
-    One prime table and, with threads > 1, one process pool serve every k.
+    ``config.ks`` caps k at what the limit admits, so wide k ranges are safe
+    to request.  One prime table and, with threads > 1, one process pool
+    serve every k.
     """
     if counters is None:
         counters = SearchCounters()
-    k_max = config.k_max
-    if config.limit is not None:
-        k_max = min(k_max, max_k_for_limit(config.limit))
-    ks = range(config.k_min, k_max + 1)
+    ks = config.ks
     source = PrimeSource()
     out: list[Solution] = []
     if config.threads == 1:

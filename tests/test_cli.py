@@ -1,10 +1,12 @@
 """Tests for the command line interface: output shapes and exit codes."""
 
 import json
+import multiprocessing
 
 import pytest
 
 import phi23.equation
+import phi23.search
 from phi23.arith import FactoringError
 from phi23.cli import main
 
@@ -139,6 +141,32 @@ def test_search_k_min_above_limit_cap(capsys):
     assert (code, out, err) == (0, "", "")
 
 
+@pytest.mark.parametrize("k_arg, k_min", [("--k-min=9", 9), ("--k-max=12", 1)])
+def test_search_stats_report_the_searched_k_range(capsys, k_arg, k_min):
+    # 1e10 admits at most k = 8, whatever k range was asked for
+    code, out, _ = run_cli(
+        capsys, "search", k_arg, "--limit", "1e10", "--threads", "1",
+        "--format", "json", "--stats",
+    )
+    assert code == 0
+    report = json.loads(out.splitlines()[-1])["report"]
+    assert (report["k_min"], report["k_max"]) == (k_min, 8)
+
+
+def test_search_k_min_beyond_unbounded_cap(capsys):
+    code, out, err = run_cli(capsys, "search", "--k-min", "7")
+    assert (code, out) == (2, "")
+    assert "k <= 6" in err
+
+
+def test_search_oversized_limit_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "search", "--limit", "1e250")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: limit ")
+    assert "beyond any supported search size" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_scan_text_matches_search(capsys):
     code_scan, out_scan, _ = run_cli(capsys, "scan", "--limit", "1e5")
     code_search, out_search, _ = run_cli(
@@ -248,6 +276,21 @@ def test_factoring_failure_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "gave up" in err
+    assert "branch" in err
+
+
+def test_factoring_failure_exit_code_through_the_pool(capsys, monkeypatch):
+    # fork workers inherit the patch; the branch error must unpickle in the parent
+    def boom(n, rho_rounds=8):
+        raise FactoringError(n)
+
+    fork = multiprocessing.get_context("fork")
+    real_pool = phi23.search.ProcessPoolExecutor
+    monkeypatch.setattr(phi23.search, "ProcessPoolExecutor", lambda **kw: real_pool(mp_context=fork, **kw))
+    monkeypatch.setattr(phi23.equation, "factorize", boom)
+    code, out, err = run_cli(capsys, "search", "--k-min", "2", "--k-max", "4", "--threads", "2")
+    assert code == 3
+    assert out == ""
     assert "branch" in err
 
 

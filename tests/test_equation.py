@@ -23,11 +23,9 @@ from phi23.arith import (
 )
 from phi23.equation import (
     EquationState,
-    FactorPair,
     Pruned,
     absorb_prime,
     corollary_filter,
-    divisor_pairs,
     endgame_params,
     finiteness_bound,
     limit_bound,
@@ -233,18 +231,6 @@ def test_limit_bound_golden():
 # ---------------------------------------------------------------------------
 
 
-def test_divisor_pairs():
-    pairs = divisor_pairs(factorize(1261))
-    assert [(p.f1, p.f2) for p in pairs] == [(1, 1261), (13, 97)]
-    pairs36 = divisor_pairs(factorize(36))
-    assert [(p.f1, p.f2) for p in pairs36] == [(1, 36), (2, 18), (3, 12), (4, 9), (6, 6)]
-    assert divisor_pairs(factorize(1)) == [FactorPair(1, 1, 1)]
-    with pytest.raises(ValueError):
-        FactorPair(3, 2, 6)
-    with pytest.raises(ValueError):
-        FactorPair(2, 2, 6)
-
-
 def test_endgame_params_golden():
     p5 = endgame_params(absorb_chain((5,)))
     assert (p5.delta, p5.target, p5.residue) == (1, 31, 0)
@@ -292,11 +278,11 @@ def test_congruence_filter_is_exact():
         delta = alpha - beta
         target = alpha * beta + gamma * delta
         residue = (-alpha) % delta
-        for pair in divisor_pairs(factorize(target)):
-            hits = pair.f1 % delta == residue
-            assert hits == ((pair.f1 + alpha) % delta == 0)
+        for f1 in factorize(target).divisors():
+            hits = f1 % delta == residue
+            assert hits == ((f1 + alpha) % delta == 0)
             if hits:
-                assert (pair.f2 + alpha) % delta == 0
+                assert (target // f1 + alpha) % delta == 0
                 matched += 1
     assert matched > 100
 
@@ -328,6 +314,15 @@ def test_two_prime_golden_after_5_7():
     assert got == [(37, 1297)]
     assert (1, 1261, 37, 1297, "accepted") in trace
     assert (13, 97, 49, 133, "q_composite") in trace
+
+
+def test_two_prime_divisor_walk_square_target():
+    # target 5*4 + 16*1 = 36: every divisor up to and including its square
+    # root 6 is tried, ascending, each with its cofactor
+    trace = []
+    assert two_prime_solve(state((), 5, 4, 16, 2), 3, trace=trace) == [(7, 23)]
+    assert [t[:2] for t in trace] == [(1, 36), (2, 18), (3, 12), (4, 9), (6, 6)]
+    assert trace[-1] == (6, 6, 11, 11, "ordering")
 
 
 def test_two_prime_root_pair():

@@ -65,9 +65,18 @@ def test_config_validation():
         SearchConfig(threads=0)
     with pytest.raises(ValueError):
         SearchConfig(k_max=7)  # unbounded beyond the cap
+    with pytest.raises(ValueError):
+        SearchConfig(k_min=7)  # the default k_max is the unbounded cap
     SearchConfig(k_max=12, limit=10**10)  # bounded is fine
     with pytest.raises(ValueError):
         SearchConfig(limit=-1)
+    with pytest.raises(ValueError):
+        SearchConfig(limit=10**250)  # beyond any supported search size
+    # ks is the k range a run searches: capped by the limit, may be empty
+    assert SearchConfig().ks == range(1, 7)
+    assert SearchConfig(limit=10**10).ks == range(1, 9)
+    assert SearchConfig(k_max=12, limit=10**10).ks == range(1, 9)
+    assert not SearchConfig(k_min=9, limit=10**10).ks
 
 
 def test_solution_from_factors():
@@ -309,6 +318,14 @@ def test_max_k_for_limit_values():
     assert max_k_for_limit(10**7) == 6
     assert max_k_for_limit(10**10) == 8
     assert max_k_for_limit(10**14) == 11
+    # the supported range ends just below the product of the primes 5..509
+    primes = [p for p in simple_sieve(512) if p >= 5]
+    top = 1
+    for p in primes:
+        top *= p
+    assert max_k_for_limit(top - 1) == len(primes) - 1
+    with pytest.raises(ValueError, match="beyond any supported search size"):
+        max_k_for_limit(top)
 
 
 def test_prime_source_growth():
