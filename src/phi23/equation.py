@@ -15,7 +15,7 @@ for one and two remaining primes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import (
     FactoringError,
@@ -267,18 +267,33 @@ def two_prime_solve(
     limit: int | None = None,
     counters=None,
     trace: list | None = None,
+    *,
+    strategy: str | None = None,
 ) -> list[tuple[int, int]]:
     """All prime pairs q < r completing the equation from this state.
 
-    Factors the endgame target and maps admissible divisor pairs back to
-    (q, r) = ((f1 + alpha) / delta, (f2 + alpha) / delta).  Negative factor
-    pairs of the target need no consideration: delta*q - alpha < 0 forces a
-    negative partner r.  When a limit is given, targets too large for any
-    n <= limit are rejected before factoring, and each surviving pair must
-    keep n <= limit.
+    Finds the divisors f1 <= sqrt(target) of the endgame target and maps
+    admissible ones back to (q, r) = ((f1 + alpha) / delta, (f2 + alpha) /
+    delta) with f2 = target / f1.  Negative factor pairs of the target need
+    no consideration: delta*q - alpha < 0 forces a negative partner r.  When
+    a limit is given, targets too large for any n <= limit are rejected
+    before anything else, and each surviving pair must keep n <= limit.
 
-    ``counters`` (optional) receives prune tallies; ``trace`` (optional)
-    collects (f1, f2, q, r, verdict) tuples for every divisor pair seen.
+    The divisors come from one of two sources.  "scan" tries f1 = delta*q -
+    alpha for every integer q in the admissible range min_prime < q <= hi,
+    where hi keeps f1 <= sqrt(target) and, with a limit, q*q <= limit /
+    prefix_product; "factor" factors the target and walks all its divisors.
+    By default the range is scanned when it is shorter than target**(1/4)
+    and the target factored otherwise; ``strategy`` forces one source (tests
+    cross-check the two with it).
+
+    ``counters`` (optional) receives prune tallies and which source ran;
+    ``trace`` (optional) collects (f1, f2, q, r, verdict) tuples for every
+    divisor pair seen.  A scan sees only divisors in the residue class with
+    q in range, so its trace is the factor trace without the "congruence"
+    and "min_prime" entries and those with q > hi, and it ticks no
+    prune_congruence.  The divisors it skips could only have ended in
+    verdicts that tick no other counter.
     """
     if state.remaining != 2:
         raise ValueError(f"two_prime_solve needs remaining == 2, got {state.remaining}")
@@ -286,18 +301,39 @@ def two_prime_solve(
     delta, target, residue = params.delta, params.target, params.residue
     b = state.prefix_product
     if limit is not None and target * b >= delta * delta * limit:
-        # No n <= limit can reach this target; skip the factorization.
+        # No n <= limit can reach this target; skip finding its divisors.
         if counters is not None:
             counters.prune_limit += 1
         return []
-    try:
-        fact = factorize(target)
-    except FactoringError as exc:
-        raise BranchFactoringError(target, state.prefix) from exc
 
     alpha = state.alpha
+    # f1 >= 1 and q > min_prime bound q from below; f1 <= sqrt(target) and,
+    # with a limit, b*q*r <= limit with q < r bound it from above.
+    lo = max(min_prime + 1, alpha // delta + 1)
+    hi = (isqrt(target) + alpha) // delta
+    if limit is not None:
+        hi = min(hi, isqrt(limit // b))
+    if strategy is None:
+        # Brent rho needs about target**(1/4) iterations on a worst-case
+        # split, so a shorter range is never dearer to scan than to factor.
+        strategy = "scan" if hi - lo < isqrt(isqrt(target)) else "factor"
+    if strategy == "scan":
+        # Every integer q, not just primes, so a composite q is traced as such.
+        divisors = [f1 for f1 in range(delta * lo - alpha, delta * hi - alpha + 1, delta) if not target % f1]
+        if counters is not None:
+            counters.endgame_scan += 1
+    elif strategy == "factor":
+        try:
+            divisors = factorize(target).divisors()
+        except FactoringError as exc:
+            raise BranchFactoringError(target, state.prefix) from exc
+        if counters is not None:
+            counters.endgame_factor += 1
+    else:
+        raise ValueError(f"strategy must be 'scan' or 'factor', got {strategy!r}")
+
     out = []
-    for f1 in fact.divisors():
+    for f1 in divisors:
         if f1 * f1 > target:
             break
         f2 = target // f1

@@ -69,7 +69,9 @@ class SearchCounters:
     ticks when the limit leaves a branch no admissible next prime (or an
     endgame target out of reach); corollary and infeasible count rejected
     candidate primes; congruence counts divisor pairs discarded by the
-    endgame residue filter.
+    endgame residue filter, which only factored endgames see.  endgame_scan
+    and endgame_factor count the two-prime endgames past the limit check by
+    how they found their divisors: scanning the q range or factoring.
     """
 
     nodes_expanded: int = 0
@@ -77,6 +79,8 @@ class SearchCounters:
     prune_corollary: int = 0
     prune_congruence: int = 0
     prune_infeasible: int = 0
+    endgame_scan: int = 0
+    endgame_factor: int = 0
 
     def merge(self, other: "SearchCounters") -> None:
         for f in fields(self):

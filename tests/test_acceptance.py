@@ -140,7 +140,7 @@ def test_criterion_5_golden_internal_vectors():
         assert factorize(4687).as_dict() == {43: 1, 109: 1}
         counters = SearchCounters()
         trace = []
-        assert two_prime_solve(st513, 13, counters=counters, trace=trace) == []
+        assert two_prime_solve(st513, 13, counters=counters, trace=trace, strategy="factor") == []
         assert counters.prune_congruence == 2
         assert [t[4] for t in trace] == ["congruence", "congruence"]
 

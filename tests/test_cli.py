@@ -74,6 +74,8 @@ def test_search_stats_json(capsys):
         "prune_corollary",
         "prune_congruence",
         "prune_infeasible",
+        "endgame_scan",
+        "endgame_factor",
     }
     assert report["counters"]["nodes_expanded"] > 0
 
@@ -272,7 +274,8 @@ def test_factoring_failure_exit_code(capsys, monkeypatch):
         raise FactoringError(n)
 
     monkeypatch.setattr(phi23.equation, "factorize", boom)
-    code, out, err = run_cli(capsys, "search", "--k", "2", "--threads", "1")
+    # the endgame after (5, 7, 37) has a q range far too long to scan
+    code, out, err = run_cli(capsys, "search", "--k", "5", "--threads", "1")
     assert code == 3
     assert out == ""
     assert "gave up" in err
@@ -288,7 +291,7 @@ def test_factoring_failure_exit_code_through_the_pool(capsys, monkeypatch):
     real_pool = phi23.search.ProcessPoolExecutor
     monkeypatch.setattr(phi23.search, "ProcessPoolExecutor", lambda **kw: real_pool(mp_context=fork, **kw))
     monkeypatch.setattr(phi23.equation, "factorize", boom)
-    code, out, err = run_cli(capsys, "search", "--k-min", "2", "--k-max", "4", "--threads", "2")
+    code, out, err = run_cli(capsys, "search", "--k-min", "2", "--k-max", "5", "--threads", "2")
     assert code == 3
     assert out == ""
     assert "branch" in err

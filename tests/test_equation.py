@@ -33,7 +33,7 @@ from phi23.equation import (
     root_state,
     two_prime_solve,
 )
-from phi23.search import SearchCounters
+from phi23.search import SearchConfig, SearchCounters, solve
 
 
 @pytest.fixture(scope="module")
@@ -257,12 +257,10 @@ def test_endgame_identity_random():
         assert lhs == rhs
 
 
-def test_congruence_filter_is_exact():
-    # the residue test must discard exactly the divisors with non-integral
-    # q, and the partner f2 must then be integral automatically
+def random_endgame_coefficients():
+    """1000 seeded (alpha, beta, gamma) of valid states, half with small delta."""
     rng = random.Random(2024)
     states = 0
-    matched = 0
     while states < 1_000:
         alpha = rng.randrange(3, 2000)
         if states % 2:
@@ -274,7 +272,14 @@ def test_congruence_filter_is_exact():
         if gcd(alpha, beta) != 1:
             continue
         states += 1
-        gamma = rng.randrange(1, 5)
+        yield alpha, beta, rng.randrange(1, 5)
+
+
+def test_congruence_filter_is_exact():
+    # the residue test must discard exactly the divisors with non-integral
+    # q, and the partner f2 must then be integral automatically
+    matched = 0
+    for alpha, beta, gamma in random_endgame_coefficients():
         delta = alpha - beta
         target = alpha * beta + gamma * delta
         residue = (-alpha) % delta
@@ -299,12 +304,27 @@ def test_two_prime_golden_after_5_13():
     st = absorb_chain((5, 13))
     counters = SearchCounters()
     trace = []
-    got = two_prime_solve(st, 13, counters=counters, trace=trace)
+    got = two_prime_solve(st, 13, counters=counters, trace=trace, strategy="factor")
     assert got == []
     # both divisors of 4687 = 43 * 109 sit in the wrong residue class mod 7
     assert counters.prune_congruence == 2
     assert trace == [(1, 4687, None, None, "congruence"), (43, 109, None, None, "congruence")]
     assert 1 % 7 != 5 and 43 % 7 != 5
+
+
+def test_two_prime_default_strategy():
+    # after (5, 13), q in 14..20 is a span of 6, below 4687**(1/4) = 8:
+    # scanned, and no divisor of the class 5 mod 7 is met at all
+    counters = SearchCounters()
+    trace = []
+    assert two_prime_solve(absorb_chain((5, 13)), 13, counters=counters, trace=trace) == []
+    assert trace == []
+    assert counters.prune_congruence == 0
+    assert (counters.endgame_scan, counters.endgame_factor) == (1, 0)
+    # at the root, q in 4..5 is a span of 1, not below 8**(1/4) = 1: factored
+    counters = SearchCounters()
+    assert two_prime_solve(root_state(2), 3, counters=counters) == [(5, 7)]
+    assert (counters.endgame_scan, counters.endgame_factor) == (0, 1)
 
 
 def test_two_prime_golden_after_5_7():
@@ -365,6 +385,98 @@ def test_two_prime_matches_linear_scan(prime_set_100k, primes_100k):
             st.alpha, st.beta, st.gamma, st.floor, bound, primes_100k, prime_set_100k
         )
         assert got == want, (st.prefix, st.alpha, st.beta, st.gamma)
+
+
+def _scan_hi(st, limit):
+    """Largest q the scan tries: f1 <= sqrt(target), and q*q <= limit / b."""
+    params = endgame_params(st)
+    hi = (math.isqrt(params.target) + st.alpha) // params.delta
+    if limit is not None:
+        hi = min(hi, math.isqrt(limit // st.prefix_product))
+    return hi
+
+
+def _assert_strategies_agree(st, min_prime, limit=None):
+    runs = {}
+    for strategy in ("scan", "factor"):
+        counters = SearchCounters()
+        trace = []
+        got = two_prime_solve(st, min_prime, limit, counters, trace, strategy=strategy)
+        assert getattr(counters, f"endgame_{strategy}") + counters.prune_limit == 1
+        runs[strategy] = got, counters, trace
+    (scan, scan_counters, scan_trace), (factor, factor_counters, factor_trace) = runs.values()
+    where = (st, min_prime, limit)
+    assert scan == factor, where
+    assert scan_counters.prune_corollary == factor_counters.prune_corollary, where
+    assert scan_counters.prune_congruence == 0, where
+    hi = _scan_hi(st, limit)
+    assert scan_trace == [
+        t for t in factor_trace if t[4] not in ("congruence", "min_prime") and t[2] <= hi
+    ], where
+
+
+def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
+    calls = []
+    real = phi23.search.two_prime_solve
+
+    def spy(st, min_prime, limit=None, counters=None):
+        calls.append((st, min_prime, limit))
+        return real(st, min_prime, limit, counters)
+
+    monkeypatch.setattr(phi23.search, "two_prime_solve", spy)
+    solve(SearchConfig(k_min=1, k_max=6))
+    solve(SearchConfig(limit=10**12))
+    assert len(calls) > 900
+    for st, min_prime, limit in calls:
+        _assert_strategies_agree(st, min_prime, limit)
+    for alpha, beta, gamma in random_endgame_coefficients():
+        _assert_strategies_agree(state((), alpha, beta, gamma, 2), 3)
+    # the cases of test_two_prime_strategy_edges
+    _assert_strategies_agree(state((), 5, 4, 16, 2), 3)
+    _assert_strategies_agree(root_state(2), 4)
+    for limit in (1_679_615, 1_679_614):
+        _assert_strategies_agree(absorb_chain((5, 7)), 7, limit)
+    for limit in (143, 142):
+        _assert_strategies_agree(state((), 2, 1, 97, 2), 3, limit)
+
+
+@pytest.mark.parametrize("strategy", ["scan", "factor"])
+def test_two_prime_strategy_matches_linear_scan(primes_100k, prime_set_100k, strategy):
+    # the states and the brute-force ground truth of acceptance criterion 6c
+    pool = [p for p in simple_sieve(150) if p >= 5]
+    states = reachable_endgame_states(pool, max_product=1_000_000, max_len=4)
+    states += [absorb_chain((p,)) for p in simple_sieve(1000) if p >= 5]
+    bound = 100_000
+    for st in states:
+        got = {pair for pair in two_prime_solve(st, st.floor, strategy=strategy) if pair[1] <= bound}
+        want = pair_scan(st.alpha, st.beta, st.gamma, st.floor, bound, primes_100k, prime_set_100k)
+        assert got == want, (st.prefix, st.alpha, st.beta, st.gamma)
+
+
+@pytest.mark.parametrize("strategy", ["scan", "factor"])
+def test_two_prime_strategy_edges(strategy):
+    # square target 36: f1 = 1 at the first q of the range, f1 = f2 = 6 at its last
+    trace = []
+    assert two_prime_solve(state((), 5, 4, 16, 2), 3, trace=trace, strategy=strategy) == [(7, 23)]
+    assert trace[0] == (1, 36, 6, 41, "q_composite")
+    assert [t[:2] for t in trace] == [(1, 36), (2, 18), (3, 12), (4, 9), (6, 6)]
+    assert trace[-1] == (6, 6, 11, 11, "ordering")
+    # q = min_prime + 1 is the first q tried; q = min_prime is not
+    assert two_prime_solve(root_state(2), 4, strategy=strategy) == [(5, 7)]
+    assert two_prime_solve(root_state(2), 5, strategy=strategy) == []
+    # b*q*r == limit exactly: 35 * 37 * 1297
+    st = absorb_chain((5, 7))
+    assert two_prime_solve(st, 7, limit=1_679_615, strategy=strategy) == [(37, 1297)]
+    assert two_prime_solve(st, 7, limit=1_679_614, strategy=strategy) == []
+    # the same with q at the top of the limit's range: 11 * 13 = 143, 11 = isqrt(143)
+    twin = state((), 2, 1, 97, 2)  # target 99 = 9 * 11
+    assert two_prime_solve(twin, 3, limit=143, strategy=strategy) == [(11, 13)]
+    assert two_prime_solve(twin, 3, limit=142, strategy=strategy) == []
+
+
+def test_two_prime_rejects_unknown_strategy():
+    with pytest.raises(ValueError, match="strategy"):
+        two_prime_solve(root_state(2), 3, strategy="sieve")
 
 
 def test_pruned_branch_really_has_no_solutions():

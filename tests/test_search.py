@@ -174,12 +174,30 @@ def test_counters_populated():
         "prune_corollary",
         "prune_congruence",
         "prune_infeasible",
+        "endgame_scan",
+        "endgame_factor",
     }
     assert stats["nodes_expanded"] > 100
     assert stats["prune_corollary"] > 0
     assert stats["prune_congruence"] > 0
     assert stats["prune_infeasible"] > 0
     assert stats["prune_limit"] == 0  # no limit was given
+
+
+def test_limit_1e14_matches_the_paper_bound():
+    # the paper's bound: no solution beyond the four known ones up to 1e14
+    counters = SearchCounters()
+    sols = solve(SearchConfig(limit=10**14), counters)
+    assert [s.n for s in sols] == KNOWN_N
+    stats = counters.as_dict()
+    assert {k: stats[k] for k in ("nodes_expanded", "prune_limit", "prune_corollary", "prune_infeasible")} == {
+        "nodes_expanded": 10997,
+        "prune_limit": 1779,
+        "prune_corollary": 9161,
+        "prune_infeasible": 3605,
+    }
+    # most endgames have a q range short enough to scan
+    assert (counters.endgame_scan, counters.endgame_factor) == (7267, 117)
 
 
 def test_counters_merge():
