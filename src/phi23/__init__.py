@@ -25,7 +25,6 @@ from .search import (
     SearchConfig,
     SearchCounters,
     Solution,
-    corollary_filter,
     max_k_for_limit,
     search_exact_k,
     solve,
@@ -59,7 +58,6 @@ __all__ = [
     "SearchConfig",
     "SearchCounters",
     "Solution",
-    "corollary_filter",
     "max_k_for_limit",
     "search_exact_k",
     "solve",

@@ -44,8 +44,8 @@ class PrimeTableExhausted(Exception):
 class FactoringError(Exception):
     """Raised when factoring gave up after exhausting its retry budget.
 
-    Callers must either retry with a larger ``rho_rounds`` budget or report
-    the failure; the result is never silently truncated.
+    The result is never silently truncated: a search stops with no partial
+    output and the CLI exits 3.
     """
 
     def __init__(self, n: int):
@@ -340,7 +340,8 @@ def factorize(n: int, rho_rounds: int = 8) -> Factorization:
     Strategy: trial division by primes up to 1000, then a primality check,
     then recursive Brent-rho splitting with ``rho_rounds`` deterministic
     restarts per composite.  Raises FactoringError if the budget runs out;
-    the caller may retry with a larger budget.
+    the restarts are seeded deterministically, so a repeat call fails the
+    same way.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")

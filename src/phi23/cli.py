@@ -1,8 +1,9 @@
 """Command line front end: search (solver), scan (oracle), check (verdict).
 
 Exit codes: 0 success, 1 check verdict negative, 2 usage error, 3 factoring
-gave up.  Solutions are printed only after a search completes, so an
-interrupted run never emits a partial result.
+gave up (a search is then incomplete, a check reaches no verdict).
+Solutions are printed only after a search completes, so an interrupted run
+never emits a partial result.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ def _parse_count(text: str) -> int:
         value = decimal.Decimal(text)
     except decimal.InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value.is_finite():
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     if value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(value)
@@ -134,6 +137,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    if args.limit < 1:
+        return _usage_error(f"need limit >= 1, got {args.limit}")
     if args.limit > SCAN_LIMIT_CAP:
         return _usage_error(
             f"scan limit capped at {SCAN_LIMIT_CAP} (one word per index); "
@@ -193,16 +198,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument("--format", choices=("text", "json"), default="text")
     p_search.add_argument("--stats", action="store_true", help="append a run report")
-    p_search.set_defaults(func=cmd_search)
+    p_search.set_defaults(
+        func=cmd_search,
+        gave_up="the search is incomplete and printed no solutions "
+        "(factoring is deterministic, so a rerun gives up at the same branch)",
+    )
 
     p_scan = sub.add_parser("scan", help="brute-force totient scan (oracle)")
     p_scan.add_argument("--limit", type=_parse_count, required=True)
     p_scan.add_argument("--format", choices=("text", "json"), default="text")
-    p_scan.set_defaults(func=cmd_scan)
+    p_scan.set_defaults(func=cmd_scan, gave_up="the scan is incomplete")
 
     p_check = sub.add_parser("check", help="verdict for a single n")
     p_check.add_argument("n", type=_parse_count)
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func=cmd_check, gave_up="no verdict was reached")
 
     return parser
 
@@ -216,11 +225,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except FactoringError as exc:
-        print(
-            f"error: {exc}; the search is incomplete and printed no solutions "
-            "(factoring is deterministic, so a rerun gives up at the same branch)",
-            file=sys.stderr,
-        )
+        # each subcommand's gave_up says what the failure left undone
+        print(f"error: {exc}; {args.gave_up}", file=sys.stderr)
         return 3
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "EndgameParams",
     "BranchFactoringError",
     "root_state",
-    "corollary_filter",
     "absorb_prime",
     "finiteness_bound",
     "limit_bound",
@@ -47,7 +46,10 @@ ROOT_GAMMA = 2
 
 
 class BranchFactoringError(FactoringError):
-    """Factoring gave up inside an endgame; carries the branch for retry."""
+    """Factoring gave up inside an endgame; names the branch where it happened.
+
+    The search stops there with no partial result (the CLI exits 3).
+    """
 
     def __init__(self, target: int, prefix: tuple[int, ...]):
         self.prefix = prefix
@@ -104,9 +106,8 @@ class Pruned:
 
     ``alpha``/``beta`` are the pre-normalization candidates and ``gcd`` their
     common divisor, so a gcd prune is fully reconstructible from the record.
-    Reasons: 'gcd' (gcd does not divide gamma), 'corollary' (prime - 1
-    divisible by a prefix prime), 'infeasible' (normalized alpha <= beta, so
-    the residual equation has no solution at all).
+    Reasons: 'gcd' (gcd does not divide gamma), 'infeasible' (normalized
+    alpha <= beta, so the residual equation has no solution at all).
     """
 
     reason: str
@@ -132,21 +133,24 @@ def root_state(k: int) -> EquationState:
     return EquationState(prefix=(), alpha=ROOT_ALPHA, beta=ROOT_BETA, gamma=ROOT_GAMMA, remaining=k)
 
 
-def corollary_filter(prefix: tuple[int, ...], r: int) -> bool:
-    """True when no already-chosen prime divides r - 1.
-
-    Any solution prime r must avoid p | r - 1 for every other solution
-    prime p; the reverse direction (r | p - 1 for a later r) is impossible
-    because r > p - 1, so checking against the prefix alone is complete.
-    """
-    return all((r - 1) % p != 0 for p in prefix)
-
-
 def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
     """Extend the prefix by q, renormalizing, or report why that prunes.
 
     q must be a prime greater than state.floor (primality itself is the
     caller's obligation; structural constraints are checked here).
+
+    On every state reachable from root_state two facts hold, by induction
+    over this function:
+      - gamma divides 2: it starts at 2 and is only ever divided by g;
+      - every prefix prime p divides beta: the new beta is beta*q/g, p and q
+        divide beta*q, and g divides gamma, so no prime >= 5 divides g.
+    So the gcd test already enforces the paper's second theorem (p, q | n
+    forces p not dividing q - 1): a prefix prime p | q - 1 divides both
+    alpha*(q - 1) and beta*q, hence g, which then cannot divide gamma.  The
+    endgames need no such check either.  A remaining prime r with p | r - 1
+    would make p divide gamma, since p divides every other term of the
+    residual equation, and q | r - 1 reduces the two-prime equation mod q
+    to gamma = 0 (mod q); neither can happen for primes >= 5.
     """
     if state.remaining < 1:
         raise ValueError("no primes remain to absorb")
@@ -157,8 +161,6 @@ def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
     g = gcd(a2, b2)
     if state.gamma % g:
         return Pruned(reason="gcd", prime=q, alpha=a2, beta=b2, gcd=g)
-    if not corollary_filter(state.prefix, q):
-        return Pruned(reason="corollary", prime=q, alpha=a2, beta=b2, gcd=g)
     a3, b3, g3 = a2 // g, b2 // g, state.gamma // g
     if a3 <= b3:
         # prod(q-1) < prod(q) forces LHS < RHS forever: dead branch.
@@ -235,13 +237,11 @@ def endgame_params(state: EquationState) -> EndgameParams:
     return EndgameParams(delta=delta, target=target, residue=(-state.alpha) % delta)
 
 
-def one_prime_solve(
-    state: EquationState, min_prime: int, limit: int | None = None
-) -> list[int]:
+def one_prime_solve(state: EquationState, limit: int | None = None) -> list[int]:
     """Closed form for the last prime: q = (alpha + gamma) / (alpha - beta).
 
-    Returns [q] when that value is integral, prime, beyond min_prime,
-    compatible with the prefix, and (if limit is given) keeps n <= limit.
+    Returns [q] when that value is integral, prime, beyond state.floor, and
+    (if limit is given) keeps n <= limit.
     """
     if state.remaining != 1:
         raise ValueError(f"one_prime_solve needs remaining == 1, got {state.remaining}")
@@ -250,11 +250,9 @@ def one_prime_solve(
     if num % delta:
         return []
     q = num // delta
-    if q <= min_prime:
+    if q <= state.floor:
         return []
     if limit is not None and state.prefix_product * q > limit:
-        return []
-    if not corollary_filter(state.prefix, q):
         return []
     if not is_prime(q):
         return []
@@ -263,7 +261,6 @@ def one_prime_solve(
 
 def two_prime_solve(
     state: EquationState,
-    min_prime: int,
     limit: int | None = None,
     counters=None,
     trace: list | None = None,
@@ -280,20 +277,21 @@ def two_prime_solve(
     before anything else, and each surviving pair must keep n <= limit.
 
     The divisors come from one of two sources.  "scan" tries f1 = delta*q -
-    alpha for every integer q in the admissible range min_prime < q <= hi,
+    alpha for every integer q in the admissible range state.floor < q <= hi,
     where hi keeps f1 <= sqrt(target) and, with a limit, q*q <= limit /
     prefix_product; "factor" factors the target and walks all its divisors.
     By default the range is scanned when it is shorter than target**(1/4)
     and the target factored otherwise; ``strategy`` forces one source (tests
     cross-check the two with it).
 
-    ``counters`` (optional) receives prune tallies and which source ran;
-    ``trace`` (optional) collects (f1, f2, q, r, verdict) tuples for every
-    divisor pair seen.  A scan sees only divisors in the residue class with
-    q in range, so its trace is the factor trace without the "congruence"
-    and "min_prime" entries and those with q > hi, and it ticks no
-    prune_congruence.  The divisors it skips could only have ended in
-    verdicts that tick no other counter.
+    ``counters`` (optional) receives the limit and congruence prunes and
+    which source ran; ``trace`` (optional) collects (f1, f2, q, r, verdict)
+    tuples for every divisor pair seen.  Verdicts: "congruence" (f1 outside
+    the residue class), "floor" (q <= state.floor), "ordering" (q >= r),
+    "limit", "q_composite", "r_composite" and "accepted".  A scan sees only
+    divisors in the residue class with q in range, so its trace is the
+    factor trace without the "congruence" and "floor" entries and those
+    with q > hi, and it ticks no prune_congruence.
     """
     if state.remaining != 2:
         raise ValueError(f"two_prime_solve needs remaining == 2, got {state.remaining}")
@@ -307,9 +305,10 @@ def two_prime_solve(
         return []
 
     alpha = state.alpha
-    # f1 >= 1 and q > min_prime bound q from below; f1 <= sqrt(target) and,
+    floor = state.floor
+    # f1 >= 1 and q > floor bound q from below; f1 <= sqrt(target) and,
     # with a limit, b*q*r <= limit with q < r bound it from above.
-    lo = max(min_prime + 1, alpha // delta + 1)
+    lo = max(floor + 1, alpha // delta + 1)
     hi = (isqrt(target) + alpha) // delta
     if limit is not None:
         hi = min(hi, isqrt(limit // b))
@@ -346,16 +345,12 @@ def two_prime_solve(
         q = (f1 + alpha) // delta
         r = (f2 + alpha) // delta
         verdict = "accepted"
-        if q <= min_prime:
-            verdict = "min_prime"
+        if q <= floor:
+            verdict = "floor"
         elif q >= r:
             verdict = "ordering"
         elif limit is not None and b * q * r > limit:
             verdict = "limit"
-        elif not corollary_filter(state.prefix, q):
-            verdict = "corollary"
-        elif not corollary_filter(state.prefix + (q,), r):
-            verdict = "corollary"
         elif not is_prime(q):
             verdict = "q_composite"
         elif not is_prime(r):
@@ -364,7 +359,5 @@ def two_prime_solve(
             trace.append((f1, f2, q, r, verdict))
         if verdict == "accepted":
             out.append((q, r))
-        elif counters is not None and verdict == "corollary":
-            counters.prune_corollary += 1
     out.sort()
     return out

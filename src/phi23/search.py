@@ -29,7 +29,6 @@ from .equation import (
     EquationState,
     Pruned,
     absorb_prime,
-    corollary_filter,
     finiteness_bound,
     limit_bound,
     one_prime_solve,
@@ -42,7 +41,6 @@ __all__ = [
     "SearchCounters",
     "Solution",
     "PrimeSource",
-    "corollary_filter",
     "max_k_for_limit",
     "search_exact_k",
     "solve",
@@ -67,9 +65,11 @@ class SearchCounters:
 
     nodes_expanded counts visited states (internal and endgame).  prune_limit
     ticks when the limit leaves a branch no admissible next prime (or an
-    endgame target out of reach); corollary and infeasible count rejected
-    candidate primes; congruence counts divisor pairs discarded by the
-    endgame residue filter, which only factored endgames see.  endgame_scan
+    endgame target out of reach).  prune_corollary counts candidate primes q
+    with p | q - 1 for a prefix prime p, which the gcd test of absorb_prime
+    rejects (the paper's second theorem), and prune_infeasible those whose
+    normalized alpha <= beta; congruence counts divisor pairs discarded by
+    the endgame residue filter, which only factored endgames see.  endgame_scan
     and endgame_factor count the two-prime endgames past the limit check by
     how they found their divisors: scanning the q range or factoring.
     """
@@ -222,9 +222,8 @@ def _expand_node(
     for q in source.table.in_range(lo, hi):
         child = absorb_prime(state, q)
         if isinstance(child, Pruned):
-            # Every prefix prime divides beta on a reachable state, so a prefix
-            # prime p | q - 1 fails the gcd test before the corollary test:
-            # both reasons are the corollary prune.
+            # On a reachable state the gcd test fails exactly when p | q - 1
+            # for a prefix prime p (see absorb_prime).
             if child.reason == "infeasible":
                 counters.prune_infeasible += 1
             else:
@@ -242,10 +241,10 @@ def _solve_endgame(
 ) -> None:
     counters.nodes_expanded += 1
     if state.remaining == 1:
-        for q in one_prime_solve(state, state.floor, limit):
+        for q in one_prime_solve(state, limit):
             emit(state.prefix + (q,))
     else:
-        for q, r in two_prime_solve(state, state.floor, limit, counters):
+        for q, r in two_prime_solve(state, limit, counters):
             emit(state.prefix + (q, r))
 
 

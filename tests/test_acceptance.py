@@ -25,7 +25,6 @@ from phi23.equation import absorb_prime, endgame_params, root_state, two_prime_s
 from phi23.search import (
     SearchConfig,
     SearchCounters,
-    corollary_filter,
     search_exact_k,
     solve,
     steinerberger_relevance,
@@ -140,7 +139,7 @@ def test_criterion_5_golden_internal_vectors():
         assert factorize(4687).as_dict() == {43: 1, 109: 1}
         counters = SearchCounters()
         trace = []
-        assert two_prime_solve(st513, 13, counters=counters, trace=trace, strategy="factor") == []
+        assert two_prime_solve(st513, counters=counters, trace=trace, strategy="factor") == []
         assert counters.prune_congruence == 2
         assert [t[4] for t in trace] == ["congruence", "congruence"]
 
@@ -150,7 +149,7 @@ def test_criterion_5_golden_internal_vectors():
         params57 = endgame_params(st57)
         assert (params57.delta, params57.target) == (1, 1261)
         trace57 = []
-        got = two_prime_solve(st57, 7, trace=trace57)
+        got = two_prime_solve(st57, trace=trace57)
         assert got == [(37, 1297)]
         assert (1, 1261, 37, 1297, "accepted") in trace57
         assert (13, 97, 49, 133, "q_composite") in trace57
@@ -192,7 +191,7 @@ def test_criterion_6c_endgame_matches_linear_scan(primes_100k, prime_set_100k):
                 states.append(absorb_chain((p,)))
         bound = 100_000
         for st in states:
-            got = {pair for pair in two_prime_solve(st, st.floor) if pair[1] <= bound}
+            got = {pair for pair in two_prime_solve(st) if pair[1] <= bound}
             want = pair_scan(
                 st.alpha, st.beta, st.gamma, st.floor, bound,
                 primes_100k, prime_set_100k,
@@ -255,5 +254,4 @@ def test_criterion_7_solution_invariants():
                 for j, r in enumerate(factors):
                     if i != j:
                         assert (r - 1) % p != 0, (p, r)
-            assert corollary_filter(factors[:-1], factors[-1])
             assert steinerberger_relevance(s) == (s.n in (5, 35))

@@ -6,6 +6,7 @@ import multiprocessing
 import pytest
 
 import phi23.equation
+import phi23.oracle
 import phi23.search
 from phi23.arith import FactoringError
 from phi23.cli import main
@@ -267,6 +268,29 @@ def test_usage_error_messages(capsys):
     code, _, err = run_cli(capsys, "scan", "--limit", "2.5e8")
     assert code == 2
     assert "search --limit" in err
+    for limit in ("--limit=0", "--limit=-3"):
+        code, out, err = run_cli(capsys, "scan", limit)
+        assert (code, out) == (2, ""), limit
+        assert err.startswith("error: need limit >= 1, got "), (limit, err)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("search", "--limit", "inf"),
+        ("search", "--limit", "Infinity"),
+        ("search", "--limit=-inf"),
+        ("search", "--limit", "sNaN"),
+        ("search", "--limit", "nan"),
+        ("scan", "--limit", "inf"),
+        ("check", "inf"),
+    ],
+)
+def test_non_finite_counts_are_usage_errors(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert "not a finite number" in err
+    assert "Traceback" not in err
 
 
 def test_factoring_failure_exit_code(capsys, monkeypatch):
@@ -278,8 +302,19 @@ def test_factoring_failure_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "search", "--k", "5", "--threads", "1")
     assert code == 3
     assert out == ""
-    assert "gave up" in err
+    assert "factoring gave up" in err
+    assert "the search is incomplete" in err
     assert "branch" in err
+
+
+def test_check_factoring_failure_exit_code(capsys, monkeypatch):
+    def boom(n, rho_rounds=8):
+        raise FactoringError(n)
+
+    monkeypatch.setattr(phi23.oracle, "factorize", boom)
+    code, out, err = run_cli(capsys, "check", "1295")
+    assert (code, out) == (3, "")
+    assert err == "error: factoring gave up on 1295; no verdict was reached\n"
 
 
 def test_factoring_failure_exit_code_through_the_pool(capsys, monkeypatch):

@@ -25,7 +25,6 @@ from phi23.equation import (
     EquationState,
     Pruned,
     absorb_prime,
-    corollary_filter,
     endgame_params,
     finiteness_bound,
     limit_bound,
@@ -96,15 +95,6 @@ def test_absorb_gcd_prune():
     assert gcd(60, 55) == 5
 
 
-def test_absorb_corollary_prune():
-    st = state((7,), 9, 5, 1, 2)
-    pruned = absorb_prime(st, 29)
-    assert isinstance(pruned, Pruned)
-    assert pruned.reason == "corollary"
-    assert pruned.prime == 29
-    assert gcd(9 * 28, 5 * 29) == 1  # gcd passes first, so the reason is honest
-
-
 def test_absorb_infeasible_prune():
     st = absorb_chain((5, 7))
     pruned = absorb_prime(st, 23)
@@ -134,14 +124,6 @@ def test_gamma_stays_small_on_reachable_states():
         assert st.alpha > st.beta
 
 
-def test_corollary_filter():
-    assert corollary_filter((), 99)
-    assert corollary_filter((5, 7), 13)
-    assert not corollary_filter((5, 7), 11)  # 5 divides 10
-    assert not corollary_filter((5, 7), 29)  # 7 divides 28
-    assert not corollary_filter((37,), 149)  # 37 divides 148
-
-
 # ---------------------------------------------------------------------------
 # Bounds
 # ---------------------------------------------------------------------------
@@ -157,7 +139,7 @@ def test_finiteness_bound_golden(table_100k):
     st537 = absorb_chain((5, 7, 37), extra=1)
     assert finiteness_bound(st537, table_100k) == 1297
     # the closed-form last prime must sit exactly at its bound
-    assert one_prime_solve(st537, 37) == [1297]
+    assert one_prime_solve(st537) == [1297]
 
 
 def test_finiteness_bound_cross_checked_fractions(table_100k):
@@ -295,7 +277,7 @@ def test_congruence_filter_is_exact():
 def test_two_prime_golden_after_5():
     st = absorb_chain((5,))
     trace = []
-    got = two_prime_solve(st, 5, trace=trace)
+    got = two_prime_solve(st, trace=trace)
     assert got == [(7, 37)]
     assert (1, 31, 7, 37, "accepted") in trace
 
@@ -304,7 +286,7 @@ def test_two_prime_golden_after_5_13():
     st = absorb_chain((5, 13))
     counters = SearchCounters()
     trace = []
-    got = two_prime_solve(st, 13, counters=counters, trace=trace, strategy="factor")
+    got = two_prime_solve(st, counters=counters, trace=trace, strategy="factor")
     assert got == []
     # both divisors of 4687 = 43 * 109 sit in the wrong residue class mod 7
     assert counters.prune_congruence == 2
@@ -317,20 +299,20 @@ def test_two_prime_default_strategy():
     # scanned, and no divisor of the class 5 mod 7 is met at all
     counters = SearchCounters()
     trace = []
-    assert two_prime_solve(absorb_chain((5, 13)), 13, counters=counters, trace=trace) == []
+    assert two_prime_solve(absorb_chain((5, 13)), counters=counters, trace=trace) == []
     assert trace == []
     assert counters.prune_congruence == 0
     assert (counters.endgame_scan, counters.endgame_factor) == (1, 0)
     # at the root, q in 4..5 is a span of 1, not below 8**(1/4) = 1: factored
     counters = SearchCounters()
-    assert two_prime_solve(root_state(2), 3, counters=counters) == [(5, 7)]
+    assert two_prime_solve(root_state(2), counters=counters) == [(5, 7)]
     assert (counters.endgame_scan, counters.endgame_factor) == (0, 1)
 
 
 def test_two_prime_golden_after_5_7():
     st = absorb_chain((5, 7))
     trace = []
-    got = two_prime_solve(st, 7, trace=trace)
+    got = two_prime_solve(st, trace=trace)
     assert got == [(37, 1297)]
     assert (1, 1261, 37, 1297, "accepted") in trace
     assert (13, 97, 49, 133, "q_composite") in trace
@@ -340,22 +322,24 @@ def test_two_prime_divisor_walk_square_target():
     # target 5*4 + 16*1 = 36: every divisor up to and including its square
     # root 6 is tried, ascending, each with its cofactor
     trace = []
-    assert two_prime_solve(state((), 5, 4, 16, 2), 3, trace=trace) == [(7, 23)]
+    assert two_prime_solve(state((), 5, 4, 16, 2), trace=trace) == [(7, 23)]
     assert [t[:2] for t in trace] == [(1, 36), (2, 18), (3, 12), (4, 9), (6, 6)]
     assert trace[-1] == (6, 6, 11, 11, "ordering")
 
 
 def test_two_prime_root_pair():
-    assert two_prime_solve(root_state(2), 3) == [(5, 7)]
-    # min_prime is strict: a candidate equal to it is rejected
-    assert two_prime_solve(root_state(2), 5) == []
+    assert two_prime_solve(root_state(2)) == [(5, 7)]
+    # the floor is strict: a candidate equal to it is rejected
+    trace = []
+    assert two_prime_solve(state((5,), 3, 2, 2, 2), trace=trace, strategy="factor") == []
+    assert trace == [(1, 8, 4, 11, "floor"), (2, 4, 5, 7, "floor")]
 
 
 def test_two_prime_limit_boundary():
     st = absorb_chain((5, 7))
-    assert two_prime_solve(st, 7, limit=1_679_615) == [(37, 1297)]
-    assert two_prime_solve(st, 7, limit=1_679_614) == []
-    assert two_prime_solve(st, 7, limit=10**10) == [(37, 1297)]
+    assert two_prime_solve(st, limit=1_679_615) == [(37, 1297)]
+    assert two_prime_solve(st, limit=1_679_614) == []
+    assert two_prime_solve(st, limit=10**10) == [(37, 1297)]
 
 
 def test_two_prime_limit_cut_skips_factoring(monkeypatch):
@@ -365,13 +349,13 @@ def test_two_prime_limit_cut_skips_factoring(monkeypatch):
     monkeypatch.setattr(phi23.equation, "factorize", boom)
     st = absorb_chain((5, 7))  # target 1261, prefix product 35
     counters = SearchCounters()
-    assert two_prime_solve(st, 7, limit=1_000, counters=counters) == []
+    assert two_prime_solve(st, limit=1_000, counters=counters) == []
     assert counters.prune_limit == 1
 
 
 def test_two_prime_requires_two_remaining():
     with pytest.raises(ValueError):
-        two_prime_solve(root_state(3), 3)
+        two_prime_solve(root_state(3))
 
 
 def test_two_prime_matches_linear_scan(prime_set_100k, primes_100k):
@@ -380,7 +364,7 @@ def test_two_prime_matches_linear_scan(prime_set_100k, primes_100k):
     assert len(states) > 80
     bound = 100_000
     for st in states:
-        got = {pair for pair in two_prime_solve(st, st.floor) if pair[1] <= bound}
+        got = {pair for pair in two_prime_solve(st) if pair[1] <= bound}
         want = pair_scan(
             st.alpha, st.beta, st.gamma, st.floor, bound, primes_100k, prime_set_100k
         )
@@ -396,22 +380,21 @@ def _scan_hi(st, limit):
     return hi
 
 
-def _assert_strategies_agree(st, min_prime, limit=None):
+def _assert_strategies_agree(st, limit=None):
     runs = {}
     for strategy in ("scan", "factor"):
         counters = SearchCounters()
         trace = []
-        got = two_prime_solve(st, min_prime, limit, counters, trace, strategy=strategy)
+        got = two_prime_solve(st, limit, counters, trace, strategy=strategy)
         assert getattr(counters, f"endgame_{strategy}") + counters.prune_limit == 1
         runs[strategy] = got, counters, trace
     (scan, scan_counters, scan_trace), (factor, factor_counters, factor_trace) = runs.values()
-    where = (st, min_prime, limit)
+    where = (st, limit)
     assert scan == factor, where
-    assert scan_counters.prune_corollary == factor_counters.prune_corollary, where
     assert scan_counters.prune_congruence == 0, where
     hi = _scan_hi(st, limit)
     assert scan_trace == [
-        t for t in factor_trace if t[4] not in ("congruence", "min_prime") and t[2] <= hi
+        t for t in factor_trace if t[4] not in ("congruence", "floor") and t[2] <= hi
     ], where
 
 
@@ -419,25 +402,25 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
     calls = []
     real = phi23.search.two_prime_solve
 
-    def spy(st, min_prime, limit=None, counters=None):
-        calls.append((st, min_prime, limit))
-        return real(st, min_prime, limit, counters)
+    def spy(st, limit=None, counters=None):
+        calls.append((st, limit))
+        return real(st, limit, counters)
 
     monkeypatch.setattr(phi23.search, "two_prime_solve", spy)
     solve(SearchConfig(k_min=1, k_max=6))
     solve(SearchConfig(limit=10**12))
     assert len(calls) > 900
-    for st, min_prime, limit in calls:
-        _assert_strategies_agree(st, min_prime, limit)
+    for st, limit in calls:
+        _assert_strategies_agree(st, limit)
     for alpha, beta, gamma in random_endgame_coefficients():
-        _assert_strategies_agree(state((), alpha, beta, gamma, 2), 3)
+        _assert_strategies_agree(state((), alpha, beta, gamma, 2))
     # the cases of test_two_prime_strategy_edges
-    _assert_strategies_agree(state((), 5, 4, 16, 2), 3)
-    _assert_strategies_agree(root_state(2), 4)
+    _assert_strategies_agree(state((), 5, 4, 16, 2))
+    _assert_strategies_agree(state((4,), 3, 2, 2, 2))
     for limit in (1_679_615, 1_679_614):
-        _assert_strategies_agree(absorb_chain((5, 7)), 7, limit)
+        _assert_strategies_agree(absorb_chain((5, 7)), limit)
     for limit in (143, 142):
-        _assert_strategies_agree(state((), 2, 1, 97, 2), 3, limit)
+        _assert_strategies_agree(state((), 2, 1, 97, 2), limit)
 
 
 @pytest.mark.parametrize("strategy", ["scan", "factor"])
@@ -448,7 +431,7 @@ def test_two_prime_strategy_matches_linear_scan(primes_100k, prime_set_100k, str
     states += [absorb_chain((p,)) for p in simple_sieve(1000) if p >= 5]
     bound = 100_000
     for st in states:
-        got = {pair for pair in two_prime_solve(st, st.floor, strategy=strategy) if pair[1] <= bound}
+        got = {pair for pair in two_prime_solve(st, strategy=strategy) if pair[1] <= bound}
         want = pair_scan(st.alpha, st.beta, st.gamma, st.floor, bound, primes_100k, prime_set_100k)
         assert got == want, (st.prefix, st.alpha, st.beta, st.gamma)
 
@@ -457,26 +440,27 @@ def test_two_prime_strategy_matches_linear_scan(primes_100k, prime_set_100k, str
 def test_two_prime_strategy_edges(strategy):
     # square target 36: f1 = 1 at the first q of the range, f1 = f2 = 6 at its last
     trace = []
-    assert two_prime_solve(state((), 5, 4, 16, 2), 3, trace=trace, strategy=strategy) == [(7, 23)]
+    assert two_prime_solve(state((), 5, 4, 16, 2), trace=trace, strategy=strategy) == [(7, 23)]
     assert trace[0] == (1, 36, 6, 41, "q_composite")
     assert [t[:2] for t in trace] == [(1, 36), (2, 18), (3, 12), (4, 9), (6, 6)]
     assert trace[-1] == (6, 6, 11, 11, "ordering")
-    # q = min_prime + 1 is the first q tried; q = min_prime is not
-    assert two_prime_solve(root_state(2), 4, strategy=strategy) == [(5, 7)]
-    assert two_prime_solve(root_state(2), 5, strategy=strategy) == []
+    # q = floor + 1 is the first q tried; q = floor is not (the root's
+    # equation behind a floor of 4, which no prime prefix can give)
+    assert two_prime_solve(state((4,), 3, 2, 2, 2), strategy=strategy) == [(5, 7)]
+    assert two_prime_solve(state((5,), 3, 2, 2, 2), strategy=strategy) == []
     # b*q*r == limit exactly: 35 * 37 * 1297
     st = absorb_chain((5, 7))
-    assert two_prime_solve(st, 7, limit=1_679_615, strategy=strategy) == [(37, 1297)]
-    assert two_prime_solve(st, 7, limit=1_679_614, strategy=strategy) == []
+    assert two_prime_solve(st, limit=1_679_615, strategy=strategy) == [(37, 1297)]
+    assert two_prime_solve(st, limit=1_679_614, strategy=strategy) == []
     # the same with q at the top of the limit's range: 11 * 13 = 143, 11 = isqrt(143)
     twin = state((), 2, 1, 97, 2)  # target 99 = 9 * 11
-    assert two_prime_solve(twin, 3, limit=143, strategy=strategy) == [(11, 13)]
-    assert two_prime_solve(twin, 3, limit=142, strategy=strategy) == []
+    assert two_prime_solve(twin, limit=143, strategy=strategy) == [(11, 13)]
+    assert two_prime_solve(twin, limit=142, strategy=strategy) == []
 
 
 def test_two_prime_rejects_unknown_strategy():
     with pytest.raises(ValueError, match="strategy"):
-        two_prime_solve(root_state(2), 3, strategy="sieve")
+        two_prime_solve(root_state(2), strategy="sieve")
 
 
 def test_pruned_branch_really_has_no_solutions():
@@ -489,29 +473,28 @@ def test_pruned_branch_really_has_no_solutions():
 
 
 def test_one_prime_golden_chain():
-    assert one_prime_solve(root_state(1), 3) == [5]
-    assert one_prime_solve(root_state(1), 5) == []
-    assert one_prime_solve(absorb_chain((5,), extra=1), 5) == [7]
-    assert one_prime_solve(absorb_chain((5, 7), extra=1), 7) == [37]
-    assert one_prime_solve(absorb_chain((5, 7, 37), extra=1), 37) == [1297]
+    assert one_prime_solve(root_state(1)) == [5]
+    # the floor is strict: the root's quotient 5 behind a floor of 5
+    assert one_prime_solve(state((5,), 3, 2, 2, 1)) == []
+    assert one_prime_solve(absorb_chain((5,), extra=1)) == [7]
+    assert one_prime_solve(absorb_chain((5, 7), extra=1)) == [37]
+    assert one_prime_solve(absorb_chain((5, 7, 37), extra=1)) == [1297]
 
 
 def test_one_prime_limit():
     st = absorb_chain((5, 7, 37), extra=1)
-    assert one_prime_solve(st, 37, limit=1_679_615) == [1297]
-    assert one_prime_solve(st, 37, limit=1_679_614) == []
+    assert one_prime_solve(st, limit=1_679_615) == [1297]
+    assert one_prime_solve(st, limit=1_679_614) == []
 
 
 def test_one_prime_rejections():
     # 73/7 is not an integer
-    assert one_prime_solve(state((5, 13), 72, 65, 1, 1), 13) == []
+    assert one_prime_solve(state((5, 13), 72, 65, 1, 1)) == []
     # quotient 9 is composite
-    assert one_prime_solve(state((), 5, 1, 31, 1), 3) == []
-    # 7 divides 29 - 1, so the prefix (7,) blocks it
-    assert one_prime_solve(state((7,), 9, 7, 49, 1), 7) == []
-    assert one_prime_solve(state((11,), 9, 7, 49, 1), 11) == [29]
+    assert one_prime_solve(state((), 5, 1, 31, 1)) == []
+    assert one_prime_solve(state((11,), 9, 7, 49, 1)) == [29]
 
 
 def test_one_prime_requires_one_remaining():
     with pytest.raises(ValueError):
-        one_prime_solve(root_state(2), 3)
+        one_prime_solve(root_state(2))

@@ -9,7 +9,7 @@ import pytest
 import phi23.search
 from helpers import brute_force_k, simple_sieve
 from phi23.arith import factorize
-from phi23.equation import EquationState, Pruned, corollary_filter, root_state
+from phi23.equation import EquationState, Pruned, root_state
 from phi23.oracle import scan_solutions
 from phi23.search import (
     MAX_UNBOUNDED_K,
@@ -247,8 +247,8 @@ def _walk_record(monkeypatch, config):
 
 @pytest.mark.parametrize(
     "config",
-    [SearchConfig(k_min=1, k_max=6), SearchConfig(k_max=12, limit=10**12)],
-    ids=["k1-6", "limit-1e12"],
+    [SearchConfig(k_min=1, k_max=6), SearchConfig(k_max=12, limit=10**12), SearchConfig(limit=10**14)],
+    ids=["k1-6", "limit-1e12", "limit-1e14"],
 )
 def test_gcd_and_finiteness_prunes_cannot_fire_on_reachable_states(monkeypatch, config):
     # The walk counts no gcd or finiteness prunes; these are the facts it relies on.
@@ -256,12 +256,15 @@ def test_gcd_and_finiteness_prunes_cannot_fire_on_reachable_states(monkeypatch, 
     children = [out for _, _, out in absorbed if isinstance(out, EquationState)]
     states = [state for state, _ in bounds] + children
     for state in states:
+        # the two premises of absorb_prime's proof that the gcd test enforces
+        # the paper's second theorem
         assert all(state.beta % p == 0 for p in state.prefix), state
+        assert state.gamma in (1, 2), state
     failed = 0
     for state, q, out in absorbed:
-        corollary_fails = not corollary_filter(state.prefix, q)
+        corollary_fails = any((q - 1) % p == 0 for p in state.prefix)
         failed += corollary_fails
-        dead = isinstance(out, Pruned) and out.reason in ("gcd", "corollary")
+        dead = isinstance(out, Pruned) and out.reason == "gcd"
         assert dead == corollary_fails, (state, q, out)
     assert failed > 0
     # every internal node had its finiteness bound taken, and it lies above the floor
