@@ -139,6 +139,13 @@ def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
     q must be a prime greater than state.floor (primality itself is the
     caller's obligation; structural constraints are checked here).
 
+    The child is built without re-running EquationState's validation,
+    because each invariant follows from the parent's: alpha > beta is the
+    infeasible test; g divides both beta*q and gamma, so beta and gamma stay
+    >= 1; gcd(alpha, beta) = 1 after dividing by g; the prefix stays
+    ascending since q > state.floor; and a state with one prime left raises
+    ValueError here, as the constructor would, when q does not prune.
+
     On every state reachable from root_state two facts hold, by induction
     over this function:
       - gamma divides 2: it starts at 2 and is only ever divided by g;
@@ -165,17 +172,21 @@ def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
     if a3 <= b3:
         # prod(q-1) < prod(q) forces LHS < RHS forever: dead branch.
         return Pruned(reason="infeasible", prime=q, alpha=a2, beta=b2, gcd=g)
-    return EquationState(
+    if state.remaining == 1:
+        raise ValueError("need remaining >= 1, got 0")
+    child = object.__new__(EquationState)  # valid by construction: skip __post_init__
+    child.__dict__.update(
         prefix=state.prefix + (q,),
         alpha=a3,
         beta=b3,
         gamma=g3,
         remaining=state.remaining - 1,
     )
+    return child
 
 
-def finiteness_bound(state: EquationState, table: PrimeTable) -> int:
-    """Inclusive upper bound for the next prime in any solution.
+def finiteness_bound(state: EquationState, table: PrimeTable, cap: int | None = None) -> int:
+    """Inclusive upper bound for the next prime in any solution, at most ``cap``.
 
     Scans consecutive-prime tails: if the next prime exceeded p_m, each of
     the ``remaining`` primes would be at least the corresponding entry of
@@ -187,10 +198,18 @@ def finiteness_bound(state: EquationState, table: PrimeTable) -> int:
     faster).  The first p_m where that happens is returned; it can equal
     state.floor, in which case no admissible next prime exists.  All
     comparisons are exact integer arithmetic.
+
+    With a ``cap`` (the walk passes the limit bound) the scan stops at the
+    first p_m >= cap and returns cap: the test has not fired below p_m, so
+    the uncapped bound is at least p_m.  The result is exactly
+    min(uncapped bound, cap), and the table only has to hold the tails of
+    the primes below cap.
     """
     primes = table.primes
     rem = state.remaining
     i = table.index_of(state.floor)
+    if cap is not None and primes[i] >= cap:
+        return cap
     if i + rem + 1 > len(primes):
         raise PrimeTableExhausted(table.limit)
     tail = primes[i + 1 : i + 1 + rem]
@@ -200,13 +219,17 @@ def finiteness_bound(state: EquationState, table: PrimeTable) -> int:
         prod_m1 *= p - 1
         prod_p *= p
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
+    if cap is None:
+        cap = primes[-1] + 1  # no table prime reaches it
     while True:
         if alpha * prod_m1 > beta * prod_p + gamma:
             return primes[i]
         i += 1
+        old = primes[i]
+        if old >= cap:
+            return cap
         if i + rem + 1 > len(primes):
             raise PrimeTableExhausted(table.limit)
-        old = primes[i]
         new = primes[i + rem]
         prod_m1 = prod_m1 // (old - 1) * (new - 1)
         prod_p = prod_p // old * new

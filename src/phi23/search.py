@@ -195,15 +195,12 @@ class PrimeSource:
 
 
 def _next_prime_bound(state: EquationState, limit: int | None, source: PrimeSource) -> int:
+    cap = None if limit is None else limit_bound(state, limit)
     while True:
         try:
-            hi = finiteness_bound(state, source.table)
-            break
+            return finiteness_bound(state, source.table, cap)
         except PrimeTableExhausted:
             source.ensure(source.table.limit * _TABLE_GROWTH)
-    if limit is not None:
-        hi = min(hi, limit_bound(state, limit))
-    return hi
 
 
 def _expand_node(

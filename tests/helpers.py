@@ -1,8 +1,10 @@
 """Independent reference implementations backing the test expectations.
 
-Nothing here shares code with the package: primality is plain trial
-division, the sieve is a separate odd-only implementation, and the pair
-oracles test the raw residual equation directly.
+The reference implementations share no code with the package: primality
+is plain trial division, the sieve is a separate odd-only implementation,
+and the pair oracles test the raw residual equation directly.  The state
+helpers at the end (absorb_chain and the ones after it) drive the package's
+own state transition and bounds to build test inputs.
 """
 
 from __future__ import annotations
@@ -10,7 +12,18 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from phi23.equation import EquationState, Pruned, absorb_prime, root_state
+from phi23.arith import PrimeTable, PrimeTableExhausted, build_prime_table
+from phi23.equation import EquationState, Pruned, absorb_prime, finiteness_bound, root_state
+from phi23.search import SearchConfig
+
+# Walks whose every state the walk-layer tests check, by test id: the
+# paper's unbounded k = 1..6, the 1e12 and 1e14 searches, and a deep slice.
+WALKS = {
+    "k1-6": SearchConfig(k_min=1, k_max=6),
+    "limit-1e12": SearchConfig(k_max=12, limit=10**12),
+    "limit-1e14": SearchConfig(limit=10**14),
+    "k17-1e28": SearchConfig(k_min=17, k_max=17, limit=10**28),
+}
 
 
 def simple_sieve(limit: int) -> list[int]:
@@ -164,3 +177,15 @@ def reachable_endgame_states(
 
     rec((), 1, 0)
     return out
+
+
+def uncapped_finiteness_bound(state: EquationState, table: PrimeTable) -> tuple[int, PrimeTable]:
+    """The finiteness bound without a cap, and a table large enough for it.
+
+    ``table`` is regrown fourfold until the scan fits in it.
+    """
+    while True:
+        try:
+            return finiteness_bound(state, table), table
+        except PrimeTableExhausted:
+            table = build_prime_table(table.limit * 4)

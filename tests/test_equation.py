@@ -8,11 +8,13 @@ import pytest
 
 import phi23.equation
 from helpers import (
+    WALKS,
     absorb_chain,
     literal_pairs,
     pair_scan,
     reachable_endgame_states,
     simple_sieve,
+    uncapped_finiteness_bound,
 )
 from phi23.arith import (
     PrimeTableExhausted,
@@ -114,6 +116,15 @@ def test_absorb_rejects_bad_primes():
         absorb_prime(root_state(2), 4)
 
 
+def test_absorb_into_the_last_slot():
+    # a state with one prime left has no child state: a q that prunes is
+    # reported as before, one that does not is refused
+    with pytest.raises(ValueError):
+        absorb_prime(root_state(1), 5)
+    assert absorb_prime(absorb_chain((5,), extra=1), 11).reason == "gcd"
+    assert absorb_prime(absorb_chain((5, 7), extra=1), 23).reason == "infeasible"
+
+
 def test_gamma_stays_small_on_reachable_states():
     primes = [p for p in simple_sieve(200) if p >= 5]
     states = reachable_endgame_states(primes, max_product=200_000, max_len=3)
@@ -169,6 +180,60 @@ def test_finiteness_bound_exhaustion():
     st = state((5,), 6, 5, 1, 3)
     with pytest.raises(PrimeTableExhausted):
         finiteness_bound(st, tiny)
+
+
+def test_finiteness_bound_cap_golden(table_100k):
+    st537 = absorb_chain((5, 7, 37), extra=1)  # floor 37, uncapped bound 1297
+    for cap, want in [
+        (30, 30),  # below the floor
+        (37, 37),  # at the floor
+        (41, 41),  # the first prime past the floor
+        (42, 42),  # between the primes 41 and 43
+        (1291, 1291),  # the prime before the bound
+        (1296, 1296),
+        (1297, 1297),  # at the bound
+        (1298, 1297),
+        (10**30, 1297),  # far past the table
+    ]:
+        assert finiteness_bound(st537, table_100k, cap) == want, cap
+    # the uncapped scan runs out of this table (test_finiteness_bound_exhaustion); a cap
+    # at or below its bound of 13 needs only the tails of the primes below it
+    tiny = build_prime_table(20)
+    st = state((5,), 6, 5, 1, 3)
+    assert finiteness_bound(st, table_100k) == 13
+    assert finiteness_bound(st, tiny, 7) == 7
+    assert finiteness_bound(st, tiny, 13) == 13
+    with pytest.raises(PrimeTableExhausted):
+        finiteness_bound(st, tiny, 14)
+    # a cap at or below the floor needs no tail at all, even where the
+    # uncapped bound is the floor itself
+    assert finiteness_bound(state((19,), 6, 5, 1, 3), tiny, 19) == 19
+    at_floor = state((5,), 100, 3, 1, 1)
+    assert finiteness_bound(at_floor, tiny) == 5
+    assert finiteness_bound(at_floor, tiny, 4) == 4
+
+
+@pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
+def test_finiteness_cap_is_exact_on_walk_states(monkeypatch, config):
+    walk_caps = {}
+    real = phi23.search.finiteness_bound
+
+    def spy(st, table, cap=None):
+        walk_caps[st] = cap
+        return real(st, table, cap)
+
+    monkeypatch.setattr(phi23.search, "finiteness_bound", spy)
+    solve(config)
+    assert walk_caps
+    table = build_prime_table(1 << 17)
+    for st, walk_cap in walk_caps.items():
+        bound, table = uncapped_finiteness_bound(st, table)
+        first = table.primes[table.index_of(st.floor) + 1]
+        caps = {st.floor - 1, st.floor, first, first + 1, bound - 1, bound, bound + 1, 2 * bound}
+        if walk_cap is not None:
+            caps.add(walk_cap)
+        for cap in caps:
+            assert finiteness_bound(st, table, cap) == min(bound, cap), (st, cap, bound)
 
 
 def _tail_clears(st, tail):

@@ -7,8 +7,8 @@ import types
 import pytest
 
 import phi23.search
-from helpers import brute_force_k, simple_sieve
-from phi23.arith import factorize
+from helpers import WALKS, brute_force_k, simple_sieve, uncapped_finiteness_bound
+from phi23.arith import build_prime_table, factorize
 from phi23.equation import EquationState, Pruned, root_state
 from phi23.oracle import scan_solutions
 from phi23.search import (
@@ -219,19 +219,25 @@ def test_limit_search_uses_limit_prunes():
 def _walk_record(monkeypatch, config):
     """Run ``config`` serially, recording what the walk computes.
 
-    Returns the finiteness bound of every internal node and every
+    Returns the uncapped finiteness bound of every internal node and every
     (state, q, absorb_prime result) the walk tries.
     """
     bounds = []
     absorbed = []
     real_bound = phi23.search.finiteness_bound
     real_absorb = phi23.search.absorb_prime
+    own_table = [build_prime_table(1 << 17)]
 
-    def bound_spy(state, table):
-        hi = real_bound(state, table)
+    def bound_spy(state, table, cap):
+        hi = real_bound(state, table, cap)
         # the walk's primes up to hi come from this table without growing it
         assert hi <= table.limit, (state, hi, table.limit)
-        bounds.append((state, hi))
+        uncapped, own_table[0] = uncapped_finiteness_bound(state, own_table[0])
+        if cap is None:
+            assert uncapped <= table.limit, (state, uncapped, table.limit)
+        # the limit bound caps the scan without changing its answer
+        assert hi == (uncapped if cap is None else min(uncapped, cap)), (state, cap, hi, uncapped)
+        bounds.append((state, uncapped))
         return hi
 
     def absorb_spy(state, q):
@@ -245,11 +251,7 @@ def _walk_record(monkeypatch, config):
     return bounds, absorbed
 
 
-@pytest.mark.parametrize(
-    "config",
-    [SearchConfig(k_min=1, k_max=6), SearchConfig(k_max=12, limit=10**12), SearchConfig(limit=10**14)],
-    ids=["k1-6", "limit-1e12", "limit-1e14"],
-)
+@pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
 def test_gcd_and_finiteness_prunes_cannot_fire_on_reachable_states(monkeypatch, config):
     # The walk counts no gcd or finiteness prunes; these are the facts it relies on.
     bounds, absorbed = _walk_record(monkeypatch, config)
@@ -274,6 +276,25 @@ def test_gcd_and_finiteness_prunes_cannot_fire_on_reachable_states(monkeypatch, 
         assert hi > state.floor, state
 
 
+@pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
+def test_walk_states_replay_through_the_checked_constructor(monkeypatch, config):
+    # absorb_prime skips EquationState's validation; every child it returns
+    # must pass that validation and be equal to the checked rebuild
+    _, absorbed = _walk_record(monkeypatch, config)
+    children = [out for _, _, out in absorbed if isinstance(out, EquationState)]
+    assert children
+    for child in children:
+        rebuilt = EquationState(
+            prefix=child.prefix,
+            alpha=child.alpha,
+            beta=child.beta,
+            gamma=child.gamma,
+            remaining=child.remaining,
+        )
+        assert rebuilt == child
+        assert vars(rebuilt) == vars(child)
+
+
 def test_one_prime_table_per_run(monkeypatch):
     calls = []
     real = phi23.search.build_prime_table
@@ -284,6 +305,14 @@ def test_one_prime_table_per_run(monkeypatch):
 
     monkeypatch.setattr(phi23.search, "build_prime_table", spy)
     assert [s.n for s in solve(SearchConfig(k_min=1, k_max=6))] == KNOWN_N
+    assert len(calls) == 1
+    # under a limit the finiteness scan stops at the limit bound, so the
+    # walk never needs the tails of primes past it
+    calls.clear()
+    assert [s.n for s in solve(SearchConfig(limit=10**14))] == KNOWN_N
+    assert len(calls) == 1
+    calls.clear()
+    assert solve(SearchConfig(k_min=22, k_max=22, limit=10**38)) == []
     assert len(calls) == 1
 
 
