@@ -19,7 +19,6 @@ from math import gcd, isqrt
 
 __all__ = [
     "PrimeTable",
-    "PrimeTableExhausted",
     "Factorization",
     "FactoringError",
     "build_prime_table",
@@ -31,14 +30,6 @@ __all__ = [
 
 # Hard ceiling for sieve allocation (bytes); one byte per candidate.
 _SIEVE_CAP = 1 << 32
-
-
-class PrimeTableExhausted(Exception):
-    """A request walked past the end of a prime table; the caller grows it."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        super().__init__(f"prime table limit {limit} too small")
 
 
 class FactoringError(Exception):
@@ -53,9 +44,13 @@ class FactoringError(Exception):
         super().__init__(f"factoring gave up on {n}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class PrimeTable:
-    """Ascending primes up to ``limit``, stored compactly."""
+    """Ascending primes up to ``limit``, stored compactly; grows on demand.
+
+    ``grow`` extends ``primes`` in place, so a caller holding the array sees
+    the new primes.
+    """
 
     primes: array
     limit: int
@@ -70,18 +65,19 @@ class PrimeTable:
             raise ValueError(f"{p} is not in the table")
         return i
 
-    def in_range(self, lo: int, hi: int):
-        """Yield primes p with lo < p <= hi.
+    def grow(self) -> None:
+        """Sieve to four times the limit and append the new primes."""
+        bigger = build_prime_table(4 * self.limit)
+        self.primes.extend(bigger.primes[len(self.primes) :])
+        self.limit = bigger.limit
 
-        Raises PrimeTableExhausted when hi lies beyond the sieved limit,
-        since primes past the limit would be silently missed otherwise.
-        """
-        if hi > self.limit:
-            raise PrimeTableExhausted(self.limit)
+    def in_range(self, lo: int, hi: int) -> array:
+        """The primes p with lo < p <= hi, growing the table to reach hi."""
+        while hi > self.limit:
+            self.grow()
         i = bisect_right(self.primes, lo)
         j = bisect_right(self.primes, hi)
-        for k in range(i, j):
-            yield self.primes[k]
+        return self.primes[i:j]
 
 
 def build_prime_table(limit: int) -> PrimeTable:
@@ -271,14 +267,7 @@ class Factorization:
 
 
 _TRIAL_LIMIT = 1_000
-_TRIAL_PRIMES: tuple[int, ...] = ()
-
-
-def _trial_primes() -> tuple[int, ...]:
-    global _TRIAL_PRIMES
-    if not _TRIAL_PRIMES:
-        _TRIAL_PRIMES = tuple(build_prime_table(_TRIAL_LIMIT).primes)
-    return _TRIAL_PRIMES
+_TRIAL_PRIMES = tuple(build_prime_table(_TRIAL_LIMIT).primes)
 
 
 def _rho_brent(n: int, attempt: int, max_iters: int) -> int:
@@ -347,7 +336,7 @@ def factorize(n: int, rho_rounds: int = 8) -> Factorization:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     out: dict[int, int] = {}
     m = n
-    for p in _trial_primes():
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
@@ -370,8 +359,9 @@ def factorize(n: int, rho_rounds: int = 8) -> Factorization:
 def integer_root(x: int, r: int) -> int:
     """Largest t with t**r <= x, for x >= 0 and r >= 1.
 
-    A float estimate seeds the result and exact integer comparisons settle
-    the boundary, so the answer is always the true floor root.
+    A float estimate is returned when exact integer comparisons confirm
+    it; otherwise integer Newton steps settle the answer, so it is always
+    the true floor root however far the float is off.
     """
     if r < 1:
         raise ValueError(f"root order must be >= 1, got {r}")
@@ -385,11 +375,14 @@ def integer_root(x: int, r: int) -> int:
         # x < 2**r, so the root is 1.
         return 1
     try:
-        t = int(x ** (1.0 / r))
+        t = max(int(x ** (1.0 / r)), 1)
     except OverflowError:
         t = 1 << (x.bit_length() // r + 1)
-    while t > 1 and t**r > x:
-        t -= 1
-    while (t + 1) ** r <= x:
-        t += 1
+    if t**r <= x < (t + 1) ** r:
+        return t
+    # By AM-GM one Newton step from any t >= 1 lands at or above the floor
+    # root, and from there each step falls until it reaches it.
+    t = ((r - 1) * t + x // t ** (r - 1)) // r
+    while (s := ((r - 1) * t + x // t ** (r - 1)) // r) < t:
+        t = s
     return t

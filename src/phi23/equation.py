@@ -20,7 +20,6 @@ from math import gcd, isqrt
 from .arith import (
     FactoringError,
     PrimeTable,
-    PrimeTableExhausted,
     factorize,
     integer_root,
     is_prime,
@@ -204,14 +203,18 @@ def finiteness_bound(state: EquationState, table: PrimeTable, cap: int | None = 
     the uncapped bound is at least p_m.  The result is exactly
     min(uncapped bound, cap), and the table only has to hold the tails of
     the primes below cap.
+
+    When a tail runs past the end of ``table``, the table grows and the
+    scan goes on where it was, so the bound never depends on the table
+    size.  state.floor must be in the table.
     """
-    primes = table.primes
+    primes = table.primes  # grow() extends this very array
     rem = state.remaining
     i = table.index_of(state.floor)
     if cap is not None and primes[i] >= cap:
         return cap
-    if i + rem + 1 > len(primes):
-        raise PrimeTableExhausted(table.limit)
+    while i + rem + 1 > len(primes):
+        table.grow()
     tail = primes[i + 1 : i + 1 + rem]
     prod_m1 = 1
     prod_p = 1
@@ -219,17 +222,15 @@ def finiteness_bound(state: EquationState, table: PrimeTable, cap: int | None = 
         prod_m1 *= p - 1
         prod_p *= p
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
-    if cap is None:
-        cap = primes[-1] + 1  # no table prime reaches it
     while True:
         if alpha * prod_m1 > beta * prod_p + gamma:
             return primes[i]
         i += 1
         old = primes[i]
-        if old >= cap:
+        if cap is not None and old >= cap:
             return cap
         if i + rem + 1 > len(primes):
-            raise PrimeTableExhausted(table.limit)
+            table.grow()
         new = primes[i + rem]
         prod_m1 = prod_m1 // (old - 1) * (new - 1)
         prod_p = prod_p // old * new

@@ -7,9 +7,11 @@ work is handed to the closed-form endgames.  Every emitted solution is
 re-verified against the original equation, independent of the search path
 that produced it.
 
-With more than one worker requested, ``solve`` expands every k's tree
-breadth-first into independent subtree tasks and runs all of them in one
-process pool for the whole run; results are merged and sorted, so output
+Each run builds one PrimeTable, which grows itself whenever a bound needs
+primes past its end.  With more than one worker requested, ``solve``
+expands every k's tree breadth-first into independent subtree tasks and
+runs all of them in one process pool for the whole run; each worker process
+walks with a table of its own.  Results are merged and sorted, so output
 does not depend on the worker count.
 """
 
@@ -24,7 +26,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable
 
-from .arith import PrimeTable, PrimeTableExhausted, build_prime_table, is_prime
+from .arith import PrimeTable, build_prime_table, is_prime
 from .equation import (
     EquationState,
     Pruned,
@@ -40,7 +42,6 @@ __all__ = [
     "SearchConfig",
     "SearchCounters",
     "Solution",
-    "PrimeSource",
     "max_k_for_limit",
     "search_exact_k",
     "solve",
@@ -52,7 +53,6 @@ __all__ = [
 MAX_UNBOUNDED_K = 6
 
 _INITIAL_TABLE_LIMIT = 1 << 17
-_TABLE_GROWTH = 4
 
 # 5, 5*7, 5*7*11, ...: the smallest n with 1, 2, 3, ... admissible prime
 # factors, over the primes below 512 (a limit past the last is refused).
@@ -170,44 +170,16 @@ def max_k_for_limit(limit: int) -> int:
     return bisect_right(_SMALLEST_N_BY_K, limit)
 
 
-class PrimeSource:
-    """Lazily grown prime table shared by one search process."""
-
-    def __init__(self, initial_limit: int = _INITIAL_TABLE_LIMIT):
-        self._table = build_prime_table(initial_limit)
-
-    @property
-    def table(self) -> PrimeTable:
-        return self._table
-
-    def ensure(self, needed: int) -> PrimeTable:
-        limit = self._table.limit
-        if needed > limit:
-            while limit < needed:
-                limit *= _TABLE_GROWTH
-            self._table = build_prime_table(limit)
-        return self._table
-
-
 # ---------------------------------------------------------------------------
 # Tree walk
 # ---------------------------------------------------------------------------
 
 
-def _next_prime_bound(state: EquationState, limit: int | None, source: PrimeSource) -> int:
-    cap = None if limit is None else limit_bound(state, limit)
-    while True:
-        try:
-            return finiteness_bound(state, source.table, cap)
-        except PrimeTableExhausted:
-            source.ensure(source.table.limit * _TABLE_GROWTH)
-
-
 def _expand_node(
-    state: EquationState, limit: int | None, source: PrimeSource, counters: SearchCounters
+    state: EquationState, limit: int | None, table: PrimeTable, counters: SearchCounters
 ) -> list[EquationState]:
     counters.nodes_expanded += 1
-    hi = _next_prime_bound(state, limit, source)
+    hi = finiteness_bound(state, table, None if limit is None else limit_bound(state, limit))
     lo = state.floor
     if hi <= lo:
         # Only the limit can close a branch here: a child's first finiteness
@@ -216,7 +188,7 @@ def _expand_node(
         counters.prune_limit += 1
         return []
     children = []
-    for q in source.table.in_range(lo, hi):
+    for q in table.in_range(lo, hi):
         child = absorb_prime(state, q)
         if isinstance(child, Pruned):
             # On a reachable state the gcd test fails exactly when p | q - 1
@@ -248,15 +220,15 @@ def _solve_endgame(
 def _dfs(
     state: EquationState,
     limit: int | None,
-    source: PrimeSource,
+    table: PrimeTable,
     counters: SearchCounters,
     emit: Callable[[tuple[int, ...]], None],
 ) -> None:
     if state.remaining <= 2:
         _solve_endgame(state, limit, counters, emit)
         return
-    for child in _expand_node(state, limit, source, counters):
-        _dfs(child, limit, source, counters, emit)
+    for child in _expand_node(state, limit, table, counters):
+        _dfs(child, limit, table, counters, emit)
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +236,22 @@ def _dfs(
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _worker_source() -> PrimeSource:
-    return PrimeSource()
+def _worker_table() -> PrimeTable:
+    # One per worker process; the pool, and so the process, lives for one run.
+    return build_prime_table(_INITIAL_TABLE_LIMIT)
 
 
 def _subtree_worker(state: EquationState, limit: int | None) -> tuple[list[tuple[int, ...]], SearchCounters]:
     counters = SearchCounters()
     found: list[tuple[int, ...]] = []
-    _dfs(state, limit, _worker_source(), counters, found.append)
+    _dfs(state, limit, _worker_table(), counters, found.append)
     return found, counters
 
 
 def _make_tasks(
     root: EquationState,
     limit: int | None,
-    source: PrimeSource,
+    table: PrimeTable,
     counters: SearchCounters,
     want: int,
 ) -> list[EquationState]:
@@ -289,7 +262,7 @@ def _make_tasks(
         if state is None:
             break
         frontier.remove(state)
-        frontier.extend(_expand_node(state, limit, source, counters))
+        frontier.extend(_expand_node(state, limit, table, counters))
         if not frontier:
             break
     return list(frontier)
@@ -299,21 +272,22 @@ def search_exact_k(
     k: int,
     limit: int | None = None,
     counters: SearchCounters | None = None,
-    source: PrimeSource | None = None,
+    table: PrimeTable | None = None,
 ) -> list[Solution]:
     """All solutions with exactly k prime factors (and n <= limit if given).
 
     A serial walk; ``solve`` spreads a run over worker processes.  Unbounded
     runs are refused for k > 6.  ``counters``, when supplied, is updated in
-    place; ``source`` is the prime table to walk with, fresh when not supplied.
+    place; ``table`` is the prime table to walk with (a fresh one when not
+    supplied), and it grows in place when the walk needs more primes.
     """
     SearchConfig(k_min=k, k_max=k, limit=limit)  # validates the arguments
     if counters is None:
         counters = SearchCounters()
-    if source is None:
-        source = PrimeSource()
+    if table is None:
+        table = build_prime_table(_INITIAL_TABLE_LIMIT)
     found: list[tuple[int, ...]] = []
-    _dfs(root_state(k), limit, source, counters, found.append)
+    _dfs(root_state(k), limit, table, counters, found.append)
     solutions = [Solution.from_factors(f) for f in found]
     solutions.sort(key=lambda s: s.n)
     return solutions
@@ -323,21 +297,21 @@ def solve(config: SearchConfig, counters: SearchCounters | None = None) -> list[
     """All solutions with k in ``config.ks`` (and n <= limit if set), by n.
 
     ``config.ks`` caps k at what the limit admits, so wide k ranges are safe
-    to request.  One prime table and, with threads > 1, one process pool
-    serve every k.
+    to request.  One prime table, grown in place as the bounds need, and,
+    with threads > 1, one process pool serve every k.
     """
     if counters is None:
         counters = SearchCounters()
     ks = config.ks
-    source = PrimeSource()
+    table = build_prime_table(_INITIAL_TABLE_LIMIT)
     out: list[Solution] = []
     if config.threads == 1:
         # Through the module global, so a wrapper around search_exact_k sees every k.
         for k in ks:
-            out.extend(search_exact_k(k, config.limit, counters, source))
+            out.extend(search_exact_k(k, config.limit, counters, table))
     else:
         want = 4 * config.threads
-        tasks = [s for k in ks for s in _make_tasks(root_state(k), config.limit, source, counters, want)]
+        tasks = [s for k in ks for s in _make_tasks(root_state(k), config.limit, table, counters, want)]
         if tasks:
             with ProcessPoolExecutor(max_workers=config.threads) as pool:
                 for found, sub_counters in pool.map(_subtree_worker, tasks, [config.limit] * len(tasks)):

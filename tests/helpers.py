@@ -3,8 +3,8 @@
 The reference implementations share no code with the package: primality
 is plain trial division, the sieve is a separate odd-only implementation,
 and the pair oracles test the raw residual equation directly.  The state
-helpers at the end (absorb_chain and the ones after it) drive the package's
-own state transition and bounds to build test inputs.
+helpers at the end (absorb_chain and the one after it) drive the package's
+own state transition to build test inputs.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from phi23.arith import PrimeTable, PrimeTableExhausted, build_prime_table
-from phi23.equation import EquationState, Pruned, absorb_prime, finiteness_bound, root_state
+from phi23.equation import EquationState, Pruned, absorb_prime, root_state
 from phi23.search import SearchConfig
 
 # Walks whose every state the walk-layer tests check, by test id: the
@@ -177,15 +176,3 @@ def reachable_endgame_states(
 
     rec((), 1, 0)
     return out
-
-
-def uncapped_finiteness_bound(state: EquationState, table: PrimeTable) -> tuple[int, PrimeTable]:
-    """The finiteness bound without a cap, and a table large enough for it.
-
-    ``table`` is regrown fourfold until the scan fits in it.
-    """
-    while True:
-        try:
-            return finiteness_bound(state, table), table
-        except PrimeTableExhausted:
-            table = build_prime_table(table.limit * 4)

@@ -8,7 +8,6 @@ import pytest
 from helpers import simple_sieve, trial_is_prime
 from phi23.arith import (
     FactoringError,
-    PrimeTableExhausted,
     _strong_lucas,
     build_prime_table,
     factorize,
@@ -63,8 +62,10 @@ def test_prime_table_in_range():
     assert list(table.in_range(89, 97)) == [97]
     assert list(table.in_range(10, 10)) == []
     assert list(table.in_range(0, 100)) == list(table.primes)
-    with pytest.raises(PrimeTableExhausted):
-        list(table.in_range(0, 101))
+    # past the limit the table grows itself, here twice
+    assert list(table.in_range(0, 1_000)) == simple_sieve(1_000)
+    assert table.limit == 1_600
+    assert list(table.primes) == simple_sieve(1_600)
 
 
 def test_is_prime_matches_sieve_exhaustively():
@@ -201,6 +202,20 @@ def test_integer_root_random():
         t = integer_root(x, r)
         assert t**r <= x, (x, r, t)
         assert (t + 1) ** r > x, (x, r, t)
+
+
+def test_integer_root_large_values():
+    # a float seed can be off by many units here; every supported limit is
+    # below 10**211, and its roots of order 3..24 must come out exact
+    rng = random.Random(2024)
+    for _ in range(20_000):
+        r = rng.randrange(3, 25)
+        x = rng.randrange(0, 10 ** rng.randrange(1, 212))
+        t = integer_root(x, r)
+        assert t**r <= x < (t + 1) ** r, (x, r, t)
+    t = integer_root(10**80, 3)
+    assert t**3 <= 10**80 < (t + 1) ** 3
+    assert t == 464_158_883_361_277_889_241_007_635
 
 
 def test_integer_root_perfect_powers():

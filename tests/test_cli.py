@@ -107,6 +107,13 @@ def test_search_small_scientific_limit(capsys):
     assert out.splitlines() == [KNOWN_TEXT_LINES[0]]
 
 
+def test_search_huge_limit_small_k(capsys):
+    # the root's limit bound is the cube root of 1e80, far from its float estimate
+    code, out, _ = run_cli(capsys, "search", "--k", "3", "--limit", "1e80", "--threads", "1")
+    assert code == 0
+    assert out.splitlines() == [KNOWN_TEXT_LINES[2]]
+
+
 def test_search_empty_result(capsys):
     code, out, _ = run_cli(capsys, "search", "--k", "5", "--threads", "1")
     assert code == 0

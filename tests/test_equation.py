@@ -14,10 +14,8 @@ from helpers import (
     pair_scan,
     reachable_endgame_states,
     simple_sieve,
-    uncapped_finiteness_bound,
 )
 from phi23.arith import (
-    PrimeTableExhausted,
     build_prime_table,
     factorize,
     gcd,
@@ -175,11 +173,15 @@ def test_finiteness_bound_can_return_floor(table_100k):
 
 
 def test_finiteness_bound_exhaustion():
-    # primes up to 19 only; the scan needs the tail (17, 19, 23)
+    # primes up to 19 only; the scan needs the tail (17, 19, 23), so the
+    # table grows in place and the scan goes on
     tiny = build_prime_table(20)
+    primes = tiny.primes
     st = state((5,), 6, 5, 1, 3)
-    with pytest.raises(PrimeTableExhausted):
-        finiteness_bound(st, tiny)
+    assert finiteness_bound(st, tiny) == 13
+    assert tiny.limit == 80
+    assert tiny.primes is primes
+    assert list(primes) == simple_sieve(80)
 
 
 def test_finiteness_bound_cap_golden(table_100k):
@@ -196,15 +198,17 @@ def test_finiteness_bound_cap_golden(table_100k):
         (10**30, 1297),  # far past the table
     ]:
         assert finiteness_bound(st537, table_100k, cap) == want, cap
-    # the uncapped scan runs out of this table (test_finiteness_bound_exhaustion); a cap
+    # the uncapped scan outgrows this table (test_finiteness_bound_exhaustion); a cap
     # at or below its bound of 13 needs only the tails of the primes below it
     tiny = build_prime_table(20)
     st = state((5,), 6, 5, 1, 3)
     assert finiteness_bound(st, table_100k) == 13
     assert finiteness_bound(st, tiny, 7) == 7
     assert finiteness_bound(st, tiny, 13) == 13
-    with pytest.raises(PrimeTableExhausted):
-        finiteness_bound(st, tiny, 14)
+    assert tiny.limit == 20
+    # a cap past the bound needs the tail of 13, so the table grows
+    assert finiteness_bound(st, tiny, 14) == 13
+    assert tiny.limit == 80
     # a cap at or below the floor needs no tail at all, even where the
     # uncapped bound is the floor itself
     assert finiteness_bound(state((19,), 6, 5, 1, 3), tiny, 19) == 19
@@ -227,7 +231,7 @@ def test_finiteness_cap_is_exact_on_walk_states(monkeypatch, config):
     assert walk_caps
     table = build_prime_table(1 << 17)
     for st, walk_cap in walk_caps.items():
-        bound, table = uncapped_finiteness_bound(st, table)
+        bound = finiteness_bound(st, table)
         first = table.primes[table.index_of(st.floor) + 1]
         caps = {st.floor - 1, st.floor, first, first + 1, bound - 1, bound, bound + 1, 2 * bound}
         if walk_cap is not None:

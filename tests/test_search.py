@@ -6,14 +6,14 @@ import types
 
 import pytest
 
+import phi23.arith
 import phi23.search
-from helpers import WALKS, brute_force_k, simple_sieve, uncapped_finiteness_bound
+from helpers import WALKS, brute_force_k, simple_sieve
 from phi23.arith import build_prime_table, factorize
 from phi23.equation import EquationState, Pruned, root_state
 from phi23.oracle import scan_solutions
 from phi23.search import (
     MAX_UNBOUNDED_K,
-    PrimeSource,
     SearchConfig,
     SearchCounters,
     Solution,
@@ -226,13 +226,13 @@ def _walk_record(monkeypatch, config):
     absorbed = []
     real_bound = phi23.search.finiteness_bound
     real_absorb = phi23.search.absorb_prime
-    own_table = [build_prime_table(1 << 17)]
+    own_table = build_prime_table(1 << 17)
 
     def bound_spy(state, table, cap):
         hi = real_bound(state, table, cap)
         # the walk's primes up to hi come from this table without growing it
         assert hi <= table.limit, (state, hi, table.limit)
-        uncapped, own_table[0] = uncapped_finiteness_bound(state, own_table[0])
+        uncapped = real_bound(state, own_table)
         if cap is None:
             assert uncapped <= table.limit, (state, uncapped, table.limit)
         # the limit bound caps the scan without changing its answer
@@ -296,14 +296,16 @@ def test_walk_states_replay_through_the_checked_constructor(monkeypatch, config)
 
 
 def test_one_prime_table_per_run(monkeypatch):
+    # a table built by the search or regrown by PrimeTable.grow counts alike
     calls = []
-    real = phi23.search.build_prime_table
+    real = phi23.arith.build_prime_table
 
     def spy(limit):
         calls.append(limit)
         return real(limit)
 
     monkeypatch.setattr(phi23.search, "build_prime_table", spy)
+    monkeypatch.setattr(phi23.arith, "build_prime_table", spy)
     assert [s.n for s in solve(SearchConfig(k_min=1, k_max=6))] == KNOWN_N
     assert len(calls) == 1
     # under a limit the finiteness scan stops at the limit bound, so the
@@ -346,17 +348,16 @@ def test_package_import_keeps_search_a_module():
 def test_task_partition_covers_the_whole_tree():
     # the parallel driver must see exactly the subtrees the sequential walk sees
     for k in (4, 5, 6):
-        source = PrimeSource()
         full: list[tuple[int, ...]] = []
-        _dfs(root_state(k), None, source, SearchCounters(), full.append)
+        _dfs(root_state(k), None, build_prime_table(1 << 17), SearchCounters(), full.append)
 
-        source2 = PrimeSource()
+        table = build_prime_table(1 << 17)
         counters = SearchCounters()
-        tasks = _make_tasks(root_state(k), None, source2, counters, want=10)
+        tasks = _make_tasks(root_state(k), None, table, counters, want=10)
         assert len({t.prefix for t in tasks}) == len(tasks)
         merged: list[tuple[int, ...]] = []
         for task in tasks:
-            _dfs(task, None, source2, counters, merged.append)
+            _dfs(task, None, table, counters, merged.append)
         assert sorted(merged) == sorted(full)
 
 
@@ -378,10 +379,14 @@ def test_max_k_for_limit_values():
         max_k_for_limit(top)
 
 
-def test_prime_source_growth():
-    source = PrimeSource(initial_limit=128)
-    t0 = source.table
-    assert source.ensure(100) is t0  # no growth needed
-    t1 = source.ensure(10_000)
-    assert t1.limit >= 10_000
-    assert t1.primes[-1] > 9_000
+def test_prime_table_growth():
+    table = build_prime_table(128)
+    primes = table.primes
+    prefix = list(primes)
+    table.grow()
+    assert table.limit == 512
+    assert table.primes is primes  # grown in place
+    assert list(primes[: len(prefix)]) == prefix
+    table.grow()
+    assert table.limit == 2_048
+    assert list(table.primes) == simple_sieve(2_048)
