@@ -194,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="only report n <= LIMIT (accepts 1e14 style); required for k > 6",
     )
     p_search.add_argument(
-        "--threads", type=_positive_int, help="worker processes (default: all cores)"
+        "--threads", type=_positive_int, help="worker processes, at most one per core (default: all cores)"
     )
     p_search.add_argument("--format", choices=("text", "json"), default="text")
     p_search.add_argument("--stats", action="store_true", help="append a run report")

@@ -300,12 +300,39 @@ def two_prime_solve(
     a limit is given, targets too large for any n <= limit are rejected
     before anything else, and each surviving pair must keep n <= limit.
 
-    The divisors come from one of two sources.  "scan" tries f1 = delta*q -
-    alpha for every integer q in the admissible range state.floor < q <= hi,
-    where hi keeps f1 <= sqrt(target) and, with a limit, q*q <= limit /
-    prefix_product; "factor" factors the target and walks all its divisors.
-    By default the range is scanned when it is shorter than target**(1/4)
-    and the target factored otherwise; ``strategy`` forces one source (tests
+    The divisors come from one of two sources.  "factor" factors the target
+    and walks all its divisors.  "scan" finds every divisor f1 = delta*q -
+    alpha with q an integer in lo <= q <= hi, where lo > state.floor keeps
+    f1 >= 1 and hi keeps f1 <= sqrt(target) and, with a limit, q*q <= limit
+    / prefix_product.  It works from both ends of that range, split at
+    mid = (isqrt(target // delta) + alpha) // delta clipped to [lo - 1, hi],
+    where f1 is about sqrt(target / delta):
+
+      - each q in [lo, mid] is tried: does f1 divide the target?
+      - each q in (mid, hi] is found through its sum s = q + r.  The
+        equation reads delta*q*r = alpha*s + gamma - alpha, so q*r is an
+        integer exactly when s = (alpha - gamma) / alpha (mod delta), which
+        exists since gcd(alpha, delta) = gcd(alpha, beta) = 1.  Then q and r
+        are the roots of x*x - s*x + q*r, so the pair exists exactly when
+        s*s - 4*q*r is a square d*d, and q = (s - d) / 2.  No parity test is
+        needed: s*s - d*d = 4*q*r forces s = d (mod 2).
+
+    Why the sums cover (mid, hi] exactly: on f1 > 0 the sum of a real pair
+    is S(q) = q + (target / f1 + alpha) / delta, with dS/dq = 1 - target /
+    f1**2 < 0 for f1 < sqrt(target).  So S is strictly decreasing on q <= hi,
+    and the q in (mid, hi] are exactly the smaller roots of the integral s
+    in [ceil(S(hi)), floor(S(mid + 1))], each at most once; there every
+    discriminant is >= 0 and no q needs a range check.  The s are stepped
+    by delta from the first one in the class.
+
+    Cost: the first side takes about sqrt(target / delta) / delta steps and
+    the second about as many, so one scan takes about 2*sqrt(target) /
+    delta**1.5 steps, against sqrt(target) / delta for trying the whole
+    range; when delta**3 > target that is at most about 2 steps.  By
+    default the endgame scans when its step count, (mid - lo + 1) +
+    (floor(S(mid + 1)) - ceil(S(hi))) // delta + 1, is at most
+    target**(1/4), Brent rho's iteration count on a worst-case split, and
+    factors the target otherwise; ``strategy`` forces one source (tests
     cross-check the two with it).
 
     ``counters`` (optional) receives the limit and congruence prunes and
@@ -336,13 +363,36 @@ def two_prime_solve(
     hi = (isqrt(target) + alpha) // delta
     if limit is not None:
         hi = min(hi, isqrt(limit // b))
+    # q in [lo, mid] are tried one by one, q in (mid, hi] found through their
+    # sums q + r, which fill [s_lo, s_hi] (see above).
+    mid = min(max((isqrt(target // delta) + alpha) // delta, lo - 1), hi)
+    s_lo, s_hi = 1, 0
+    if mid < hi:
+        f_hi = delta * hi - alpha
+        f_mid = delta * (mid + 1) - alpha
+        s_lo = hi - (-(target + alpha * f_hi) // (delta * f_hi))
+        s_hi = mid + 1 + (target + alpha * f_mid) // (delta * f_mid)
     if strategy is None:
         # Brent rho needs about target**(1/4) iterations on a worst-case
-        # split, so a shorter range is never dearer to scan than to factor.
-        strategy = "scan" if hi - lo < isqrt(isqrt(target)) else "factor"
+        # split, so taking at most that many steps is never dearer.
+        steps = (mid - lo + 1) + (s_hi - s_lo) // delta + 1
+        strategy = "scan" if steps <= isqrt(isqrt(target)) else "factor"
     if strategy == "scan":
         # Every integer q, not just primes, so a composite q is traced as such.
-        divisors = [f1 for f1 in range(delta * lo - alpha, delta * hi - alpha + 1, delta) if not target % f1]
+        divisors = [f1 for f1 in range(delta * lo - alpha, delta * mid - alpha + 1, delta) if not target % f1]
+        if s_lo <= s_hi:
+            # The sums in the class that makes q*r = (gamma - alpha + alpha*s) / delta
+            # integral, stepped as s = s0 + delta*j: then q and r are the roots
+            # of x*x - s*x + q*r, and (r - q)**2 = c2*j*j + c1*j + c0.
+            s0 = s_lo + ((alpha - state.gamma) * pow(alpha, -1, delta) - s_lo) % delta
+            c2 = delta * delta
+            c1 = 2 * delta * s0 - 4 * alpha
+            c0 = s0 * s0 - 4 * ((state.gamma - alpha + alpha * s0) // delta)
+            hits = [j for j in range((s_hi - s0) // delta + 1) if isqrt(v := (c2 * j + c1) * j + c0) ** 2 == v]
+            # descending s gives ascending q
+            for j in reversed(hits):
+                q = (s0 + delta * j - isqrt((c2 * j + c1) * j + c0)) // 2
+                divisors.append(delta * q - alpha)
         if counters is not None:
             counters.endgame_scan += 1
     elif strategy == "factor":

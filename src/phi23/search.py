@@ -18,6 +18,7 @@ does not depend on the worker count.
 from __future__ import annotations
 
 import functools
+import os
 from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -71,7 +72,9 @@ class SearchCounters:
     normalized alpha <= beta; congruence counts divisor pairs discarded by
     the endgame residue filter, which only factored endgames see.  endgame_scan
     and endgame_factor count the two-prime endgames past the limit check by
-    how they found their divisors: scanning the q range or factoring.
+    how they found their divisors: the two-sided scan (small q tried one by
+    one, the rest found through their sums q + r; see two_prime_solve) or
+    factoring.
     """
 
     nodes_expanded: int = 0
@@ -93,7 +96,8 @@ class SearchCounters:
 @dataclass(frozen=True)
 class SearchConfig:
     """Search parameters: the k range, an optional bound n <= limit, and
-    ``threads``, the worker process count.
+    ``threads``, the worker processes asked for (``solve`` starts no more
+    than the machine has cores).
 
     ``k_max=None`` means every k the limit admits, or ``MAX_UNBOUNDED_K``
     without a limit; ``ks`` is the range a run searches.
@@ -310,10 +314,12 @@ def solve(config: SearchConfig, counters: SearchCounters | None = None) -> list[
         for k in ks:
             out.extend(search_exact_k(k, config.limit, counters, table))
     else:
-        want = 4 * config.threads
+        # The pool starts all its workers at once: never more than the cores.
+        workers = min(config.threads, os.cpu_count() or 1)
+        want = 4 * workers
         tasks = [s for k in ks for s in _make_tasks(root_state(k), config.limit, table, counters, want)]
         if tasks:
-            with ProcessPoolExecutor(max_workers=config.threads) as pool:
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
                 for found, sub_counters in pool.map(_subtree_worker, tasks, [config.limit] * len(tasks)):
                     out.extend(Solution.from_factors(f) for f in found)
                     counters.merge(sub_counters)

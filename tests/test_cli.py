@@ -305,7 +305,7 @@ def test_factoring_failure_exit_code(capsys, monkeypatch):
         raise FactoringError(n)
 
     monkeypatch.setattr(phi23.equation, "factorize", boom)
-    # the endgame after (5, 7, 37) has a q range far too long to scan
+    # the endgame after (5, 7, 37) takes 1295 scan steps, far above 1678321**(1/4) = 35
     code, out, err = run_cli(capsys, "search", "--k", "5", "--threads", "1")
     assert code == 3
     assert out == ""

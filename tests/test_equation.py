@@ -1,8 +1,10 @@
 """Tests for residual-equation states, pruning, bounds, and endgames."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -364,7 +366,8 @@ def test_two_prime_golden_after_5_13():
 
 
 def test_two_prime_default_strategy():
-    # after (5, 13), q in 14..20 is a span of 6, below 4687**(1/4) = 8:
+    # after (5, 13), q in 14..20 all lie past mid = 13: the scan steps the
+    # sums q + r in 41..50 by 7, at most 2 steps, not above 4687**(1/4) = 8:
     # scanned, and no divisor of the class 5 mod 7 is met at all
     counters = SearchCounters()
     trace = []
@@ -372,7 +375,7 @@ def test_two_prime_default_strategy():
     assert trace == []
     assert counters.prune_congruence == 0
     assert (counters.endgame_scan, counters.endgame_factor) == (1, 0)
-    # at the root, q in 4..5 is a span of 1, not below 8**(1/4) = 1: factored
+    # at the root (delta = 1), q in 4..5 is 2 steps, above 8**(1/4) = 1: factored
     counters = SearchCounters()
     assert two_prime_solve(root_state(2), counters=counters) == [(5, 7)]
     assert (counters.endgame_scan, counters.endgame_factor) == (0, 1)
@@ -440,13 +443,18 @@ def test_two_prime_matches_linear_scan(prime_set_100k, primes_100k):
         assert got == want, (st.prefix, st.alpha, st.beta, st.gamma)
 
 
-def _scan_hi(st, limit):
-    """Largest q the scan tries: f1 <= sqrt(target), and q*q <= limit / b."""
+def _scan_split(st, limit):
+    """(lo, mid, hi) of the scan: q in [lo, mid] are tried one by one, q in
+    (mid, hi] through their sum q + r.  hi keeps f1 <= sqrt(target) and
+    q*q <= limit / b, mid keeps f1 <= about sqrt(target / delta)."""
     params = endgame_params(st)
-    hi = (math.isqrt(params.target) + st.alpha) // params.delta
+    delta, target = params.delta, params.target
+    lo = max(st.floor + 1, st.alpha // delta + 1)
+    hi = (math.isqrt(target) + st.alpha) // delta
     if limit is not None:
         hi = min(hi, math.isqrt(limit // st.prefix_product))
-    return hi
+    mid = min(max((math.isqrt(target // delta) + st.alpha) // delta, lo - 1), hi)
+    return lo, mid, hi
 
 
 def _assert_strategies_agree(st, limit=None):
@@ -461,7 +469,7 @@ def _assert_strategies_agree(st, limit=None):
     where = (st, limit)
     assert scan == factor, where
     assert scan_counters.prune_congruence == 0, where
-    hi = _scan_hi(st, limit)
+    hi = _scan_split(st, limit)[2]
     assert scan_trace == [
         t for t in factor_trace if t[4] not in ("congruence", "floor") and t[2] <= hi
     ], where
@@ -478,7 +486,8 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
     monkeypatch.setattr(phi23.search, "two_prime_solve", spy)
     solve(SearchConfig(k_min=1, k_max=6))
     solve(SearchConfig(limit=10**12))
-    assert len(calls) > 900
+    solve(SearchConfig(limit=10**14))
+    assert len(calls) > 10_000
     for st, limit in calls:
         _assert_strategies_agree(st, limit)
     for alpha, beta, gamma in random_endgame_coefficients():
@@ -490,6 +499,55 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
         _assert_strategies_agree(absorb_chain((5, 7)), limit)
     for limit in (143, 142):
         _assert_strategies_agree(state((), 2, 1, 97, 2), limit)
+
+
+def test_two_prime_strategies_agree_on_k7_endgames():
+    """Scan and factor agree on 40 endgames of the unbounded k = 7 walk.
+
+    Their targets have 57 to 86 bits.  ``data/endgames_k7.json`` holds a
+    fixed-seed sample of the walk's 272,297 endgame states, made with
+
+        states = []
+        search._solve_endgame = lambda st, limit, counters, emit: states.append(st)
+        search._dfs(root_state(7), None, build_prime_table(1 << 17), SearchCounters(), None)
+        sample = sorted(random.Random(7).sample(states, 40), key=lambda s: s.prefix)
+    """
+    rows = json.loads((Path(__file__).parent / "data" / "endgames_k7.json").read_text())
+    assert len(rows) == 40
+    for row in rows:
+        _assert_strategies_agree(state(row["prefix"], row["alpha"], row["beta"], row["gamma"], 2))
+
+
+@pytest.mark.parametrize(
+    "coefficients, limit, split, qs",
+    [
+        # delta = 1 (the root): every q is scanned, none is left to the sums
+        ((3, 2, 2), None, (4, 5, 5), [4, 5]),
+        # target 39 = 1 * 39 = 3 * 13, delta 2: a pair at q = mid
+        ((7, 5, 2), None, (4, 5, 6), [4, 5]),
+        # target 55 = 5 * 11, delta 2: the pair at q = mid has the sum 11, and
+        # the sum of q = 5 lies strictly between 10 and 11: no sum to step
+        ((3, 1, 26), None, (4, 4, 5), [4]),
+        # target 136 = 8 * 17, delta 3: a pair at q = mid + 1, the first q found by its sum
+        ((13, 10, 2), None, (5, 6, 8), [5, 7]),
+        # target 91 = 7 * 13, delta 3: a pair at q = hi
+        ((11, 8, 1), None, (4, 5, 6), [4, 6]),
+        # target 1120 = 2**5 * 5 * 7, delta 3: four q scanned, then q = 15 and
+        # q = 19 through their sums 42 and 39, one step apart
+        ((25, 22, 190), None, (9, 14, 19), [9, 10, 11, 13, 15, 19]),
+        # square target 121, delta 4: f1 = f2 = 11 at q = hi, found by its sum
+        ((13, 9, 1), None, (4, 4, 6), [6]),
+        # the limit caps hi at isqrt(16) = 4, below the uncapped mid 5
+        ((7, 5, 2), 16, (4, 4, 4), [4]),
+    ],
+)
+def test_two_prime_scan_split_edges(coefficients, limit, split, qs):
+    st = state((), *coefficients, 2)
+    assert _scan_split(st, limit) == split
+    trace = []
+    two_prime_solve(st, limit, trace=trace, strategy="scan")
+    assert [t[2] for t in trace] == qs
+    _assert_strategies_agree(st, limit)
 
 
 @pytest.mark.parametrize("strategy", ["scan", "factor"])

@@ -196,8 +196,8 @@ def test_limit_1e14_matches_the_paper_bound():
         "prune_corollary": 9161,
         "prune_infeasible": 3605,
     }
-    # most endgames have a q range short enough to scan
-    assert (counters.endgame_scan, counters.endgame_factor) == (7267, 117)
+    # all but 7 endgames take at most target**(1/4) scan steps
+    assert (counters.endgame_scan, counters.endgame_factor) == (7377, 7)
 
 
 def test_counters_merge():
@@ -339,6 +339,56 @@ def test_one_pool_per_run(monkeypatch, start_method):
     assert len(pools) == 1
     assert counters == serial_counters
     assert [s.n for s in serial] == KNOWN_N
+
+
+def test_pool_size_is_capped_by_the_cores(monkeypatch):
+    # The pool starts all its workers at once, so --threads 100000 must
+    # neither start 100,000 processes nor split the tree into 400,000 tasks.
+    # The fake pool maps in this process: the test starts no process.
+    pools = []
+    wants = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    real_make_tasks = phi23.search._make_tasks
+
+    def make_tasks_spy(root, limit, table, counters, want):
+        wants.append(want)
+        return real_make_tasks(root, limit, table, counters, want)
+
+    monkeypatch.setattr(phi23.search, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(phi23.search, "_make_tasks", make_tasks_spy)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    config = SearchConfig(k_max=12, limit=2_000_000, threads=100_000)
+    serial_counters = SearchCounters()
+    serial = solve(dataclasses.replace(config, threads=1), serial_counters)
+    counters = SearchCounters()
+    assert solve(config, counters) == serial
+    assert counters == serial_counters
+    assert [s.n for s in serial] == KNOWN_N
+    assert pools == [3]
+    assert set(wants) == {12}
+    # fewer tasks than cores: one worker per task (k = 1 and k = 2 are one task each)
+    pools.clear()
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    assert [s.n for s in solve(SearchConfig(limit=100, threads=64))] == [5, 35]
+    assert pools == [2]
+    # an unknown core count means one worker
+    pools.clear()
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert solve(config) == serial
+    assert pools == [1]
 
 
 def test_package_import_keeps_search_a_module():
