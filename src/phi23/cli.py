@@ -126,7 +126,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             solutions=solutions,
             counters=counters,
             wall_time_sec=elapsed,
-            threads=threads,
+            threads=config.workers,
         )
         if args.format == "json":
             print(json.dumps(report.as_json()))

@@ -7,9 +7,9 @@ primes leaves a residual equation
     alpha * prod(q - 1 for remaining q) = beta * prod(remaining q) + gamma
 
 normalized so gcd(alpha, beta) = 1.  The search walks these states; this
-module owns the state transition (absorb_prime), the two upper bounds on
-the next prime (finiteness_bound, limit_bound) and the closed-form endgames
-for one and two remaining primes.
+module owns the state transition (absorb_prime), the upper bound on the
+next prime (finiteness_bound, closed on the limit through limit_bound's
+budget) and the closed-form endgames for one and two remaining primes.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import (
-    FactoringError,
-    PrimeTable,
-    factorize,
-    integer_root,
-    is_prime,
-)
+from .arith import FactoringError, PrimeTable, factorize, is_prime
 
 __all__ = [
     "EquationState",
@@ -184,8 +178,8 @@ def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
     return child
 
 
-def finiteness_bound(state: EquationState, table: PrimeTable, cap: int | None = None) -> int:
-    """Inclusive upper bound for the next prime in any solution, at most ``cap``.
+def finiteness_bound(state: EquationState, table: PrimeTable, room: int | None = None) -> int:
+    """Inclusive upper bound for the next prime in any solution.
 
     Scans consecutive-prime tails: if the next prime exceeded p_m, each of
     the ``remaining`` primes would be at least the corresponding entry of
@@ -198,11 +192,14 @@ def finiteness_bound(state: EquationState, table: PrimeTable, cap: int | None = 
     state.floor, in which case no admissible next prime exists.  All
     comparisons are exact integer arithmetic.
 
-    With a ``cap`` (the walk passes the limit bound) the scan stops at the
-    first p_m >= cap and returns cap: the test has not fired below p_m, so
-    the uncapped bound is at least p_m.  The result is exactly
-    min(uncapped bound, cap), and the table only has to hold the tails of
-    the primes below cap.
+    With a ``room`` (the walk passes limit_bound, the budget for the product
+    of the remaining primes) the same tails close the scan on the limit as
+    well: the remaining primes are distinct and ascending, so a next prime
+    past p_m brings at least prod(tail_i) into that product, and the scan
+    also stops at the first p_m where prod(tail_i) > room.  Both tests are
+    monotone in m, so the result is exactly the smaller of the uncapped
+    bound and the largest prime whose run of ``remaining`` consecutive
+    primes fits in room (state.floor when none does).
 
     When a tail runs past the end of ``table``, the table grows and the
     scan goes on where it was, so the bound never depends on the table
@@ -211,8 +208,6 @@ def finiteness_bound(state: EquationState, table: PrimeTable, cap: int | None = 
     primes = table.primes  # grow() extends this very array
     rem = state.remaining
     i = table.index_of(state.floor)
-    if cap is not None and primes[i] >= cap:
-        return cap
     while i + rem + 1 > len(primes):
         table.grow()
     tail = primes[i + 1 : i + 1 + rem]
@@ -223,12 +218,10 @@ def finiteness_bound(state: EquationState, table: PrimeTable, cap: int | None = 
         prod_p *= p
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
     while True:
-        if alpha * prod_m1 > beta * prod_p + gamma:
+        if alpha * prod_m1 > beta * prod_p + gamma or (room is not None and prod_p > room):
             return primes[i]
         i += 1
         old = primes[i]
-        if cap is not None and old >= cap:
-            return cap
         if i + rem + 1 > len(primes):
             table.grow()
         new = primes[i + rem]
@@ -237,15 +230,15 @@ def finiteness_bound(state: EquationState, table: PrimeTable, cap: int | None = 
 
 
 def limit_bound(state: EquationState, limit: int) -> int:
-    """Inclusive upper bound on the next prime when n must stay <= limit.
+    """Budget for the product of the remaining primes when n must stay <= limit.
 
-    The remaining primes all exceed the next one, so the next prime is at
-    most the remaining-th root of limit // prefix_product.
+    That is limit // prefix_product; finiteness_bound turns it into a bound
+    on the next prime through products of consecutive primes.
     """
     b = state.prefix_product
     if limit < b:
         raise ValueError(f"limit {limit} below prefix product {b}")
-    return integer_root(limit // b, state.remaining)
+    return limit // b
 
 
 def endgame_params(state: EquationState) -> EndgameParams:

@@ -3,17 +3,20 @@
 Deliberately shares no search logic with the solver.  The sieve recomputes
 Euler's totient for every index from scratch (vectorized), the scan tests
 3*phi(n) == 2*(n+1) directly, and check_single re-derives everything for
-one value from its factorization.
+one value from its factorization.  numpy is imported by the two functions
+that use it, so importing the package (and the solver) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import factorize, is_prime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TotientTable",
@@ -38,6 +41,8 @@ class TotientTable:
 
 def totient_sieve(limit: int) -> TotientTable:
     """Tabulate the totient for 1..limit."""
+    import numpy as np
+
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
     if limit > SCAN_LIMIT_CAP:
@@ -59,6 +64,8 @@ def totient_sieve(limit: int) -> TotientTable:
 
 def scan_solutions(limit: int) -> list[int]:
     """Every n <= limit with phi(n) = (2/3)(n+1), by direct tabulation."""
+    import numpy as np
+
     table = totient_sieve(limit)
     n = np.arange(table.limit + 1, dtype=np.int64)
     hits = np.flatnonzero(3 * table.phi == 2 * (n + 1))

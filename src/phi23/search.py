@@ -53,7 +53,9 @@ __all__ = [
 # widths explode and no further solutions are reachable in reasonable time.
 MAX_UNBOUNDED_K = 6
 
-_INITIAL_TABLE_LIMIT = 1 << 17
+# Holds every prime the unbounded k = 1..6 walk and the limited walks up to
+# 1e16 and to k = 22 at 1e38 need; grow() quadruples it past that.
+_INITIAL_TABLE_LIMIT = 1 << 12
 
 # 5, 5*7, 5*7*11, ...: the smallest n with 1, 2, 3, ... admissible prime
 # factors, over the primes below 512 (a limit past the last is refused).
@@ -65,11 +67,12 @@ class SearchCounters:
     """Tallies of expanded nodes and prunes, by reason.
 
     nodes_expanded counts visited states (internal and endgame).  prune_limit
-    ticks when the limit leaves a branch no admissible next prime (or an
-    endgame target out of reach).  prune_corollary counts candidate primes q
-    with p | q - 1 for a prefix prime p, which the gcd test of absorb_prime
-    rejects (the paper's second theorem), and prune_infeasible those whose
-    normalized alpha <= beta; congruence counts divisor pairs discarded by
+    ticks when not even the first ``remaining`` consecutive primes past the
+    floor fit under the limit (or an endgame target is out of reach).
+    prune_corollary counts candidate primes q with p | q - 1 for a prefix
+    prime p, which the gcd test of absorb_prime rejects (the paper's second
+    theorem), and prune_infeasible those whose normalized alpha <= beta;
+    congruence counts divisor pairs discarded by
     the endgame residue filter, which only factored endgames see.  endgame_scan
     and endgame_factor count the two-prime endgames past the limit check by
     how they found their divisors: the two-sided scan (small q tried one by
@@ -96,8 +99,8 @@ class SearchCounters:
 @dataclass(frozen=True)
 class SearchConfig:
     """Search parameters: the k range, an optional bound n <= limit, and
-    ``threads``, the worker processes asked for (``solve`` starts no more
-    than the machine has cores).
+    ``threads``, the worker processes asked for; ``workers`` is how many a
+    run may start.
 
     ``k_max=None`` means every k the limit admits, or ``MAX_UNBOUNDED_K``
     without a limit; ``ks`` is the range a run searches.
@@ -129,6 +132,12 @@ class SearchConfig:
         cap = MAX_UNBOUNDED_K if self.limit is None else max_k_for_limit(self.limit)
         k_max = cap if self.k_max is None else min(self.k_max, cap)
         return range(self.k_min, k_max + 1)
+
+    @property
+    def workers(self) -> int:
+        """``threads``, but never more than the machine has cores: a pool
+        starts all its workers at once."""
+        return min(self.threads, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -186,9 +195,11 @@ def _expand_node(
     hi = finiteness_bound(state, table, None if limit is None else limit_bound(state, limit))
     lo = state.floor
     if hi <= lo:
-        # Only the limit can close a branch here: a child's first finiteness
-        # test is the one its parent passed at the prime before it, so
-        # finiteness_bound(state) > state.floor on every state the walk makes.
+        # Only the limit can close a branch here: the first run of `remaining`
+        # primes past the floor already overflows the budget.  A child's first
+        # finiteness test is the one its parent passed at the prime before it,
+        # so the uncapped finiteness_bound(state) > state.floor on every state
+        # the walk makes.
         counters.prune_limit += 1
         return []
     children = []
@@ -314,8 +325,7 @@ def solve(config: SearchConfig, counters: SearchCounters | None = None) -> list[
         for k in ks:
             out.extend(search_exact_k(k, config.limit, counters, table))
     else:
-        # The pool starts all its workers at once: never more than the cores.
-        workers = min(config.threads, os.cpu_count() or 1)
+        workers = config.workers
         want = 4 * workers
         tasks = [s for k in ks for s in _make_tasks(root_state(k), config.limit, table, counters, want)]
         if tasks:

@@ -9,6 +9,7 @@ own state transition to build test inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
@@ -41,6 +42,32 @@ def simple_sieve(limit: int) -> list[int]:
     if primes[-1] > limit:
         primes.pop()
     return primes
+
+
+_sieve = functools.cache(simple_sieve)  # callers must not change the lists
+
+
+def tight_limit_bound(state: EquationState, limit: int) -> int:
+    """Largest prime p > state.floor whose run of ``state.remaining``
+    consecutive primes has a product <= limit // prefix product, or
+    state.floor when no prime qualifies.
+
+    Tries every prime from the floor up on its own sieve, doubled until the
+    first run that does not fit lies inside it.
+    """
+    room = limit // math.prod(state.prefix)
+    rem = state.remaining
+    size = 64
+    while True:
+        primes = _sieve(size)
+        best = state.floor
+        for i in range(len(primes) - rem + 1):
+            if primes[i] <= state.floor:
+                continue
+            if math.prod(primes[i : i + rem]) > room:
+                return best
+            best = primes[i]
+        size *= 2
 
 
 def trial_is_prime(n: int) -> bool:

@@ -16,6 +16,7 @@ from helpers import (
     pair_scan,
     reachable_endgame_states,
     simple_sieve,
+    tight_limit_bound,
 )
 from phi23.arith import (
     build_prime_table,
@@ -187,59 +188,72 @@ def test_finiteness_bound_exhaustion():
 
 
 def test_finiteness_bound_cap_golden(table_100k):
-    st537 = absorb_chain((5, 7, 37), extra=1)  # floor 37, uncapped bound 1297
-    for cap, want in [
-        (30, 30),  # below the floor
-        (37, 37),  # at the floor
-        (41, 41),  # the first prime past the floor
-        (42, 42),  # between the primes 41 and 43
-        (1291, 1291),  # the prime before the bound
-        (1296, 1296),
-        (1297, 1297),  # at the bound
-        (1298, 1297),
-        (10**30, 1297),  # far past the table
+    # a room caps the bound through products of consecutive primes
+    st5 = absorb_chain((5,), extra=3)  # floor 5, uncapped bound 13
+    # the runs of three primes past 5: 7*11*13 = 1001, 11*13*17 = 2431,
+    # 13*17*19 = 4199 and 17*19*23 = 7429
+    for room, want in [
+        (1, 5),  # below the floor's first run: the floor
+        (1000, 5),
+        (1001, 7),  # equal to a run's product: the run fits
+        (2430, 7),  # one below a run's product: it does not
+        (2431, 11),
+        (4198, 11),
+        (4199, 13),  # the run of the uncapped bound
+        (7428, 13),
+        (7429, 13),  # past the bound the finiteness test decides
+        (10**30, 13),  # far past the table
     ]:
-        assert finiteness_bound(st537, table_100k, cap) == want, cap
-    # the uncapped scan outgrows this table (test_finiteness_bound_exhaustion); a cap
-    # at or below its bound of 13 needs only the tails of the primes below it
+        assert finiteness_bound(st5, table_100k, room) == want, room
+    # with one prime left the run is the prime itself
+    st537 = absorb_chain((5, 7, 37), extra=1)  # floor 37, uncapped bound 1297
+    for room, want in [(40, 37), (41, 41), (42, 41), (1296, 1291), (1297, 1297), (10**30, 1297)]:
+        assert finiteness_bound(st537, table_100k, room) == want, room
+    # the uncapped scan outgrows this table (test_finiteness_bound_exhaustion);
+    # a room short of the run of 13 needs only the tails of 5, 7 and 11
     tiny = build_prime_table(20)
-    st = state((5,), 6, 5, 1, 3)
-    assert finiteness_bound(st, table_100k) == 13
-    assert finiteness_bound(st, tiny, 7) == 7
-    assert finiteness_bound(st, tiny, 13) == 13
+    assert finiteness_bound(st5, table_100k) == 13
+    assert finiteness_bound(st5, tiny, 4198) == 11
     assert tiny.limit == 20
-    # a cap past the bound needs the tail of 13, so the table grows
-    assert finiteness_bound(st, tiny, 14) == 13
+    # a room that fits the run of 13 needs the tail after 13, so the table grows
+    assert finiteness_bound(st5, tiny, 4199) == 13
     assert tiny.limit == 80
-    # a cap at or below the floor needs no tail at all, even where the
-    # uncapped bound is the floor itself
-    assert finiteness_bound(state((19,), 6, 5, 1, 3), tiny, 19) == 19
+    # the floor's first run decides even where the uncapped bound is the floor
     at_floor = state((5,), 100, 3, 1, 1)
     assert finiteness_bound(at_floor, tiny) == 5
-    assert finiteness_bound(at_floor, tiny, 4) == 4
+    assert finiteness_bound(at_floor, tiny, 6) == 5
+    assert finiteness_bound(at_floor, tiny, 7) == 5
 
 
 @pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
 def test_finiteness_cap_is_exact_on_walk_states(monkeypatch, config):
-    walk_caps = {}
+    walk_rooms = {}
     real = phi23.search.finiteness_bound
 
-    def spy(st, table, cap=None):
-        walk_caps[st] = cap
-        return real(st, table, cap)
+    def spy(st, table, room=None):
+        walk_rooms[st] = room
+        return real(st, table, room)
 
     monkeypatch.setattr(phi23.search, "finiteness_bound", spy)
     solve(config)
-    assert walk_caps
+    assert walk_rooms
     table = build_prime_table(1 << 17)
-    for st, walk_cap in walk_caps.items():
+    for st, walk_room in walk_rooms.items():
         bound = finiteness_bound(st, table)
-        first = table.primes[table.index_of(st.floor) + 1]
-        caps = {st.floor - 1, st.floor, first, first + 1, bound - 1, bound, bound + 1, 2 * bound}
-        if walk_cap is not None:
-            caps.add(walk_cap)
-        for cap in caps:
-            assert finiteness_bound(st, table, cap) == min(bound, cap), (st, cap, bound)
+        primes, rem = table.primes, st.remaining
+        # the runs right after the floor and at and after the uncapped bound,
+        # each as a room and one below it
+        starts = (table.index_of(st.floor) + 1, table.index_of(bound), table.index_of(bound) + 1)
+        runs = [math.prod(primes[j : j + rem]) for j in starts]
+        rooms = {*runs, *(r - 1 for r in runs)}
+        if walk_room is not None:
+            assert walk_room == config.limit // st.prefix_product
+            # never above the bound the integer root of the room gave
+            assert finiteness_bound(st, table, walk_room) <= min(bound, integer_root(walk_room, rem))
+            rooms.add(walk_room)
+        for room in rooms:
+            want = min(bound, tight_limit_bound(st, room * st.prefix_product))
+            assert finiteness_bound(st, table, room) == want, (st, room, bound)
 
 
 def _tail_clears(st, tail):
@@ -266,15 +280,16 @@ def test_finiteness_bound_is_tight(table_100k):
 
 
 def test_limit_bound_golden():
+    # the budget for the product of the remaining primes
     st = absorb_chain((5,), extra=2)
-    assert limit_bound(st, 9065) == 42
-    assert 42 * 42 <= 9065 // 5 < 43 * 43
-    assert limit_bound(root_state(4), 10**10) == integer_root(10**10, 4) == 316
+    assert limit_bound(st, 9065) == 9065 // 5 == 1813
+    assert limit_bound(root_state(4), 10**10) == 10**10
     st57deep = state((5, 7), 36, 35, 1, 5)
-    assert limit_bound(st57deep, 10**14) == 309
+    assert limit_bound(st57deep, 10**14) == 10**14 // 35 == 2_857_142_857_142
     assert limit_bound(root_state(1), 100) == 100
     assert limit_bound(absorb_chain((5, 7, 37), extra=1), 1_679_615) == 1297
     assert limit_bound(absorb_chain((5, 7, 37), extra=1), 1_679_614) == 1296
+    assert limit_bound(absorb_chain((5, 7)), 35) == 1
     with pytest.raises(ValueError):
         limit_bound(absorb_chain((5, 7)), 34)
 

@@ -1,10 +1,15 @@
 """Tests for the brute-force totient oracle."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import phi23
 from helpers import naive_phi
 from phi23.oracle import (
     SCAN_LIMIT_CAP,
@@ -133,3 +138,12 @@ def test_check_agrees_with_scan():
 
 def test_scan_cap_is_fixed():
     assert SCAN_LIMIT_CAP == 200_000_000
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # only the oracle's sieve and scan use numpy, and they import it themselves
+    src = Path(phi23.__file__).resolve().parent.parent
+    code = "import sys, phi23, phi23.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

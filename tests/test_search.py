@@ -1,6 +1,7 @@
 """End-to-end tests for the pruned solver and its parallel driver."""
 
 import dataclasses
+import json
 import multiprocessing
 import types
 
@@ -8,8 +9,9 @@ import pytest
 
 import phi23.arith
 import phi23.search
-from helpers import WALKS, brute_force_k, simple_sieve
-from phi23.arith import build_prime_table, factorize
+from helpers import WALKS, brute_force_k, simple_sieve, tight_limit_bound
+from phi23.arith import build_prime_table, factorize, integer_root
+from phi23.cli import main
 from phi23.equation import EquationState, Pruned, root_state
 from phi23.oracle import scan_solutions
 from phi23.search import (
@@ -191,13 +193,13 @@ def test_limit_1e14_matches_the_paper_bound():
     assert [s.n for s in sols] == KNOWN_N
     stats = counters.as_dict()
     assert {k: stats[k] for k in ("nodes_expanded", "prune_limit", "prune_corollary", "prune_infeasible")} == {
-        "nodes_expanded": 10997,
-        "prune_limit": 1779,
-        "prune_corollary": 9161,
-        "prune_infeasible": 3605,
+        "nodes_expanded": 10560,
+        "prune_limit": 1680,
+        "prune_corollary": 8729,
+        "prune_infeasible": 3438,
     }
     # all but 7 endgames take at most target**(1/4) scan steps
-    assert (counters.endgame_scan, counters.endgame_factor) == (7377, 7)
+    assert (counters.endgame_scan, counters.endgame_factor) == (7276, 7)
 
 
 def test_counters_merge():
@@ -228,15 +230,20 @@ def _walk_record(monkeypatch, config):
     real_absorb = phi23.search.absorb_prime
     own_table = build_prime_table(1 << 17)
 
-    def bound_spy(state, table, cap):
-        hi = real_bound(state, table, cap)
+    def bound_spy(state, table, room):
+        hi = real_bound(state, table, room)
         # the walk's primes up to hi come from this table without growing it
         assert hi <= table.limit, (state, hi, table.limit)
         uncapped = real_bound(state, own_table)
-        if cap is None:
-            assert uncapped <= table.limit, (state, uncapped, table.limit)
-        # the limit bound caps the scan without changing its answer
-        assert hi == (uncapped if cap is None else min(uncapped, cap)), (state, cap, hi, uncapped)
+        if room is None:
+            assert hi == uncapped <= table.limit, (state, uncapped, table.limit)
+        else:
+            # the limit closes the scan exactly where consecutive-prime runs
+            # stop fitting, never above the integer-root bound it replaced
+            assert room == config.limit // state.prefix_product, (state, room)
+            want = min(uncapped, tight_limit_bound(state, config.limit))
+            assert hi == want, (state, room, hi, want)
+            assert hi <= min(uncapped, integer_root(room, state.remaining)), (state, room, hi)
         bounds.append((state, uncapped))
         return hi
 
@@ -341,12 +348,11 @@ def test_one_pool_per_run(monkeypatch, start_method):
     assert [s.n for s in serial] == KNOWN_N
 
 
-def test_pool_size_is_capped_by_the_cores(monkeypatch):
-    # The pool starts all its workers at once, so --threads 100000 must
-    # neither start 100,000 processes nor split the tree into 400,000 tasks.
-    # The fake pool maps in this process: the test starts no process.
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool by one that maps in this process, so a test
+    starts no process; returns the list of every pool's max_workers."""
     pools = []
-    wants = []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -361,13 +367,21 @@ def test_pool_size_is_capped_by_the_cores(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
+    monkeypatch.setattr(phi23.search, "ProcessPoolExecutor", FakePool)
+    return pools
+
+
+def test_pool_size_is_capped_by_the_cores(monkeypatch, fake_pool):
+    # The pool starts all its workers at once, so --threads 100000 must
+    # neither start 100,000 processes nor split the tree into 400,000 tasks.
+    pools = fake_pool
+    wants = []
     real_make_tasks = phi23.search._make_tasks
 
     def make_tasks_spy(root, limit, table, counters, want):
         wants.append(want)
         return real_make_tasks(root, limit, table, counters, want)
 
-    monkeypatch.setattr(phi23.search, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(phi23.search, "_make_tasks", make_tasks_spy)
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     config = SearchConfig(k_max=12, limit=2_000_000, threads=100_000)
@@ -389,6 +403,25 @@ def test_pool_size_is_capped_by_the_cores(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert solve(config) == serial
     assert pools == [1]
+
+
+def test_stats_report_the_workers_started(monkeypatch, capsys, fake_pool):
+    # --stats reports the workers the run may start, not the --threads asked for
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    argv = ["search", "--limit", "2e6", "--stats", "--format", "json"]
+    assert main([*argv, "--threads", "100000"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["report"]["threads"] == 3
+    assert fake_pool == [3]
+    assert main(argv) == 0  # the default asks for every core
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["report"]["threads"] == 3
+    assert main([*argv, "--threads", "2"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["report"]["threads"] == 2
+    assert fake_pool == [3, 3, 2]
+    # an unknown core count means one worker
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert main(["search", "--limit", "2e6", "--stats", "--threads", "4"]) == 0
+    assert " threads=1 " in capsys.readouterr().out.splitlines()[-2]
+    assert fake_pool == [3, 3, 2, 1]
 
 
 def test_package_import_keeps_search_a_module():
