@@ -7,7 +7,6 @@ from .arith import (
     build_prime_table,
     factorize,
     gcd,
-    integer_root,
     is_prime,
 )
 from .equation import (
@@ -40,7 +39,6 @@ __all__ = [
     "build_prime_table",
     "factorize",
     "gcd",
-    "integer_root",
     "is_prime",
     "EquationState",
     "Pruned",

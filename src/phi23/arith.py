@@ -1,4 +1,4 @@
-"""Integer arithmetic substrate: prime tables, primality, factoring, roots.
+"""Integer arithmetic substrate: prime tables, primality, factoring.
 
 Everything here works on plain Python integers, so intermediate products
 never overflow regardless of operand size.  Primality is deterministic
@@ -25,7 +25,6 @@ __all__ = [
     "is_prime",
     "factorize",
     "gcd",
-    "integer_root",
 ]
 
 # Hard ceiling for sieve allocation (bytes); one byte per candidate.
@@ -349,40 +348,3 @@ def factorize(n: int, rho_rounds: int = 8) -> Factorization:
         else:
             _split(m, out, rho_rounds)
     return Factorization(value=n, factors=tuple(sorted(out.items())))
-
-
-# ---------------------------------------------------------------------------
-# Roots
-# ---------------------------------------------------------------------------
-
-
-def integer_root(x: int, r: int) -> int:
-    """Largest t with t**r <= x, for x >= 0 and r >= 1.
-
-    A float estimate is returned when exact integer comparisons confirm
-    it; otherwise integer Newton steps settle the answer, so it is always
-    the true floor root however far the float is off.
-    """
-    if r < 1:
-        raise ValueError(f"root order must be >= 1, got {r}")
-    if x < 0:
-        raise ValueError(f"integer_root requires x >= 0, got {x}")
-    if r == 1 or x < 2:
-        return x
-    if r == 2:
-        return isqrt(x)
-    if x >> r == 0:
-        # x < 2**r, so the root is 1.
-        return 1
-    try:
-        t = max(int(x ** (1.0 / r)), 1)
-    except OverflowError:
-        t = 1 << (x.bit_length() // r + 1)
-    if t**r <= x < (t + 1) ** r:
-        return t
-    # By AM-GM one Newton step from any t >= 1 lands at or above the floor
-    # root, and from there each step falls until it reaches it.
-    t = ((r - 1) * t + x // t ** (r - 1)) // r
-    while (s := ((r - 1) * t + x // t ** (r - 1)) // r) < t:
-        t = s
-    return t

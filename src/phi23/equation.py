@@ -31,6 +31,7 @@ __all__ = [
     "endgame_params",
     "one_prime_solve",
     "two_prime_solve",
+    "two_prime_pairs",
 ]
 
 ROOT_ALPHA = 3
@@ -286,20 +287,54 @@ def two_prime_solve(
 ) -> list[tuple[int, int]]:
     """All prime pairs q < r completing the equation from this state.
 
-    Finds the divisors f1 <= sqrt(target) of the endgame target and maps
-    admissible ones back to (q, r) = ((f1 + alpha) / delta, (f2 + alpha) /
-    delta) with f2 = target / f1.  Negative factor pairs of the target need
-    no consideration: delta*q - alpha < 0 forces a negative partner r.  When
-    a limit is given, targets too large for any n <= limit are rejected
-    before anything else, and each surviving pair must keep n <= limit.
+    The state-level entry to two_prime_pairs, which holds the endgame and
+    its documentation; a factoring failure names the state's branch.
+    """
+    if state.remaining != 2:
+        raise ValueError(f"two_prime_solve needs remaining == 2, got {state.remaining}")
+    try:
+        return two_prime_pairs(
+            state.alpha, state.beta, state.gamma, state.floor, state.prefix_product,
+            limit, counters, trace, strategy=strategy,
+        )
+    except FactoringError as exc:
+        raise BranchFactoringError(exc.n, state.prefix) from exc
+
+
+def two_prime_pairs(
+    alpha: int,
+    beta: int,
+    gamma: int,
+    floor: int,
+    prefix_product: int,
+    limit: int | None = None,
+    counters=None,
+    trace: list | None = None,
+    *,
+    strategy: str | None = None,
+) -> list[tuple[int, int]]:
+    """All prime pairs floor < q < r solving alpha(q-1)(r-1) = beta*q*r + gamma.
+
+    The two-prime endgame on a state's coefficients (alpha > beta >= 1,
+    gcd(alpha, beta) = 1, gamma >= 1), its floor and the product of its
+    prefix, so the walk can solve a child without building it.  A factoring
+    failure raises FactoringError on the target.
+
+    Finds the divisors f1 <= sqrt(target) of the endgame target (see
+    endgame_params) and maps admissible ones back to (q, r) = ((f1 + alpha)
+    / delta, (f2 + alpha) / delta) with f2 = target / f1.  Negative factor
+    pairs of the target need no consideration: delta*q - alpha < 0 forces a
+    negative partner r.  When a limit is given, targets too large for any
+    n <= limit are rejected before anything else, and each surviving pair
+    must keep n <= limit.
 
     The divisors come from one of two sources.  "factor" factors the target
     and walks all its divisors.  "scan" finds every divisor f1 = delta*q -
-    alpha with q an integer in lo <= q <= hi, where lo > state.floor keeps
-    f1 >= 1 and hi keeps f1 <= sqrt(target) and, with a limit, q*q <= limit
-    / prefix_product.  It works from both ends of that range, split at
-    mid = (isqrt(target // delta) + alpha) // delta clipped to [lo - 1, hi],
-    where f1 is about sqrt(target / delta):
+    alpha with q an integer in lo <= q <= hi, where lo > floor keeps f1 >= 1
+    and hi keeps f1 <= sqrt(target) and, with a limit, q*q <= limit /
+    prefix_product.  It works from both ends of that range, split at mid =
+    (isqrt(target // delta) + alpha) // delta clipped to [lo - 1, hi], where
+    f1 is about sqrt(target / delta):
 
       - each q in [lo, mid] is tried: does f1 divide the target?
       - each q in (mid, hi] is found through its sum s = q + r.  The
@@ -331,25 +366,21 @@ def two_prime_solve(
     ``counters`` (optional) receives the limit and congruence prunes and
     which source ran; ``trace`` (optional) collects (f1, f2, q, r, verdict)
     tuples for every divisor pair seen.  Verdicts: "congruence" (f1 outside
-    the residue class), "floor" (q <= state.floor), "ordering" (q >= r),
-    "limit", "q_composite", "r_composite" and "accepted".  A scan sees only
-    divisors in the residue class with q in range, so its trace is the
-    factor trace without the "congruence" and "floor" entries and those
-    with q > hi, and it ticks no prune_congruence.
+    the residue class), "floor" (q <= floor), "ordering" (q >= r), "limit",
+    "q_composite", "r_composite" and "accepted".  A scan sees only divisors
+    in the residue class with q in range, so its trace is the factor trace
+    without the "congruence" and "floor" entries and those with q > hi, and
+    it ticks no prune_congruence.
     """
-    if state.remaining != 2:
-        raise ValueError(f"two_prime_solve needs remaining == 2, got {state.remaining}")
-    params = endgame_params(state)
-    delta, target, residue = params.delta, params.target, params.residue
-    b = state.prefix_product
+    delta = alpha - beta
+    target = alpha * beta + gamma * delta
+    b = prefix_product
     if limit is not None and target * b >= delta * delta * limit:
         # No n <= limit can reach this target; skip finding its divisors.
         if counters is not None:
             counters.prune_limit += 1
         return []
 
-    alpha = state.alpha
-    floor = state.floor
     # f1 >= 1 and q > floor bound q from below; f1 <= sqrt(target) and,
     # with a limit, b*q*r <= limit with q < r bound it from above.
     lo = max(floor + 1, alpha // delta + 1)
@@ -377,10 +408,10 @@ def two_prime_solve(
             # The sums in the class that makes q*r = (gamma - alpha + alpha*s) / delta
             # integral, stepped as s = s0 + delta*j: then q and r are the roots
             # of x*x - s*x + q*r, and (r - q)**2 = c2*j*j + c1*j + c0.
-            s0 = s_lo + ((alpha - state.gamma) * pow(alpha, -1, delta) - s_lo) % delta
+            s0 = s_lo + ((alpha - gamma) * pow(alpha, -1, delta) - s_lo) % delta
             c2 = delta * delta
             c1 = 2 * delta * s0 - 4 * alpha
-            c0 = s0 * s0 - 4 * ((state.gamma - alpha + alpha * s0) // delta)
+            c0 = s0 * s0 - 4 * ((gamma - alpha + alpha * s0) // delta)
             hits = [j for j in range((s_hi - s0) // delta + 1) if isqrt(v := (c2 * j + c1) * j + c0) ** 2 == v]
             # descending s gives ascending q
             for j in reversed(hits):
@@ -392,12 +423,13 @@ def two_prime_solve(
         try:
             divisors = factorize(target).divisors()
         except FactoringError as exc:
-            raise BranchFactoringError(target, state.prefix) from exc
+            raise FactoringError(target) from exc
         if counters is not None:
             counters.endgame_factor += 1
     else:
         raise ValueError(f"strategy must be 'scan' or 'factor', got {strategy!r}")
 
+    residue = (-alpha) % delta
     out = []
     for f1 in divisors:
         if f1 * f1 > target:

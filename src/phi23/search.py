@@ -3,12 +3,15 @@
 Solutions n = q1*...*qk (distinct primes >= 5) are found by depth-first
 expansion of residual-equation states.  Internal nodes enumerate the next
 prime up to the tighter of the finiteness bound and the limit bound; leaf
-work is handed to the closed-form endgames.  Every emitted solution is
-re-verified against the original equation, independent of the search path
-that produced it.
+work is handed to the closed-form endgames.  The last internal level is
+fused with the endgames below it: a node with three primes left tests each
+next prime on its coefficients and hands the child's coefficients straight
+to the two-prime endgame, without building the child state.  Every emitted
+solution is re-verified against the original equation, independent of the
+search path that produced it.
 
 Each run builds one PrimeTable, which grows itself whenever a bound needs
-primes past its end.  With more than one worker requested, ``solve``
+primes past its end.  When more than one worker may start, ``solve``
 expands every k's tree breadth-first into independent subtree tasks and
 runs all of them in one process pool for the whole run; each worker process
 walks with a table of its own.  Results are merged and sorted, so output
@@ -24,11 +27,13 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import accumulate
+from math import gcd
 from operator import mul
-from typing import Callable
+from typing import Callable, Sequence
 
-from .arith import PrimeTable, build_prime_table, is_prime
+from .arith import FactoringError, PrimeTable, build_prime_table, is_prime
 from .equation import (
+    BranchFactoringError,
     EquationState,
     Pruned,
     absorb_prime,
@@ -36,6 +41,7 @@ from .equation import (
     limit_bound,
     one_prime_solve,
     root_state,
+    two_prime_pairs,
     two_prime_solve,
 )
 
@@ -66,18 +72,20 @@ _SMALLEST_N_BY_K = list(accumulate(build_prime_table(512).in_range(3, 512), mul)
 class SearchCounters:
     """Tallies of expanded nodes and prunes, by reason.
 
-    nodes_expanded counts visited states (internal and endgame).  prune_limit
-    ticks when not even the first ``remaining`` consecutive primes past the
-    floor fit under the limit (or an endgame target is out of reach).
-    prune_corollary counts candidate primes q with p | q - 1 for a prefix
-    prime p, which the gcd test of absorb_prime rejects (the paper's second
-    theorem), and prune_infeasible those whose normalized alpha <= beta;
-    congruence counts divisor pairs discarded by
-    the endgame residue filter, which only factored endgames see.  endgame_scan
-    and endgame_factor count the two-prime endgames past the limit check by
-    how they found their divisors: the two-sided scan (small q tried one by
-    one, the rest found through their sums q + r; see two_prime_solve) or
-    factoring.
+    nodes_expanded counts visited states (internal and endgame).  The
+    endgames a node with three primes left solves without building their
+    states (see _solve_last_level) count too: every counter ticks as if
+    those states were built.  prune_limit ticks when not even the first
+    ``remaining`` consecutive primes past the floor fit under the limit (or
+    an endgame target is out of reach).  prune_corollary counts candidate
+    primes q with p | q - 1 for a prefix prime p, which the gcd test of
+    absorb_prime rejects (the paper's second theorem), and prune_infeasible
+    those whose normalized alpha <= beta; congruence counts divisor pairs
+    discarded by the endgame residue filter, which only factored endgames
+    see.  endgame_scan and endgame_factor count the two-prime endgames past
+    the limit check by how they found their divisors: the two-sided scan
+    (small q tried one by one, the rest found through their sums q + r; see
+    two_prime_pairs) or factoring.
     """
 
     nodes_expanded: int = 0
@@ -188,9 +196,10 @@ def max_k_for_limit(limit: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _expand_node(
+def _next_primes(
     state: EquationState, limit: int | None, table: PrimeTable, counters: SearchCounters
-) -> list[EquationState]:
+) -> Sequence[int]:
+    """Count an internal node as expanded and return its candidate next primes."""
     counters.nodes_expanded += 1
     hi = finiteness_bound(state, table, None if limit is None else limit_bound(state, limit))
     lo = state.floor
@@ -202,8 +211,14 @@ def _expand_node(
         # the walk makes.
         counters.prune_limit += 1
         return []
+    return table.in_range(lo, hi)
+
+
+def _expand_node(
+    state: EquationState, limit: int | None, table: PrimeTable, counters: SearchCounters
+) -> list[EquationState]:
     children = []
-    for q in table.in_range(lo, hi):
+    for q in _next_primes(state, limit, table, counters):
         child = absorb_prime(state, q)
         if isinstance(child, Pruned):
             # On a reachable state the gcd test fails exactly when p | q - 1
@@ -232,6 +247,45 @@ def _solve_endgame(
             emit(state.prefix + (q, r))
 
 
+def _solve_last_level(
+    state: EquationState,
+    limit: int | None,
+    table: PrimeTable,
+    counters: SearchCounters,
+    emit: Callable[[tuple[int, ...]], None],
+) -> None:
+    """Expand a node with three primes left and solve every child's endgame.
+
+    Counts and emits exactly what _expand_node followed by _solve_endgame on
+    each child would, but builds no child state: each q runs absorb_prime's
+    gcd and infeasible tests on the raw coefficients, and the normalized
+    coefficients go straight to two_prime_pairs.
+    """
+    alpha, beta, gamma = state.alpha, state.beta, state.gamma
+    b = state.prefix_product
+    try:
+        for q in _next_primes(state, limit, table, counters):
+            # absorb_prime's arithmetic; its docstring proves that the gcd
+            # test rejects exactly the q with p | q - 1 for a prefix prime p
+            # and that a child passing both tests is a valid state.
+            a2 = alpha * (q - 1)
+            b2 = beta * q
+            g = gcd(a2, b2)
+            if gamma % g:
+                counters.prune_corollary += 1
+                continue
+            a3 = a2 // g
+            b3 = b2 // g
+            if a3 <= b3:
+                counters.prune_infeasible += 1
+                continue
+            counters.nodes_expanded += 1
+            for r1, r2 in two_prime_pairs(a3, b3, gamma // g, q, b * q, limit, counters):
+                emit(state.prefix + (q, r1, r2))
+    except FactoringError as exc:
+        raise BranchFactoringError(exc.n, state.prefix + (q,)) from exc
+
+
 def _dfs(
     state: EquationState,
     limit: int | None,
@@ -241,9 +295,11 @@ def _dfs(
 ) -> None:
     if state.remaining <= 2:
         _solve_endgame(state, limit, counters, emit)
-        return
-    for child in _expand_node(state, limit, table, counters):
-        _dfs(child, limit, table, counters, emit)
+    elif state.remaining == 3:
+        _solve_last_level(state, limit, table, counters, emit)
+    else:
+        for child in _expand_node(state, limit, table, counters):
+            _dfs(child, limit, table, counters, emit)
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +369,19 @@ def solve(config: SearchConfig, counters: SearchCounters | None = None) -> list[
 
     ``config.ks`` caps k at what the limit admits, so wide k ranges are safe
     to request.  One prime table, grown in place as the bounds need, and,
-    with threads > 1, one process pool serve every k.
+    when more than one worker may start, one process pool serve every k.
     """
     if counters is None:
         counters = SearchCounters()
     ks = config.ks
     table = build_prime_table(_INITIAL_TABLE_LIMIT)
     out: list[Solution] = []
-    if config.threads == 1:
+    workers = config.workers
+    if workers == 1:
         # Through the module global, so a wrapper around search_exact_k sees every k.
         for k in ks:
             out.extend(search_exact_k(k, config.limit, counters, table))
     else:
-        workers = config.workers
         want = 4 * workers
         tasks = [s for k in ks for s in _make_tasks(root_state(k), config.limit, table, counters, want)]
         if tasks:

@@ -70,6 +70,41 @@ def tight_limit_bound(state: EquationState, limit: int) -> int:
         size *= 2
 
 
+def integer_root(x: int, r: int) -> int:
+    """Largest t with t**r <= x, for x >= 0 and r >= 1.
+
+    The walk once bounded the next prime by integer_root(room, remaining);
+    the tests check that the consecutive-prime bound never exceeds it.
+
+    A float estimate is returned when exact integer comparisons confirm
+    it; otherwise integer Newton steps settle the answer, so it is always
+    the true floor root however far the float is off.
+    """
+    if r < 1:
+        raise ValueError(f"root order must be >= 1, got {r}")
+    if x < 0:
+        raise ValueError(f"integer_root requires x >= 0, got {x}")
+    if r == 1 or x < 2:
+        return x
+    if r == 2:
+        return math.isqrt(x)
+    if x >> r == 0:
+        # x < 2**r, so the root is 1.
+        return 1
+    try:
+        t = max(int(x ** (1.0 / r)), 1)
+    except OverflowError:
+        t = 1 << (x.bit_length() // r + 1)
+    if t**r <= x < (t + 1) ** r:
+        return t
+    # By AM-GM one Newton step from any t >= 1 lands at or above the floor
+    # root, and from there each step falls until it reaches it.
+    t = ((r - 1) * t + x // t ** (r - 1)) // r
+    while (s := ((r - 1) * t + x // t ** (r - 1)) // r) < t:
+        t = s
+    return t
+
+
 def trial_is_prime(n: int) -> bool:
     """6k+-1 trial division."""
     if n < 2:

@@ -5,14 +5,13 @@ from math import isqrt
 
 import pytest
 
-from helpers import simple_sieve, trial_is_prime
+from helpers import integer_root, simple_sieve, trial_is_prime
 from phi23.arith import (
     FactoringError,
     _strong_lucas,
     build_prime_table,
     factorize,
     gcd,
-    integer_root,
     is_prime,
 )
 
@@ -172,6 +171,10 @@ def test_gcd_reexport():
     assert gcd(60, 55) == 5
     assert gcd(36, 35) == 1
     assert gcd(0, 7) == 7
+
+
+# integer_root is a test helper now (the limit bound the walk once used);
+# its tests stay with the rest of the integer arithmetic.
 
 
 def test_integer_root_pinned_values():

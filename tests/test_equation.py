@@ -12,6 +12,7 @@ import phi23.equation
 from helpers import (
     WALKS,
     absorb_chain,
+    integer_root,
     literal_pairs,
     pair_scan,
     reachable_endgame_states,
@@ -22,7 +23,6 @@ from phi23.arith import (
     build_prime_table,
     factorize,
     gcd,
-    integer_root,
 )
 from phi23.equation import (
     EquationState,
@@ -33,6 +33,7 @@ from phi23.equation import (
     limit_bound,
     one_prime_solve,
     root_state,
+    two_prime_pairs,
     two_prime_solve,
 )
 from phi23.search import SearchConfig, SearchCounters, solve
@@ -458,62 +459,72 @@ def test_two_prime_matches_linear_scan(prime_set_100k, primes_100k):
         assert got == want, (st.prefix, st.alpha, st.beta, st.gamma)
 
 
-def _scan_split(st, limit):
+def _endgame_args(st):
+    """two_prime_pairs' arguments for a state with two primes left."""
+    return st.alpha, st.beta, st.gamma, st.floor, st.prefix_product
+
+
+def _scan_split(args, limit):
     """(lo, mid, hi) of the scan: q in [lo, mid] are tried one by one, q in
     (mid, hi] through their sum q + r.  hi keeps f1 <= sqrt(target) and
     q*q <= limit / b, mid keeps f1 <= about sqrt(target / delta)."""
-    params = endgame_params(st)
+    alpha, beta, gamma, floor, b = args
+    params = endgame_params(state((), alpha, beta, gamma, 2))
     delta, target = params.delta, params.target
-    lo = max(st.floor + 1, st.alpha // delta + 1)
-    hi = (math.isqrt(target) + st.alpha) // delta
+    lo = max(floor + 1, alpha // delta + 1)
+    hi = (math.isqrt(target) + alpha) // delta
     if limit is not None:
-        hi = min(hi, math.isqrt(limit // st.prefix_product))
-    mid = min(max((math.isqrt(target // delta) + st.alpha) // delta, lo - 1), hi)
+        hi = min(hi, math.isqrt(limit // b))
+    mid = min(max((math.isqrt(target // delta) + alpha) // delta, lo - 1), hi)
     return lo, mid, hi
 
 
-def _assert_strategies_agree(st, limit=None):
+def _assert_strategies_agree(args, limit=None):
+    """Scan and factor agree on the endgame two_prime_pairs(*args, limit)."""
     runs = {}
     for strategy in ("scan", "factor"):
         counters = SearchCounters()
         trace = []
-        got = two_prime_solve(st, limit, counters, trace, strategy=strategy)
+        got = two_prime_pairs(*args, limit, counters, trace, strategy=strategy)
         assert getattr(counters, f"endgame_{strategy}") + counters.prune_limit == 1
         runs[strategy] = got, counters, trace
     (scan, scan_counters, scan_trace), (factor, factor_counters, factor_trace) = runs.values()
-    where = (st, limit)
+    where = (args, limit)
     assert scan == factor, where
     assert scan_counters.prune_congruence == 0, where
-    hi = _scan_split(st, limit)[2]
+    hi = _scan_split(args, limit)[2]
     assert scan_trace == [
         t for t in factor_trace if t[4] not in ("congruence", "floor") and t[2] <= hi
     ], where
 
 
 def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
+    # every endgame of the walks, whether the walk solved it from a state or
+    # from the coefficients of a child it did not build
     calls = []
-    real = phi23.search.two_prime_solve
+    real = phi23.equation.two_prime_pairs
 
-    def spy(st, limit=None, counters=None):
-        calls.append((st, limit))
-        return real(st, limit, counters)
+    def spy(alpha, beta, gamma, floor, prefix_product, limit=None, counters=None, trace=None, *, strategy=None):
+        calls.append(((alpha, beta, gamma, floor, prefix_product), limit))
+        return real(alpha, beta, gamma, floor, prefix_product, limit, counters, trace, strategy=strategy)
 
-    monkeypatch.setattr(phi23.search, "two_prime_solve", spy)
+    monkeypatch.setattr(phi23.equation, "two_prime_pairs", spy)
+    monkeypatch.setattr(phi23.search, "two_prime_pairs", spy)
     solve(SearchConfig(k_min=1, k_max=6))
     solve(SearchConfig(limit=10**12))
     solve(SearchConfig(limit=10**14))
     assert len(calls) > 10_000
-    for st, limit in calls:
-        _assert_strategies_agree(st, limit)
+    for args, limit in calls:
+        _assert_strategies_agree(args, limit)
     for alpha, beta, gamma in random_endgame_coefficients():
-        _assert_strategies_agree(state((), alpha, beta, gamma, 2))
+        _assert_strategies_agree((alpha, beta, gamma, 3, 1))
     # the cases of test_two_prime_strategy_edges
-    _assert_strategies_agree(state((), 5, 4, 16, 2))
-    _assert_strategies_agree(state((4,), 3, 2, 2, 2))
+    _assert_strategies_agree(_endgame_args(state((), 5, 4, 16, 2)))
+    _assert_strategies_agree(_endgame_args(state((4,), 3, 2, 2, 2)))
     for limit in (1_679_615, 1_679_614):
-        _assert_strategies_agree(absorb_chain((5, 7)), limit)
+        _assert_strategies_agree(_endgame_args(absorb_chain((5, 7))), limit)
     for limit in (143, 142):
-        _assert_strategies_agree(state((), 2, 1, 97, 2), limit)
+        _assert_strategies_agree(_endgame_args(state((), 2, 1, 97, 2)), limit)
 
 
 def test_two_prime_strategies_agree_on_k7_endgames():
@@ -523,14 +534,16 @@ def test_two_prime_strategies_agree_on_k7_endgames():
     fixed-seed sample of the walk's 272,297 endgame states, made with
 
         states = []
-        search._solve_endgame = lambda st, limit, counters, emit: states.append(st)
+        search._solve_last_level = lambda st, limit, table, counters, emit: states.extend(
+            search._expand_node(st, limit, table, counters))
         search._dfs(root_state(7), None, build_prime_table(1 << 17), SearchCounters(), None)
         sample = sorted(random.Random(7).sample(states, 40), key=lambda s: s.prefix)
     """
     rows = json.loads((Path(__file__).parent / "data" / "endgames_k7.json").read_text())
     assert len(rows) == 40
     for row in rows:
-        _assert_strategies_agree(state(row["prefix"], row["alpha"], row["beta"], row["gamma"], 2))
+        st = state(row["prefix"], row["alpha"], row["beta"], row["gamma"], 2)
+        _assert_strategies_agree(_endgame_args(st))
 
 
 @pytest.mark.parametrize(
@@ -558,11 +571,11 @@ def test_two_prime_strategies_agree_on_k7_endgames():
 )
 def test_two_prime_scan_split_edges(coefficients, limit, split, qs):
     st = state((), *coefficients, 2)
-    assert _scan_split(st, limit) == split
+    assert _scan_split(_endgame_args(st), limit) == split
     trace = []
     two_prime_solve(st, limit, trace=trace, strategy="scan")
     assert [t[2] for t in trace] == qs
-    _assert_strategies_agree(st, limit)
+    _assert_strategies_agree(_endgame_args(st), limit)
 
 
 @pytest.mark.parametrize("strategy", ["scan", "factor"])

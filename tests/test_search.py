@@ -9,8 +9,8 @@ import pytest
 
 import phi23.arith
 import phi23.search
-from helpers import WALKS, brute_force_k, simple_sieve, tight_limit_bound
-from phi23.arith import build_prime_table, factorize, integer_root
+from helpers import WALKS, brute_force_k, integer_root, simple_sieve, tight_limit_bound
+from phi23.arith import build_prime_table, factorize
 from phi23.cli import main
 from phi23.equation import EquationState, Pruned, root_state
 from phi23.oracle import scan_solutions
@@ -20,7 +20,9 @@ from phi23.search import (
     SearchCounters,
     Solution,
     _dfs,
+    _expand_node,
     _make_tasks,
+    _solve_endgame,
     max_k_for_limit,
     search_exact_k,
     solve,
@@ -222,7 +224,11 @@ def _walk_record(monkeypatch, config):
     """Run ``config`` serially, recording what the walk computes.
 
     Returns the uncapped finiteness bound of every internal node and every
-    (state, q, absorb_prime result) the walk tries.
+    (state, q, absorb_prime result) the walk tries.  A node with three
+    primes left tests its q without absorb_prime; each of those q is
+    replayed through absorb_prime here, so the record covers that level too
+    (test_fused_last_level_matches_the_unfused_path checks that the replay
+    and the walk agree).
     """
     bounds = []
     absorbed = []
@@ -245,6 +251,9 @@ def _walk_record(monkeypatch, config):
             assert hi == want, (state, room, hi, want)
             assert hi <= min(uncapped, integer_root(room, state.remaining)), (state, room, hi)
         bounds.append((state, uncapped))
+        if state.remaining == 3:
+            for q in table.in_range(state.floor, hi):
+                absorbed.append((state, q, real_absorb(state, q)))
         return hi
 
     def absorb_spy(state, q):
@@ -300,6 +309,59 @@ def test_walk_states_replay_through_the_checked_constructor(monkeypatch, config)
         )
         assert rebuilt == child
         assert vars(rebuilt) == vars(child)
+
+
+@pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
+def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
+    # Every node with three primes left, solved once by the fused loop and
+    # once through _expand_node (absorb_prime per q) and _solve_endgame
+    # (two_prime_solve per child): the same tuples in the same order, the
+    # same counters, and the same endgames, child by child.
+    nodes = []
+    real_level = phi23.search._solve_last_level
+    real_pairs = phi23.search.two_prime_pairs
+
+    def level_spy(state, limit, table, counters, emit):
+        nodes.append(state)
+        real_level(state, limit, table, counters, emit)
+
+    monkeypatch.setattr(phi23.search, "_solve_last_level", level_spy)
+    solve(config)
+    monkeypatch.undo()
+    if config is WALKS["k17-1e28"]:
+        # the limit closes every branch of this deep slice above that level
+        assert nodes == []
+        return
+    assert nodes
+
+    endgames = []
+
+    def pairs_spy(alpha, beta, gamma, floor, prefix_product, limit, counters):
+        endgames.append((alpha, beta, gamma, floor, prefix_product, limit))
+        return real_pairs(alpha, beta, gamma, floor, prefix_product, limit, counters)
+
+    monkeypatch.setattr(phi23.search, "two_prime_pairs", pairs_spy)
+    table = build_prime_table(1 << 17)
+    emitted = 0
+    for state in nodes:
+        endgames.clear()
+        fused_counters = SearchCounters()
+        fused: list[tuple[int, ...]] = []
+        phi23.search._solve_last_level(state, config.limit, table, fused_counters, fused.append)
+
+        counters = SearchCounters()
+        unfused: list[tuple[int, ...]] = []
+        children = _expand_node(state, config.limit, table, counters)
+        for child in children:
+            _solve_endgame(child, config.limit, counters, unfused.append)
+
+        assert fused == unfused, state
+        assert fused_counters == counters, state
+        assert endgames == [
+            (c.alpha, c.beta, c.gamma, c.floor, c.prefix_product, config.limit) for c in children
+        ], state
+        emitted += len(fused)
+    assert emitted > 0
 
 
 def test_one_prime_table_per_run(monkeypatch):
@@ -398,11 +460,15 @@ def test_pool_size_is_capped_by_the_cores(monkeypatch, fake_pool):
     monkeypatch.setattr("os.cpu_count", lambda: 64)
     assert [s.n for s in solve(SearchConfig(limit=100, threads=64))] == [5, 35]
     assert pools == [2]
-    # an unknown core count means one worker
+    # an unknown core count means one worker: the run walks in-process
     pools.clear()
+    wants.clear()
     monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert solve(config) == serial
-    assert pools == [1]
+    counters = SearchCounters()
+    assert solve(config, counters) == serial
+    assert counters == serial_counters
+    assert pools == []
+    assert wants == []
 
 
 def test_stats_report_the_workers_started(monkeypatch, capsys, fake_pool):
@@ -417,11 +483,18 @@ def test_stats_report_the_workers_started(monkeypatch, capsys, fake_pool):
     assert main([*argv, "--threads", "2"]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["report"]["threads"] == 2
     assert fake_pool == [3, 3, 2]
-    # an unknown core count means one worker
+    # an unknown core count means one worker, which walks in-process: no pool
+    # starts, and the solutions and counters are those of --threads 1
     monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert main(["search", "--limit", "2e6", "--stats", "--threads", "4"]) == 0
-    assert " threads=1 " in capsys.readouterr().out.splitlines()[-2]
-    assert fake_pool == [3, 3, 2, 1]
+    text = ["search", "--limit", "2e6", "--stats"]
+    assert main([*text, "--threads", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert " threads=1 " in lines[-2]
+    assert fake_pool == [3, 3, 2]
+    assert main([*text, "--threads", "1"]) == 0
+    serial = capsys.readouterr().out.splitlines()
+    assert lines[:-2] == serial[:-2]
+    assert lines[-1] == serial[-1]
 
 
 def test_package_import_keeps_search_a_module():
