@@ -17,6 +17,7 @@ from .equation import (
     limit_bound,
     one_prime_solve,
     root_state,
+    two_prime_args,
     two_prime_solve,
 )
 from .oracle import CheckResult, TotientTable, check_single, scan_solutions, totient_sieve
@@ -47,6 +48,7 @@ __all__ = [
     "limit_bound",
     "one_prime_solve",
     "root_state",
+    "two_prime_args",
     "two_prime_solve",
     "CheckResult",
     "TotientTable",

@@ -22,16 +22,14 @@ from .arith import FactoringError, PrimeTable, factorize, is_prime
 __all__ = [
     "EquationState",
     "Pruned",
-    "EndgameParams",
     "BranchFactoringError",
     "root_state",
     "absorb_prime",
     "finiteness_bound",
     "limit_bound",
-    "endgame_params",
     "one_prime_solve",
+    "two_prime_args",
     "two_prime_solve",
-    "two_prime_pairs",
 ]
 
 ROOT_ALPHA = 3
@@ -109,15 +107,6 @@ class Pruned:
     alpha: int
     beta: int
     gcd: int
-
-
-@dataclass(frozen=True)
-class EndgameParams:
-    """Two-prime endgame data: (delta*q - alpha)(delta*r - alpha) = target."""
-
-    delta: int
-    target: int
-    residue: int  # admissible divisors satisfy f1 % delta == residue
 
 
 def root_state(k: int) -> EquationState:
@@ -242,19 +231,6 @@ def limit_bound(state: EquationState, limit: int) -> int:
     return limit // b
 
 
-def endgame_params(state: EquationState) -> EndgameParams:
-    """Constants of the two-prime identity for this state.
-
-    With two primes q < r left, alpha(q-1)(r-1) = beta*q*r + gamma is
-    equivalent to (delta*q - alpha)(delta*r - alpha) = alpha*beta +
-    gamma*delta where delta = alpha - beta.  Both left factors are
-    congruent to -alpha modulo delta, which cuts the divisors to try.
-    """
-    delta = state.alpha - state.beta
-    target = state.alpha * state.beta + state.gamma * delta
-    return EndgameParams(delta=delta, target=target, residue=(-state.alpha) % delta)
-
-
 def one_prime_solve(state: EquationState, limit: int | None = None) -> list[int]:
     """Closed form for the last prime: q = (alpha + gamma) / (alpha - beta).
 
@@ -277,31 +253,15 @@ def one_prime_solve(state: EquationState, limit: int | None = None) -> list[int]
     return [q]
 
 
-def two_prime_solve(
-    state: EquationState,
-    limit: int | None = None,
-    counters=None,
-    trace: list | None = None,
-    *,
-    strategy: str | None = None,
-) -> list[tuple[int, int]]:
-    """All prime pairs q < r completing the equation from this state.
-
-    The state-level entry to two_prime_pairs, which holds the endgame and
-    its documentation; a factoring failure names the state's branch.
-    """
+def two_prime_args(state: EquationState) -> tuple[int, int, int, int, int]:
+    """two_prime_solve's leading arguments for a state with two primes left:
+    (alpha, beta, gamma, floor, prefix_product)."""
     if state.remaining != 2:
         raise ValueError(f"two_prime_solve needs remaining == 2, got {state.remaining}")
-    try:
-        return two_prime_pairs(
-            state.alpha, state.beta, state.gamma, state.floor, state.prefix_product,
-            limit, counters, trace, strategy=strategy,
-        )
-    except FactoringError as exc:
-        raise BranchFactoringError(exc.n, state.prefix) from exc
+    return state.alpha, state.beta, state.gamma, state.floor, state.prefix_product
 
 
-def two_prime_pairs(
+def two_prime_solve(
     alpha: int,
     beta: int,
     gamma: int,
@@ -317,11 +277,17 @@ def two_prime_pairs(
 
     The two-prime endgame on a state's coefficients (alpha > beta >= 1,
     gcd(alpha, beta) = 1, gamma >= 1), its floor and the product of its
-    prefix, so the walk can solve a child without building it.  A factoring
-    failure raises FactoringError on the target.
+    prefix, so the walk can solve a child without building it;
+    two_prime_args(state) gives them for a state.  A factoring failure
+    raises FactoringError on the target; callers name the branch.
 
-    Finds the divisors f1 <= sqrt(target) of the endgame target (see
-    endgame_params) and maps admissible ones back to (q, r) = ((f1 + alpha)
+    With delta = alpha - beta the equation is equivalent to
+
+        (delta*q - alpha)(delta*r - alpha) = alpha*beta + gamma*delta = target,
+
+    and both left factors are congruent to -alpha modulo delta, which cuts
+    the divisors to try.  The endgame finds the divisors f1 <= sqrt(target)
+    of the target and maps admissible ones back to (q, r) = ((f1 + alpha)
     / delta, (f2 + alpha) / delta) with f2 = target / f1.  Negative factor
     pairs of the target need no consideration: delta*q - alpha < 0 forces a
     negative partner r.  When a limit is given, targets too large for any

@@ -41,7 +41,7 @@ from .equation import (
     limit_bound,
     one_prime_solve,
     root_state,
-    two_prime_pairs,
+    two_prime_args,
     two_prime_solve,
 )
 
@@ -85,7 +85,7 @@ class SearchCounters:
     see.  endgame_scan and endgame_factor count the two-prime endgames past
     the limit check by how they found their divisors: the two-sided scan
     (small q tried one by one, the rest found through their sums q + r; see
-    two_prime_pairs) or factoring.
+    two_prime_solve) or factoring.
     """
 
     nodes_expanded: int = 0
@@ -243,7 +243,11 @@ def _solve_endgame(
         for q in one_prime_solve(state, limit):
             emit(state.prefix + (q,))
     else:
-        for q, r in two_prime_solve(state, limit, counters):
+        try:
+            pairs = two_prime_solve(*two_prime_args(state), limit, counters)
+        except FactoringError as exc:
+            raise BranchFactoringError(exc.n, state.prefix) from exc
+        for q, r in pairs:
             emit(state.prefix + (q, r))
 
 
@@ -259,7 +263,8 @@ def _solve_last_level(
     Counts and emits exactly what _expand_node followed by _solve_endgame on
     each child would, but builds no child state: each q runs absorb_prime's
     gcd and infeasible tests on the raw coefficients, and the normalized
-    coefficients go straight to two_prime_pairs.
+    coefficients go straight to two_prime_solve, one call per child as
+    _solve_endgame makes.
     """
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
     b = state.prefix_product
@@ -280,7 +285,7 @@ def _solve_last_level(
                 counters.prune_infeasible += 1
                 continue
             counters.nodes_expanded += 1
-            for r1, r2 in two_prime_pairs(a3, b3, gamma // g, q, b * q, limit, counters):
+            for r1, r2 in two_prime_solve(a3, b3, gamma // g, q, b * q, limit, counters):
                 emit(state.prefix + (q, r1, r2))
     except FactoringError as exc:
         raise BranchFactoringError(exc.n, state.prefix + (q,)) from exc

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from itertools import combinations
+from typing import NamedTuple
 
 from phi23.equation import EquationState, Pruned, absorb_prime, root_state
 from phi23.search import SearchConfig
@@ -103,6 +104,29 @@ def integer_root(x: int, r: int) -> int:
     while (s := ((r - 1) * t + x // t ** (r - 1)) // r) < t:
         t = s
     return t
+
+
+class EndgameParams(NamedTuple):
+    """Two-prime endgame data: (delta*q - alpha)(delta*r - alpha) = target."""
+
+    delta: int
+    target: int
+    residue: int  # admissible divisors satisfy f1 % delta == residue
+
+
+def endgame_params(state: EquationState) -> EndgameParams:
+    """Constants of the two-prime identity for this state, written out on
+    their own: two_prime_solve derives the same ones inline, and the tests
+    pin both to the same golden values.
+
+    With two primes q < r left, alpha(q-1)(r-1) = beta*q*r + gamma is
+    equivalent to (delta*q - alpha)(delta*r - alpha) = alpha*beta +
+    gamma*delta where delta = alpha - beta.  Both left factors are
+    congruent to -alpha modulo delta.
+    """
+    delta = state.alpha - state.beta
+    target = state.alpha * state.beta + state.gamma * delta
+    return EndgameParams(delta=delta, target=target, residue=(-state.alpha) % delta)
 
 
 def trial_is_prime(n: int) -> bool:

@@ -15,13 +15,14 @@ import pytest
 from helpers import (
     absorb_chain,
     brute_force_k,
+    endgame_params,
     pair_scan,
     reachable_endgame_states,
     simple_sieve,
 )
 from phi23.arith import build_prime_table, factorize, is_prime
 from phi23.cli import main as cli_main
-from phi23.equation import absorb_prime, endgame_params, root_state, two_prime_solve
+from phi23.equation import absorb_prime, root_state, two_prime_args, two_prime_solve
 from phi23.search import (
     SearchConfig,
     SearchCounters,
@@ -139,7 +140,7 @@ def test_criterion_5_golden_internal_vectors():
         assert factorize(4687).as_dict() == {43: 1, 109: 1}
         counters = SearchCounters()
         trace = []
-        assert two_prime_solve(st513, counters=counters, trace=trace, strategy="factor") == []
+        assert two_prime_solve(*two_prime_args(st513), counters=counters, trace=trace, strategy="factor") == []
         assert counters.prune_congruence == 2
         assert [t[4] for t in trace] == ["congruence", "congruence"]
 
@@ -149,7 +150,7 @@ def test_criterion_5_golden_internal_vectors():
         params57 = endgame_params(st57)
         assert (params57.delta, params57.target) == (1, 1261)
         trace57 = []
-        got = two_prime_solve(st57, trace=trace57)
+        got = two_prime_solve(*two_prime_args(st57), trace=trace57)
         assert got == [(37, 1297)]
         assert (1, 1261, 37, 1297, "accepted") in trace57
         assert (13, 97, 49, 133, "q_composite") in trace57
@@ -191,7 +192,7 @@ def test_criterion_6c_endgame_matches_linear_scan(primes_100k, prime_set_100k):
                 states.append(absorb_chain((p,)))
         bound = 100_000
         for st in states:
-            got = {pair for pair in two_prime_solve(st) if pair[1] <= bound}
+            got = {pair for pair in two_prime_solve(*two_prime_args(st)) if pair[1] <= bound}
             want = pair_scan(
                 st.alpha, st.beta, st.gamma, st.floor, bound,
                 primes_100k, prime_set_100k,

@@ -12,6 +12,7 @@ import phi23.equation
 from helpers import (
     WALKS,
     absorb_chain,
+    endgame_params,
     integer_root,
     literal_pairs,
     pair_scan,
@@ -28,12 +29,11 @@ from phi23.equation import (
     EquationState,
     Pruned,
     absorb_prime,
-    endgame_params,
     finiteness_bound,
     limit_bound,
     one_prime_solve,
     root_state,
-    two_prime_pairs,
+    two_prime_args,
     two_prime_solve,
 )
 from phi23.search import SearchConfig, SearchCounters, solve
@@ -310,6 +310,17 @@ def test_endgame_params_golden():
     assert (-72) % 7 == 5
     proot = endgame_params(root_state(2))
     assert (proot.delta, proot.target, proot.residue) == (1, 8, 0)
+    # two_prime_solve derives the same target and residue inline: its factor
+    # trace walks the divisors of that target from (1, target) up, and
+    # rejects on congruence exactly the f1 outside the residue class
+    for chain in ((5,), (5, 7), (5, 13), ()):
+        st = absorb_chain(chain) if chain else root_state(2)
+        params = endgame_params(st)
+        trace = []
+        two_prime_solve(*two_prime_args(st), trace=trace, strategy="factor")
+        assert trace[0][:2] == (1, params.target), chain
+        assert all(f1 * f2 == params.target for f1, f2, *_ in trace), chain
+        assert all((t[4] == "congruence") == (t[0] % params.delta != params.residue) for t in trace), chain
 
 
 def test_endgame_identity_random():
@@ -364,7 +375,7 @@ def test_congruence_filter_is_exact():
 def test_two_prime_golden_after_5():
     st = absorb_chain((5,))
     trace = []
-    got = two_prime_solve(st, trace=trace)
+    got = two_prime_solve(*two_prime_args(st), trace=trace)
     assert got == [(7, 37)]
     assert (1, 31, 7, 37, "accepted") in trace
 
@@ -373,7 +384,7 @@ def test_two_prime_golden_after_5_13():
     st = absorb_chain((5, 13))
     counters = SearchCounters()
     trace = []
-    got = two_prime_solve(st, counters=counters, trace=trace, strategy="factor")
+    got = two_prime_solve(*two_prime_args(st), counters=counters, trace=trace, strategy="factor")
     assert got == []
     # both divisors of 4687 = 43 * 109 sit in the wrong residue class mod 7
     assert counters.prune_congruence == 2
@@ -387,20 +398,20 @@ def test_two_prime_default_strategy():
     # scanned, and no divisor of the class 5 mod 7 is met at all
     counters = SearchCounters()
     trace = []
-    assert two_prime_solve(absorb_chain((5, 13)), counters=counters, trace=trace) == []
+    assert two_prime_solve(*two_prime_args(absorb_chain((5, 13))), counters=counters, trace=trace) == []
     assert trace == []
     assert counters.prune_congruence == 0
     assert (counters.endgame_scan, counters.endgame_factor) == (1, 0)
     # at the root (delta = 1), q in 4..5 is 2 steps, above 8**(1/4) = 1: factored
     counters = SearchCounters()
-    assert two_prime_solve(root_state(2), counters=counters) == [(5, 7)]
+    assert two_prime_solve(*two_prime_args(root_state(2)), counters=counters) == [(5, 7)]
     assert (counters.endgame_scan, counters.endgame_factor) == (0, 1)
 
 
 def test_two_prime_golden_after_5_7():
     st = absorb_chain((5, 7))
     trace = []
-    got = two_prime_solve(st, trace=trace)
+    got = two_prime_solve(*two_prime_args(st), trace=trace)
     assert got == [(37, 1297)]
     assert (1, 1261, 37, 1297, "accepted") in trace
     assert (13, 97, 49, 133, "q_composite") in trace
@@ -410,24 +421,24 @@ def test_two_prime_divisor_walk_square_target():
     # target 5*4 + 16*1 = 36: every divisor up to and including its square
     # root 6 is tried, ascending, each with its cofactor
     trace = []
-    assert two_prime_solve(state((), 5, 4, 16, 2), trace=trace) == [(7, 23)]
+    assert two_prime_solve(*two_prime_args(state((), 5, 4, 16, 2)), trace=trace) == [(7, 23)]
     assert [t[:2] for t in trace] == [(1, 36), (2, 18), (3, 12), (4, 9), (6, 6)]
     assert trace[-1] == (6, 6, 11, 11, "ordering")
 
 
 def test_two_prime_root_pair():
-    assert two_prime_solve(root_state(2)) == [(5, 7)]
+    assert two_prime_solve(*two_prime_args(root_state(2))) == [(5, 7)]
     # the floor is strict: a candidate equal to it is rejected
     trace = []
-    assert two_prime_solve(state((5,), 3, 2, 2, 2), trace=trace, strategy="factor") == []
+    assert two_prime_solve(*two_prime_args(state((5,), 3, 2, 2, 2)), trace=trace, strategy="factor") == []
     assert trace == [(1, 8, 4, 11, "floor"), (2, 4, 5, 7, "floor")]
 
 
 def test_two_prime_limit_boundary():
     st = absorb_chain((5, 7))
-    assert two_prime_solve(st, limit=1_679_615) == [(37, 1297)]
-    assert two_prime_solve(st, limit=1_679_614) == []
-    assert two_prime_solve(st, limit=10**10) == [(37, 1297)]
+    assert two_prime_solve(*two_prime_args(st), limit=1_679_615) == [(37, 1297)]
+    assert two_prime_solve(*two_prime_args(st), limit=1_679_614) == []
+    assert two_prime_solve(*two_prime_args(st), limit=10**10) == [(37, 1297)]
 
 
 def test_two_prime_limit_cut_skips_factoring(monkeypatch):
@@ -437,13 +448,13 @@ def test_two_prime_limit_cut_skips_factoring(monkeypatch):
     monkeypatch.setattr(phi23.equation, "factorize", boom)
     st = absorb_chain((5, 7))  # target 1261, prefix product 35
     counters = SearchCounters()
-    assert two_prime_solve(st, limit=1_000, counters=counters) == []
+    assert two_prime_solve(*two_prime_args(st), limit=1_000, counters=counters) == []
     assert counters.prune_limit == 1
 
 
 def test_two_prime_requires_two_remaining():
     with pytest.raises(ValueError):
-        two_prime_solve(root_state(3))
+        two_prime_solve(*two_prime_args(root_state(3)))
 
 
 def test_two_prime_matches_linear_scan(prime_set_100k, primes_100k):
@@ -452,16 +463,11 @@ def test_two_prime_matches_linear_scan(prime_set_100k, primes_100k):
     assert len(states) > 80
     bound = 100_000
     for st in states:
-        got = {pair for pair in two_prime_solve(st) if pair[1] <= bound}
+        got = {pair for pair in two_prime_solve(*two_prime_args(st)) if pair[1] <= bound}
         want = pair_scan(
             st.alpha, st.beta, st.gamma, st.floor, bound, primes_100k, prime_set_100k
         )
         assert got == want, (st.prefix, st.alpha, st.beta, st.gamma)
-
-
-def _endgame_args(st):
-    """two_prime_pairs' arguments for a state with two primes left."""
-    return st.alpha, st.beta, st.gamma, st.floor, st.prefix_product
 
 
 def _scan_split(args, limit):
@@ -480,12 +486,12 @@ def _scan_split(args, limit):
 
 
 def _assert_strategies_agree(args, limit=None):
-    """Scan and factor agree on the endgame two_prime_pairs(*args, limit)."""
+    """Scan and factor agree on the endgame two_prime_solve(*args, limit)."""
     runs = {}
     for strategy in ("scan", "factor"):
         counters = SearchCounters()
         trace = []
-        got = two_prime_pairs(*args, limit, counters, trace, strategy=strategy)
+        got = two_prime_solve(*args, limit, counters, trace, strategy=strategy)
         assert getattr(counters, f"endgame_{strategy}") + counters.prune_limit == 1
         runs[strategy] = got, counters, trace
     (scan, scan_counters, scan_trace), (factor, factor_counters, factor_trace) = runs.values()
@@ -502,14 +508,13 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
     # every endgame of the walks, whether the walk solved it from a state or
     # from the coefficients of a child it did not build
     calls = []
-    real = phi23.equation.two_prime_pairs
+    real = phi23.search.two_prime_solve
 
     def spy(alpha, beta, gamma, floor, prefix_product, limit=None, counters=None, trace=None, *, strategy=None):
         calls.append(((alpha, beta, gamma, floor, prefix_product), limit))
         return real(alpha, beta, gamma, floor, prefix_product, limit, counters, trace, strategy=strategy)
 
-    monkeypatch.setattr(phi23.equation, "two_prime_pairs", spy)
-    monkeypatch.setattr(phi23.search, "two_prime_pairs", spy)
+    monkeypatch.setattr(phi23.search, "two_prime_solve", spy)
     solve(SearchConfig(k_min=1, k_max=6))
     solve(SearchConfig(limit=10**12))
     solve(SearchConfig(limit=10**14))
@@ -519,12 +524,12 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
     for alpha, beta, gamma in random_endgame_coefficients():
         _assert_strategies_agree((alpha, beta, gamma, 3, 1))
     # the cases of test_two_prime_strategy_edges
-    _assert_strategies_agree(_endgame_args(state((), 5, 4, 16, 2)))
-    _assert_strategies_agree(_endgame_args(state((4,), 3, 2, 2, 2)))
+    _assert_strategies_agree(two_prime_args(state((), 5, 4, 16, 2)))
+    _assert_strategies_agree(two_prime_args(state((4,), 3, 2, 2, 2)))
     for limit in (1_679_615, 1_679_614):
-        _assert_strategies_agree(_endgame_args(absorb_chain((5, 7))), limit)
+        _assert_strategies_agree(two_prime_args(absorb_chain((5, 7))), limit)
     for limit in (143, 142):
-        _assert_strategies_agree(_endgame_args(state((), 2, 1, 97, 2)), limit)
+        _assert_strategies_agree(two_prime_args(state((), 2, 1, 97, 2)), limit)
 
 
 def test_two_prime_strategies_agree_on_k7_endgames():
@@ -543,7 +548,7 @@ def test_two_prime_strategies_agree_on_k7_endgames():
     assert len(rows) == 40
     for row in rows:
         st = state(row["prefix"], row["alpha"], row["beta"], row["gamma"], 2)
-        _assert_strategies_agree(_endgame_args(st))
+        _assert_strategies_agree(two_prime_args(st))
 
 
 @pytest.mark.parametrize(
@@ -571,11 +576,11 @@ def test_two_prime_strategies_agree_on_k7_endgames():
 )
 def test_two_prime_scan_split_edges(coefficients, limit, split, qs):
     st = state((), *coefficients, 2)
-    assert _scan_split(_endgame_args(st), limit) == split
+    assert _scan_split(two_prime_args(st), limit) == split
     trace = []
-    two_prime_solve(st, limit, trace=trace, strategy="scan")
+    two_prime_solve(*two_prime_args(st), limit, trace=trace, strategy="scan")
     assert [t[2] for t in trace] == qs
-    _assert_strategies_agree(_endgame_args(st), limit)
+    _assert_strategies_agree(two_prime_args(st), limit)
 
 
 @pytest.mark.parametrize("strategy", ["scan", "factor"])
@@ -586,7 +591,7 @@ def test_two_prime_strategy_matches_linear_scan(primes_100k, prime_set_100k, str
     states += [absorb_chain((p,)) for p in simple_sieve(1000) if p >= 5]
     bound = 100_000
     for st in states:
-        got = {pair for pair in two_prime_solve(st, strategy=strategy) if pair[1] <= bound}
+        got = {pair for pair in two_prime_solve(*two_prime_args(st), strategy=strategy) if pair[1] <= bound}
         want = pair_scan(st.alpha, st.beta, st.gamma, st.floor, bound, primes_100k, prime_set_100k)
         assert got == want, (st.prefix, st.alpha, st.beta, st.gamma)
 
@@ -595,27 +600,27 @@ def test_two_prime_strategy_matches_linear_scan(primes_100k, prime_set_100k, str
 def test_two_prime_strategy_edges(strategy):
     # square target 36: f1 = 1 at the first q of the range, f1 = f2 = 6 at its last
     trace = []
-    assert two_prime_solve(state((), 5, 4, 16, 2), trace=trace, strategy=strategy) == [(7, 23)]
+    assert two_prime_solve(*two_prime_args(state((), 5, 4, 16, 2)), trace=trace, strategy=strategy) == [(7, 23)]
     assert trace[0] == (1, 36, 6, 41, "q_composite")
     assert [t[:2] for t in trace] == [(1, 36), (2, 18), (3, 12), (4, 9), (6, 6)]
     assert trace[-1] == (6, 6, 11, 11, "ordering")
     # q = floor + 1 is the first q tried; q = floor is not (the root's
     # equation behind a floor of 4, which no prime prefix can give)
-    assert two_prime_solve(state((4,), 3, 2, 2, 2), strategy=strategy) == [(5, 7)]
-    assert two_prime_solve(state((5,), 3, 2, 2, 2), strategy=strategy) == []
+    assert two_prime_solve(*two_prime_args(state((4,), 3, 2, 2, 2)), strategy=strategy) == [(5, 7)]
+    assert two_prime_solve(*two_prime_args(state((5,), 3, 2, 2, 2)), strategy=strategy) == []
     # b*q*r == limit exactly: 35 * 37 * 1297
     st = absorb_chain((5, 7))
-    assert two_prime_solve(st, limit=1_679_615, strategy=strategy) == [(37, 1297)]
-    assert two_prime_solve(st, limit=1_679_614, strategy=strategy) == []
+    assert two_prime_solve(*two_prime_args(st), limit=1_679_615, strategy=strategy) == [(37, 1297)]
+    assert two_prime_solve(*two_prime_args(st), limit=1_679_614, strategy=strategy) == []
     # the same with q at the top of the limit's range: 11 * 13 = 143, 11 = isqrt(143)
     twin = state((), 2, 1, 97, 2)  # target 99 = 9 * 11
-    assert two_prime_solve(twin, limit=143, strategy=strategy) == [(11, 13)]
-    assert two_prime_solve(twin, limit=142, strategy=strategy) == []
+    assert two_prime_solve(*two_prime_args(twin), limit=143, strategy=strategy) == [(11, 13)]
+    assert two_prime_solve(*two_prime_args(twin), limit=142, strategy=strategy) == []
 
 
 def test_two_prime_rejects_unknown_strategy():
     with pytest.raises(ValueError, match="strategy"):
-        two_prime_solve(root_state(2), strategy="sieve")
+        two_prime_solve(*two_prime_args(root_state(2)), strategy="sieve")
 
 
 def test_pruned_branch_really_has_no_solutions():

@@ -316,10 +316,10 @@ def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
     # Every node with three primes left, solved once by the fused loop and
     # once through _expand_node (absorb_prime per q) and _solve_endgame
     # (two_prime_solve per child): the same tuples in the same order, the
-    # same counters, and the same endgames, child by child.
+    # same counters, and the same two_prime_solve calls, one per child.
     nodes = []
     real_level = phi23.search._solve_last_level
-    real_pairs = phi23.search.two_prime_pairs
+    real_two = phi23.search.two_prime_solve
 
     def level_spy(state, limit, table, counters, emit):
         nodes.append(state)
@@ -336,11 +336,11 @@ def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
 
     endgames = []
 
-    def pairs_spy(alpha, beta, gamma, floor, prefix_product, limit, counters):
+    def two_spy(alpha, beta, gamma, floor, prefix_product, limit, counters):
         endgames.append((alpha, beta, gamma, floor, prefix_product, limit))
-        return real_pairs(alpha, beta, gamma, floor, prefix_product, limit, counters)
+        return real_two(alpha, beta, gamma, floor, prefix_product, limit, counters)
 
-    monkeypatch.setattr(phi23.search, "two_prime_pairs", pairs_spy)
+    monkeypatch.setattr(phi23.search, "two_prime_solve", two_spy)
     table = build_prime_table(1 << 17)
     emitted = 0
     for state in nodes:
@@ -348,7 +348,9 @@ def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
         fused_counters = SearchCounters()
         fused: list[tuple[int, ...]] = []
         phi23.search._solve_last_level(state, config.limit, table, fused_counters, fused.append)
+        fused_endgames = endgames[:]
 
+        endgames.clear()
         counters = SearchCounters()
         unfused: list[tuple[int, ...]] = []
         children = _expand_node(state, config.limit, table, counters)
@@ -357,11 +359,32 @@ def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
 
         assert fused == unfused, state
         assert fused_counters == counters, state
-        assert endgames == [
+        assert fused_endgames == endgames == [
             (c.alpha, c.beta, c.gamma, c.floor, c.prefix_product, config.limit) for c in children
         ], state
         emitted += len(fused)
     assert emitted > 0
+
+
+@pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
+def test_every_node_makes_one_bound_or_endgame_call(monkeypatch, config):
+    # One next-prime bound per internal node and one one_prime_solve or
+    # two_prime_solve call per endgame, the fused level's included: the
+    # benchmark's tracer (perfbench/spans.py) counts the nodes by these calls.
+    calls = dict.fromkeys(("finiteness_bound", "limit_bound", "one_prime_solve", "two_prime_solve"), 0)
+    for name in calls:
+        real = getattr(phi23.search, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(phi23.search, name, spy)
+    counters = SearchCounters()
+    solve(config, counters)
+    bounds = calls["finiteness_bound"] if config.limit is None else calls["limit_bound"]
+    assert bounds + calls["one_prime_solve"] + calls["two_prime_solve"] == counters.nodes_expanded
+    assert calls["two_prime_solve"] > 0 or config is WALKS["k17-1e28"]
 
 
 def test_one_prime_table_per_run(monkeypatch):
