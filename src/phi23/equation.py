@@ -14,7 +14,9 @@ budget) and the closed-form endgames for one and two remaining primes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 
 from .arith import FactoringError, PrimeTable, factorize, is_prime
@@ -35,6 +37,10 @@ __all__ = [
 ROOT_ALPHA = 3
 ROOT_BETA = 2
 ROOT_GAMMA = 2
+
+# Odd moduli, ascending, that sieve the scan's discriminants by quadratic
+# residues before any square root is taken (see _square_steps).
+SIEVE_MODULI = (5, 7, 9, 11, 13, 17)
 
 
 class BranchFactoringError(FactoringError):
@@ -317,7 +323,10 @@ def two_prime_solve(
     and the q in (mid, hi] are exactly the smaller roots of the integral s
     in [ceil(S(hi)), floor(S(mid + 1))], each at most once; there every
     discriminant is >= 0 and no q needs a range check.  The s are stepped
-    by delta from the first one in the class.
+    by delta from the first one in the class, and the discriminant is a
+    quadratic in the step index: _square_steps first drops the steps where
+    it is a non-square modulo a few small odd moduli, and gives the survivors
+    the exact root test.
 
     Cost: the first side takes about sqrt(target / delta) / delta steps and
     the second about as many, so one scan takes about 2*sqrt(target) /
@@ -327,7 +336,8 @@ def two_prime_solve(
     (floor(S(mid + 1)) - ceil(S(hi))) // delta + 1, is at most
     target**(1/4), Brent rho's iteration count on a worst-case split, and
     factors the target otherwise; ``strategy`` forces one source (tests
-    cross-check the two with it).
+    cross-check the two with it).  The rule prices a sieved sum step like a
+    tried q, though it is the cheaper of the two on large targets.
 
     ``counters`` (optional) receives the limit and congruence prunes and
     which source ran; ``trace`` (optional) collects (f1, f2, q, r, verdict)
@@ -370,17 +380,16 @@ def two_prime_solve(
     if strategy == "scan":
         # Every integer q, not just primes, so a composite q is traced as such.
         divisors = [f1 for f1 in range(delta * lo - alpha, delta * mid - alpha + 1, delta) if not target % f1]
-        if s_lo <= s_hi:
-            # The sums in the class that makes q*r = (gamma - alpha + alpha*s) / delta
-            # integral, stepped as s = s0 + delta*j: then q and r are the roots
-            # of x*x - s*x + q*r, and (r - q)**2 = c2*j*j + c1*j + c0.
-            s0 = s_lo + ((alpha - gamma) * pow(alpha, -1, delta) - s_lo) % delta
+        # The sums in the class that makes q*r = (gamma - alpha + alpha*s) / delta
+        # integral, stepped as s = s0 + delta*j: then q and r are the roots
+        # of x*x - s*x + q*r, and (r - q)**2 = c2*j*j + c1*j + c0.
+        s0 = s_lo + ((alpha - gamma) * pow(alpha, -1, delta) - s_lo) % delta
+        if s0 <= s_hi:
             c2 = delta * delta
             c1 = 2 * delta * s0 - 4 * alpha
             c0 = s0 * s0 - 4 * ((gamma - alpha + alpha * s0) // delta)
-            hits = [j for j in range((s_hi - s0) // delta + 1) if isqrt(v := (c2 * j + c1) * j + c0) ** 2 == v]
             # descending s gives ascending q
-            for j in reversed(hits):
+            for j in reversed(_square_steps(delta, c1, c0, (s_hi - s0) // delta + 1)):
                 q = (s0 + delta * j - isqrt((c2 * j + c1) * j + c0)) // 2
                 divisors.append(delta * q - alpha)
         if counters is not None:
@@ -426,3 +435,47 @@ def two_prime_solve(
             out.append((q, r))
     out.sort()
     return out
+
+
+@functools.cache
+def _square_pattern(m: int, e: int) -> bytes:
+    """Byte x is 1 when x*x + e is a square modulo m, for x in range(m)."""
+    squares = {x * x % m for x in range(m)}
+    return bytes((x * x + e) % m in squares for x in range(m))
+
+
+def _square_steps(delta: int, c1: int, c0: int, n: int) -> list[int]:
+    """The j in range(n), ascending, where v = (delta**2 * j + c1) * j + c0
+    is a perfect square; v must be >= 0 there.
+
+    Every candidate gets the exact test isqrt(v)**2 == v, but first the j
+    whose v is a non-square modulo one of SIEVE_MODULI are dropped, since a
+    perfect square is a square modulo anything.  For an odd m prime to delta,
+
+        v = delta**2 * ((j + h)**2 + e)  (mod m),
+        h = c1 / (2 * delta**2),  e = c0 / delta**2 - h*h  (mod m),
+
+    and delta**2 is an invertible square, so v is a square modulo m exactly
+    when (j + h)**2 + e is.  Which x = j + h pass depends on (m, e) alone:
+    _square_pattern caches it, and the j pass where the pattern, repeated
+    from offset h, has a 1.  The moduli share one mask, an int holding one
+    byte per j.  A modulus that shares a factor with delta is skipped, as
+    delta**2 has no inverse there, and the sieve stops at the first modulus
+    larger than the candidates left, where it costs about as much as the
+    roots it saves.
+    """
+    mask = -1
+    left = n
+    for m in SIEVE_MODULI:
+        if m > left:
+            break
+        if gcd(m, delta) != 1:
+            continue
+        inv = pow(delta, -2, m)
+        h = c1 * inv * ((m + 1) // 2) % m
+        e = (c0 * inv - h * h) % m
+        mask &= int.from_bytes((_square_pattern(m, e) * ((n + h) // m + 1))[h : h + n], "big")
+        left = mask.bit_count()
+    candidates = range(n) if mask == -1 else compress(range(n), mask.to_bytes(n, "big"))
+    c2 = delta * delta
+    return [j for j in candidates if isqrt(v := (c2 * j + c1) * j + c0) ** 2 == v]

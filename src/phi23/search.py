@@ -55,8 +55,10 @@ __all__ = [
     "steinerberger_relevance",
 ]
 
-# Unbounded searches beyond this many prime factors are refused: the subtree
-# widths explode and no further solutions are reachable in reasonable time.
+# Unbounded searches beyond this many prime factors are refused.  k = 7 does
+# finish (about 17 min on one core, nearly all of it two-prime endgames) but
+# has no opt-in yet; k = 8's finiteness bounds need primes past the 2**32
+# sieve cap of the prime table.
 MAX_UNBOUNDED_K = 6
 
 # Holds every prime the unbounded k = 1..6 walk and the limited walks up to

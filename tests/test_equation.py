@@ -26,6 +26,7 @@ from phi23.arith import (
     gcd,
 )
 from phi23.equation import (
+    SIEVE_MODULI,
     EquationState,
     Pruned,
     absorb_prime,
@@ -35,6 +36,7 @@ from phi23.equation import (
     root_state,
     two_prime_args,
     two_prime_solve,
+    _square_steps,
 )
 from phi23.search import SearchConfig, SearchCounters, solve
 
@@ -621,6 +623,42 @@ def test_two_prime_strategy_edges(strategy):
 def test_two_prime_rejects_unknown_strategy():
     with pytest.raises(ValueError, match="strategy"):
         two_prime_solve(*two_prime_args(root_state(2)), strategy="sieve")
+
+
+def test_square_steps_matches_the_plain_root_test():
+    """The residue sieve of the scan's sum side keeps exactly the j that the
+    plain root test keeps, on seeded quadratics of the endgame's shape
+    (delta**2 * j + c1) * j + c0 with c1 even and no negative value."""
+
+    def plain(delta, c1, c0, n):
+        c2 = delta * delta
+        return [j for j in range(n) if math.isqrt(v := (c2 * j + c1) * j + c0) ** 2 == v]
+
+    def check(delta, c1, c0, n):
+        got = _square_steps(delta, c1, c0, n)
+        assert got == plain(delta, c1, c0, n), (delta, c1, c0, n)
+        return got
+
+    rng = random.Random(12)
+    # delta prime to every modulus, sharing 3 with 9 but not dividing it,
+    # and a multiple of each modulus
+    deltas = [1, 2, 19, 3 * 19, 2**19 + 21] + [m * rng.randrange(1, 10**6) for m in SIEVE_MODULI]
+    # 0 and 1, each modulus and its neighbours, and spans where every modulus runs
+    ns = sorted({0, 1, 2} | {m + d for m in SIEVE_MODULI for d in (-1, 0, 1)} | {100, 1000})
+    for delta in deltas:
+        for n in ns:
+            for a in (rng.randrange(100), rng.randrange(2**40)):
+                # a square at j = 0 and one at j = n - 1: v(0) = a*a, and
+                # v(n - 1) = (a + (n - 1)*t)**2, with t = delta (mod 2) so c1 is even
+                t = delta + 2 * rng.randrange(100)
+                got = check(delta, 2 * a * t + (n - 1) * (t * t - delta * delta), a * a, n)
+                if n:
+                    assert got[0] == 0 and got[-1] == n - 1
+                # every j a square: v = (delta*j - a)**2
+                assert check(delta, -2 * delta * a, a * a, n) == list(range(n))
+            # c1 of either sign, c0 large enough that v >= 0 for every real j
+            c1 = 2 * rng.randrange(-(2**40), 2**40)
+            check(delta, c1, -(-c1 * c1 // (4 * delta * delta)) + rng.randrange(1000), n)
 
 
 def test_pruned_branch_really_has_no_solutions():

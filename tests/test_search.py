@@ -188,6 +188,24 @@ def test_counters_populated():
     assert stats["prune_limit"] == 0  # no limit was given
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_unbounded_k1_6_counters_are_pinned(threads):
+    # the paper's proof path: the unbounded walk for k = 1..6 finds the four
+    # known solutions and proves k = 5 and 6 empty, on one worker or two
+    counters = SearchCounters()
+    sols = solve(SearchConfig(k_min=1, k_max=6, threads=threads), counters)
+    assert [s.n for s in sols] == KNOWN_N
+    assert counters.as_dict() == {
+        "nodes_expanded": 460,
+        "prune_limit": 0,
+        "prune_corollary": 354,
+        "prune_congruence": 42,
+        "prune_infeasible": 161,
+        "endgame_scan": 394,
+        "endgame_factor": 22,
+    }
+
+
 def test_limit_1e14_matches_the_paper_bound():
     # the paper's bound: no solution beyond the four known ones up to 1e14
     counters = SearchCounters()
