@@ -337,7 +337,11 @@ def two_prime_solve(
     target**(1/4), Brent rho's iteration count on a worst-case split, and
     factors the target otherwise; ``strategy`` forces one source (tests
     cross-check the two with it).  The rule prices a sieved sum step like a
-    tried q, though it is the cheaper of the two on large targets.
+    tried q, though it is the cheaper of the two on large targets.  Most
+    endgames of a walk have no scan step at all: no q in [lo, mid] and no
+    sum of the class in [s_lo, s_hi].  Such a call returns right after its
+    bounds, without the residue filter or the sort, as does any scan that
+    meets no divisor.
 
     ``counters`` (optional) receives the limit and congruence prunes and
     which source ran; ``trace`` (optional) collects (f1, f2, q, r, verdict)
@@ -358,14 +362,23 @@ def two_prime_solve(
         return []
 
     # f1 >= 1 and q > floor bound q from below; f1 <= sqrt(target) and,
-    # with a limit, b*q*r <= limit with q < r bound it from above.
-    lo = max(floor + 1, alpha // delta + 1)
+    # with a limit, b*q*r <= limit with q < r bound it from above.  (Plain
+    # comparisons rather than max/min: most calls end right after these.)
+    lo = alpha // delta + 1
+    if lo <= floor:
+        lo = floor + 1
     hi = (isqrt(target) + alpha) // delta
     if limit is not None:
-        hi = min(hi, isqrt(limit // b))
+        cap = isqrt(limit // b)
+        if cap < hi:
+            hi = cap
     # q in [lo, mid] are tried one by one, q in (mid, hi] found through their
     # sums q + r, which fill [s_lo, s_hi] (see above).
-    mid = min(max((isqrt(target // delta) + alpha) // delta, lo - 1), hi)
+    mid = (isqrt(target // delta) + alpha) // delta
+    if mid < lo:
+        mid = lo - 1
+    if mid > hi:
+        mid = hi
     s_lo, s_hi = 1, 0
     if mid < hi:
         f_hi = delta * hi - alpha
@@ -374,26 +387,39 @@ def two_prime_solve(
         s_hi = mid + 1 + (target + alpha * f_mid) // (delta * f_mid)
     if strategy is None:
         # Brent rho needs about target**(1/4) iterations on a worst-case
-        # split, so taking at most that many steps is never dearer.
+        # split, so taking at most that many steps is never dearer.  The
+        # power of two is at most floor(target**(1/4)), so the roots are
+        # taken only when it does not settle the rule.
         steps = (mid - lo + 1) + (s_hi - s_lo) // delta + 1
-        strategy = "scan" if steps <= isqrt(isqrt(target)) else "factor"
+        if steps <= 1 << ((target.bit_length() - 1) >> 2) or steps <= isqrt(isqrt(target)):
+            strategy = "scan"
+        else:
+            strategy = "factor"
     if strategy == "scan":
         # Every integer q, not just primes, so a composite q is traced as such.
-        divisors = [f1 for f1 in range(delta * lo - alpha, delta * mid - alpha + 1, delta) if not target % f1]
-        # The sums in the class that makes q*r = (gamma - alpha + alpha*s) / delta
-        # integral, stepped as s = s0 + delta*j: then q and r are the roots
-        # of x*x - s*x + q*r, and (r - q)**2 = c2*j*j + c1*j + c0.
-        s0 = s_lo + ((alpha - gamma) * pow(alpha, -1, delta) - s_lo) % delta
-        if s0 <= s_hi:
-            c2 = delta * delta
-            c1 = 2 * delta * s0 - 4 * alpha
-            c0 = s0 * s0 - 4 * ((gamma - alpha + alpha * s0) // delta)
-            # descending s gives ascending q
-            for j in reversed(_square_steps(delta, c1, c0, (s_hi - s0) // delta + 1)):
-                q = (s0 + delta * j - isqrt((c2 * j + c1) * j + c0)) // 2
-                divisors.append(delta * q - alpha)
+        divisors = []
+        if mid >= lo:
+            for f1 in range(delta * lo - alpha, delta * mid - alpha + 1, delta):
+                if not target % f1:
+                    divisors.append(f1)
+        if s_lo <= s_hi:
+            # The sums in the class that makes q*r = (gamma - alpha + alpha*s) / delta
+            # integral, stepped as s = s0 + delta*j: then q and r are the roots
+            # of x*x - s*x + q*r, and (r - q)**2 = c2*j*j + c1*j + c0.
+            s0 = s_lo + ((alpha - gamma) * pow(alpha, -1, delta) - s_lo) % delta
+            if s0 <= s_hi:
+                c2 = delta * delta
+                c1 = 2 * delta * s0 - 4 * alpha
+                c0 = s0 * s0 - 4 * ((gamma - alpha + alpha * s0) // delta)
+                # descending s gives ascending q
+                for j in reversed(_square_steps(delta, c1, c0, (s_hi - s0) // delta + 1)):
+                    q = (s0 + delta * j - isqrt((c2 * j + c1) * j + c0)) // 2
+                    divisors.append(delta * q - alpha)
         if counters is not None:
             counters.endgame_scan += 1
+        if not divisors:
+            # nothing to filter, trace or sort
+            return []
     elif strategy == "factor":
         try:
             divisors = factorize(target).divisors()

@@ -24,7 +24,6 @@ import functools
 import os
 from bisect import bisect_right
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import accumulate
 from math import gcd
@@ -54,6 +53,18 @@ __all__ = [
     "solve",
     "steinerberger_relevance",
 ]
+
+
+def ProcessPoolExecutor(**kwargs):
+    """concurrent.futures.ProcessPoolExecutor, imported on the first call.
+
+    The pool machinery is over half of ``import phi23``, and a serial run
+    never starts a pool.  Tests replace this module attribute.
+    """
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+
+    return pool_class(**kwargs)
+
 
 # Unbounded searches beyond this many prime factors are refused.  k = 7 does
 # finish (about 17 min on one core, nearly all of it two-prime endgames) but

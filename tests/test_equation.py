@@ -410,6 +410,52 @@ def test_two_prime_default_strategy():
     assert (counters.endgame_scan, counters.endgame_factor) == (0, 1)
 
 
+def test_step_rule_power_of_two_is_below_the_fourth_root():
+    # the default rule settles "scan" on 1 << ((bits - 1) >> 2) before it
+    # takes isqrt(isqrt(target)); that is exact only if the power of two never
+    # exceeds floor(target**(1/4)); check every bit-length boundary
+    for n in range(201):
+        for t in (2**n - 1, 2**n, 2**n + 1):
+            if t >= 1:
+                assert 1 << ((t.bit_length() - 1) >> 2) <= math.isqrt(math.isqrt(t)), t
+        # equal at t = 2**(4m): the shortcut is as tight as it can be there
+        if n % 4 == 0:
+            assert 1 << (((2**n).bit_length() - 1) >> 2) == math.isqrt(math.isqrt(2**n))
+
+
+@pytest.mark.parametrize(
+    "args, split, sums_in_range",
+    [
+        # lo = 18 > mid = 17, and neither sum 43, 44 lies in the class of
+        # (alpha - gamma) / alpha modulo delta = 131; most endgames are this kind
+        ((1440, 1309, 1, 17, 1309), (18, 17, 21), True),
+        # lo = 104 > mid = 103, and no integer sum lies in (mid, hi] = (103, 109]
+        ((3672, 3605, 1, 103, 3605), (104, 103, 109), False),
+        # the limit caps hi at 1150, below lo = 1151
+        ((75613824, 75548095, 1, 307, 75548095), (1151, 1150, 1150), False),
+    ],
+)
+def test_two_prime_zero_step_endgames(monkeypatch, args, split, sums_in_range):
+    # endgames of the 1e14 walk whose scan has no step: no q to try and no sum
+    # of the class to step; they return after their bounds
+    limit = 10**14
+    assert _scan_split(args, limit) == split
+    _assert_strategies_agree(args, limit)
+
+    def boom(*_):
+        raise AssertionError("a scan with no step reached its steps")
+
+    monkeypatch.setattr(phi23.equation, "_square_steps", boom)
+    if not sums_in_range:
+        # no sum to place in its class, so no inverse modulo delta is taken
+        monkeypatch.setattr(phi23.equation, "pow", boom, raising=False)
+    counters = SearchCounters()
+    trace = []
+    assert two_prime_solve(*args, limit, counters, trace) == []
+    assert trace == []
+    assert counters.as_dict() == {**SearchCounters().as_dict(), "endgame_scan": 1}
+
+
 def test_two_prime_golden_after_5_7():
     st = absorb_chain((5, 7))
     trace = []

@@ -147,3 +147,17 @@ def test_package_import_leaves_numpy_unloaded():
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_serial_run_leaves_the_pool_machinery_unloaded():
+    # the process pool is imported when a run starts one, not by the package
+    src = Path(phi23.__file__).resolve().parent.parent
+    code = (
+        "import sys, phi23, phi23.cli\n"
+        "from phi23 import SearchConfig, solve\n"
+        "assert len(solve(SearchConfig(limit=10**9))) == 4\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'concurrent', 'multiprocessing'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

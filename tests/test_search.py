@@ -207,19 +207,30 @@ def test_unbounded_k1_6_counters_are_pinned(threads):
 
 
 def test_limit_1e14_matches_the_paper_bound():
-    # the paper's bound: no solution beyond the four known ones up to 1e14
-    counters = SearchCounters()
-    sols = solve(SearchConfig(limit=10**14), counters)
-    assert [s.n for s in sols] == KNOWN_N
-    stats = counters.as_dict()
-    assert {k: stats[k] for k in ("nodes_expanded", "prune_limit", "prune_corollary", "prune_infeasible")} == {
-        "nodes_expanded": 10560,
-        "prune_limit": 1680,
-        "prune_corollary": 8729,
-        "prune_infeasible": 3438,
-    }
-    # all but 7 endgames take at most target**(1/4) scan steps
-    assert (counters.endgame_scan, counters.endgame_factor) == (7276, 7)
+    # the paper's bound: no solution beyond the four known ones up to 1e14,
+    # with the same counters on one worker or two
+    for threads in (1, 2):
+        counters = SearchCounters()
+        sols = solve(SearchConfig(limit=10**14, threads=threads), counters)
+        assert [s.n for s in sols] == KNOWN_N
+        stats = counters.as_dict()
+        assert {k: stats[k] for k in ("nodes_expanded", "prune_limit", "prune_corollary", "prune_infeasible")} == {
+            "nodes_expanded": 10560,
+            "prune_limit": 1680,
+            "prune_corollary": 8729,
+            "prune_infeasible": 3438,
+        }
+        # all but 7 endgames take at most target**(1/4) scan steps
+        assert (counters.endgame_scan, counters.endgame_factor) == (7276, 7)
+        assert stats == {
+            "nodes_expanded": 10560,
+            "prune_limit": 1680,
+            "prune_corollary": 8729,
+            "prune_congruence": 6,
+            "prune_infeasible": 3438,
+            "endgame_scan": 7276,
+            "endgame_factor": 7,
+        }
 
 
 def test_counters_merge():
