@@ -21,6 +21,7 @@ __all__ = [
     "PrimeTable",
     "Factorization",
     "FactoringError",
+    "SieveCapError",
     "build_prime_table",
     "is_prime",
     "factorize",
@@ -41,6 +42,21 @@ class FactoringError(Exception):
     def __init__(self, n: int):
         self.n = n
         super().__init__(f"factoring gave up on {n}")
+
+
+class SieveCapError(MemoryError):
+    """Raised for a prime table up to ``limit`` >= _SIEVE_CAP.
+
+    A walk whose bounds need such a table is out of this solver's reach:
+    the CLI exits 2 and names the limit.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        super().__init__(limit)
+
+    def __str__(self) -> str:
+        return f"needs a prime table up to {self.limit}; the sieve is capped below {_SIEVE_CAP}"
 
 
 @dataclass
@@ -73,6 +89,8 @@ class PrimeTable:
     def in_range(self, lo: int, hi: int) -> array:
         """The primes p with lo < p <= hi, growing the table to reach hi."""
         while hi > self.limit:
+            if hi >= _SIEVE_CAP:
+                raise SieveCapError(hi)
             self.grow()
         i = bisect_right(self.primes, lo)
         j = bisect_right(self.primes, hi)
@@ -89,7 +107,7 @@ def build_prime_table(limit: int) -> PrimeTable:
     if limit < 5:
         raise ValueError(f"prime table limit must be >= 5, got {limit}")
     if limit >= _SIEVE_CAP:
-        raise MemoryError(f"prime table limit {limit} exceeds supported sieve size")
+        raise SieveCapError(limit)
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, isqrt(limit) + 1):

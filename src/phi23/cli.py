@@ -1,7 +1,9 @@
 """Command line front end: search (solver), scan (oracle), check (verdict).
 
-Exit codes: 0 success, 1 check verdict negative, 2 usage error, 3 factoring
-gave up (a search is then incomplete, a check reaches no verdict).
+Exit codes: 0 success, 1 check verdict negative, 2 usage error (also a
+search whose bounds need primes past the prime table's sieve cap; the
+message names the table limit it needed), 3 factoring gave up (a search is
+then incomplete, a check reaches no verdict).
 Solutions are printed only after a search completes, so an interrupted run
 never emits a partial result.
 """
@@ -16,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .arith import FactoringError
+from .arith import FactoringError, SieveCapError
 from .oracle import SCAN_LIMIT_CAP, check_single, scan_solutions
 from .search import SearchConfig, SearchCounters, solve, steinerberger_relevance
 
@@ -113,7 +115,10 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     counters = SearchCounters()
     started = time.monotonic()
-    solutions = solve(config, counters)
+    try:
+        solutions = solve(config, counters)
+    except SieveCapError as exc:
+        return _usage_error(f"the search {exc}; no solutions were printed")
     elapsed = time.monotonic() - started
 
     for sol in solutions:

@@ -13,8 +13,10 @@ search path that produced it.
 Each run builds one PrimeTable, which grows itself whenever a bound needs
 primes past its end.  When more than one worker may start, ``solve``
 expands every k's tree breadth-first into independent subtree tasks and
-runs all of them in one process pool for the whole run; each worker process
-walks with a table of its own.  Results are merged and sorted, so output
+forks the extra workers once for the whole run (``phi23.parallel``).  Every
+process, this one included, claims its next task through one shared pipe of
+task tokens and walks it with the run's prime table, which the forked
+workers inherit.  Results are merged in task order and sorted, so output
 does not depend on the worker count.
 """
 
@@ -53,17 +55,6 @@ __all__ = [
     "solve",
     "steinerberger_relevance",
 ]
-
-
-def ProcessPoolExecutor(**kwargs):
-    """concurrent.futures.ProcessPoolExecutor, imported on the first call.
-
-    The pool machinery is over half of ``import phi23``, and a serial run
-    never starts a pool.  Tests replace this module attribute.
-    """
-    from concurrent.futures import ProcessPoolExecutor as pool_class
-
-    return pool_class(**kwargs)
 
 
 # Unbounded searches beyond this many prime factors are refused.  k = 7 does
@@ -156,8 +147,10 @@ class SearchConfig:
 
     @property
     def workers(self) -> int:
-        """``threads``, but never more than the machine has cores: a pool
-        starts all its workers at once."""
+        """``threads``, but never more than the machine has cores, and 1
+        where processes cannot fork: a run starts all its workers at once."""
+        if not hasattr(os, "fork"):
+            return 1
         return min(self.threads, os.cpu_count() or 1)
 
 
@@ -324,19 +317,6 @@ def _dfs(
 # Parallel driver
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _worker_table() -> PrimeTable:
-    # One per worker process; the pool, and so the process, lives for one run.
-    return build_prime_table(_INITIAL_TABLE_LIMIT)
-
-
-def _subtree_worker(state: EquationState, limit: int | None) -> tuple[list[tuple[int, ...]], SearchCounters]:
-    counters = SearchCounters()
-    found: list[tuple[int, ...]] = []
-    _dfs(state, limit, _worker_table(), counters, found.append)
-    return found, counters
-
-
 def _make_tasks(
     root: EquationState,
     limit: int | None,
@@ -386,8 +366,9 @@ def solve(config: SearchConfig, counters: SearchCounters | None = None) -> list[
     """All solutions with k in ``config.ks`` (and n <= limit if set), by n.
 
     ``config.ks`` caps k at what the limit admits, so wide k ranges are safe
-    to request.  One prime table, grown in place as the bounds need, and,
-    when more than one worker may start, one process pool serve every k.
+    to request.  One prime table, grown in place as the bounds need, serves
+    every k; when more than one worker may start, the trees of every k are
+    split into subtree tasks and the workers are forked once for all of them.
     """
     if counters is None:
         counters = SearchCounters()
@@ -403,9 +384,11 @@ def solve(config: SearchConfig, counters: SearchCounters | None = None) -> list[
         want = 4 * workers
         tasks = [s for k in ks for s in _make_tasks(root_state(k), config.limit, table, counters, want)]
         if tasks:
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-                for found, sub_counters in pool.map(_subtree_worker, tasks, [config.limit] * len(tasks)):
-                    out.extend(Solution.from_factors(f) for f in found)
-                    counters.merge(sub_counters)
+            # Imported here: a serial run never loads the driver.
+            from .parallel import run_tasks
+
+            for found, sub_counters in run_tasks(tasks, config.limit, table, min(workers, len(tasks))):
+                out.extend(Solution.from_factors(f) for f in found)
+                counters.merge(sub_counters)
     out.sort(key=lambda s: s.n)
     return out

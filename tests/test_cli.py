@@ -1,10 +1,10 @@
 """Tests for the command line interface: output shapes and exit codes."""
 
 import json
-import multiprocessing
 
 import pytest
 
+import phi23.arith
 import phi23.equation
 import phi23.oracle
 import phi23.search
@@ -324,19 +324,45 @@ def test_check_factoring_failure_exit_code(capsys, monkeypatch):
     assert err == "error: factoring gave up on 1295; no verdict was reached\n"
 
 
-def test_factoring_failure_exit_code_through_the_pool(capsys, monkeypatch):
-    # fork workers inherit the patch; the branch error must unpickle in the parent
+def test_factoring_failure_exit_code_through_the_pool(capsys, monkeypatch, only_walker):
+    # the forked worker inherits the patch and walks every task; the branch
+    # error it pickles must unpickle in the parent
     def boom(n, rho_rounds=8):
         raise FactoringError(n)
 
-    fork = multiprocessing.get_context("fork")
-    real_pool = phi23.search.ProcessPoolExecutor
-    monkeypatch.setattr(phi23.search, "ProcessPoolExecutor", lambda **kw: real_pool(mp_context=fork, **kw))
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr(phi23.equation, "factorize", boom)
+    only_walker("children")
     code, out, err = run_cli(capsys, "search", "--k-min", "2", "--k-max", "5", "--threads", "2")
     assert code == 3
     assert out == ""
     assert "branch" in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sieve_cap_is_a_usage_error(capsys, monkeypatch, only_walker, threads):
+    # a walk whose bounds need primes past the sieve cap exits 2 and names
+    # the table limit, also when the forked worker is the one that hits it
+    monkeypatch.setattr(phi23.arith, "_SIEVE_CAP", 1024)
+    monkeypatch.setattr(phi23.search, "_INITIAL_TABLE_LIMIT", 64)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    split = []  # k whose tree the parent split into tasks without hitting the cap
+    real_make_tasks = phi23.search._make_tasks
+
+    def make_tasks_spy(root, *args):
+        tasks = real_make_tasks(root, *args)
+        split.append(root.remaining)
+        return tasks
+
+    monkeypatch.setattr(phi23.search, "_make_tasks", make_tasks_spy)
+    only_walker("children")
+    code, out, err = run_cli(capsys, "search", "--limit", "1e12", "--threads", threads)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the search needs a prime table up to 1024; the sieve is capped below 1024; "
+        "no solutions were printed\n"
+    )
+    assert split == ([] if threads == "1" else list(phi23.search.SearchConfig(limit=10**12).ks))
 
 
 def test_run_entry_point_raises_system_exit():

@@ -149,15 +149,26 @@ def test_package_import_leaves_numpy_unloaded():
     assert done.stdout.strip() == "False"
 
 
-def test_serial_run_leaves_the_pool_machinery_unloaded():
-    # the process pool is imported when a run starts one, not by the package
+def _pool_modules_after(run: str) -> str:
+    """The top-level pool packages loaded after importing phi23 and ``run``."""
     src = Path(phi23.__file__).resolve().parent.parent
     code = (
-        "import sys, phi23, phi23.cli\n"
+        "import os, sys, phi23, phi23.cli\n"
         "from phi23 import SearchConfig, solve\n"
-        "assert len(solve(SearchConfig(limit=10**9))) == 4\n"
+        f"{run}\n"
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'concurrent', 'multiprocessing'}))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_serial_run_leaves_the_pool_machinery_unloaded():
+    # the package never loads the standard process pool
+    assert _pool_modules_after("assert len(solve(SearchConfig(limit=10**9))) == 4") == "[]"
+
+
+def test_two_worker_run_leaves_the_pool_machinery_unloaded():
+    # a multi-worker run forks its workers itself
+    run = "os.cpu_count = lambda: 2\nassert len(solve(SearchConfig(limit=10**9, threads=2))) == 4"
+    assert _pool_modules_after(run) == "[]"

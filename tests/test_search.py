@@ -1,19 +1,23 @@
 """End-to-end tests for the pruned solver and its parallel driver."""
 
+import contextlib
 import dataclasses
 import json
-import multiprocessing
+import os
+import signal
 import types
 
 import pytest
 
 import phi23.arith
+import phi23.parallel
 import phi23.search
 from helpers import WALKS, brute_force_k, integer_root, simple_sieve, tight_limit_bound
 from phi23.arith import build_prime_table, factorize
 from phi23.cli import main
 from phi23.equation import EquationState, Pruned, root_state
 from phi23.oracle import scan_solutions
+from phi23.parallel import run_tasks
 from phi23.search import (
     MAX_UNBOUNDED_K,
     SearchConfig,
@@ -439,55 +443,53 @@ def test_one_prime_table_per_run(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("start_method", [None, "spawn"], ids=["default", "spawn"])
-def test_one_pool_per_run(monkeypatch, start_method):
-    # spawn workers inherit no state from this process, fork workers would
-    pool_kwargs = {"mp_context": multiprocessing.get_context(start_method)} if start_method else {}
-    pools = []
-    real = phi23.search.ProcessPoolExecutor
+@pytest.mark.parametrize("walker", [None, "parent", "children"],
+                         ids=["default", "parent-claims-all", "parent-claims-none"])
+def test_one_pool_per_run(monkeypatch, only_walker, walker):
+    # Each extra worker is forked once per run, however many k it covers, and
+    # the merged result does not depend on which process walks which task.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    forks = []
+    real_fork = os.fork
 
-    def spy(*args, **kwargs):
-        pools.append(kwargs)
-        return real(*args, **kwargs, **pool_kwargs)
+    def fork_spy():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    monkeypatch.setattr(phi23.search, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(os, "fork", fork_spy)
+    if walker:
+        only_walker(walker)
     config = SearchConfig(k_max=12, limit=2_000_000, threads=2)
     serial_counters = SearchCounters()
     serial = solve(dataclasses.replace(config, threads=1), serial_counters)
-    assert pools == []
+    assert forks == []
     counters = SearchCounters()
     assert solve(config, counters) == serial
-    assert len(pools) == 1
+    assert len(forks) == 1
     assert counters == serial_counters
     assert [s.n for s in serial] == KNOWN_N
 
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """Replace the process pool by one that maps in this process, so a test
-    starts no process; returns the list of every pool's max_workers."""
-    pools = []
+    """Run every multi-worker run's tasks in this process alone, so a test
+    starts no process; returns the process count each run asked for."""
+    runs = []
+    real = phi23.parallel.run_tasks
 
-    class FakePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    def in_process(tasks, limit, table, processes):
+        runs.append(processes)
+        return real(tasks, limit, table, 1)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(phi23.search, "ProcessPoolExecutor", FakePool)
-    return pools
+    monkeypatch.setattr(phi23.parallel, "run_tasks", in_process)
+    return runs
 
 
 def test_pool_size_is_capped_by_the_cores(monkeypatch, fake_pool):
-    # The pool starts all its workers at once, so --threads 100000 must
-    # neither start 100,000 processes nor split the tree into 400,000 tasks.
+    # A run forks all its workers at once, so --threads 100000 must neither
+    # fork 100,000 processes nor split the tree into 400,000 tasks.
     pools = fake_pool
     wants = []
     real_make_tasks = phi23.search._make_tasks
@@ -535,8 +537,8 @@ def test_stats_report_the_workers_started(monkeypatch, capsys, fake_pool):
     assert main([*argv, "--threads", "2"]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["report"]["threads"] == 2
     assert fake_pool == [3, 3, 2]
-    # an unknown core count means one worker, which walks in-process: no pool
-    # starts, and the solutions and counters are those of --threads 1
+    # an unknown core count means one worker, which walks in-process: nothing
+    # is forked, and the solutions and counters are those of --threads 1
     monkeypatch.setattr("os.cpu_count", lambda: None)
     text = ["search", "--limit", "2e6", "--stats"]
     assert main([*text, "--threads", "4"]) == 0
@@ -547,6 +549,88 @@ def test_stats_report_the_workers_started(monkeypatch, capsys, fake_pool):
     serial = capsys.readouterr().out.splitlines()
     assert lines[:-2] == serial[:-2]
     assert lines[-1] == serial[-1]
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this process if the block is still running after
+    ``seconds``, so a hung driver fails its test (and kills its children)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def trivial_walk(task, limit, table, counters, emit):
+    counters.nodes_expanded += 1
+    emit((task,))
+
+
+def test_driver_returns_many_tasks_in_task_order(monkeypatch):
+    # the token pipe holds one token per process however many tasks there are
+    monkeypatch.setattr(phi23.parallel, "_dfs", trivial_walk)
+    with deadline(60):
+        results = run_tasks(range(20_000), None, None, 2)
+    assert [found for found, _ in results] == [[(i,)] for i in range(20_000)]
+    assert all(counters == SearchCounters(nodes_expanded=1) for _, counters in results)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("fails", [None, "child", "parent"])
+def test_driver_reaps_every_child(monkeypatch, fails):
+    # after a normal run, a child's exception and an exception in the
+    # parent's own share alike, no child of this process is left
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    parent = os.getpid()
+    real_walk = phi23.parallel._walk_tasks
+
+    def walk(*args):
+        if fails == ("parent" if os.getpid() == parent else "child"):
+            raise ValueError(f"{fails} failed")
+        return real_walk(*args)
+
+    monkeypatch.setattr(phi23.parallel, "_walk_tasks", walk)
+    config = SearchConfig(k_max=12, limit=2_000_000, threads=2)
+    with deadline(60):
+        if fails:
+            with pytest.raises(ValueError, match=f"{fails} failed"):
+                solve(config)
+        else:
+            assert [s.n for s in solve(config)] == KNOWN_N
+    assert_no_children()
+
+
+@pytest.mark.parametrize("holding_a_token", [False, True], ids=["idle", "holding-a-token"])
+def test_driver_raises_when_a_child_dies(monkeypatch, holding_a_token):
+    # a child killed before it sends its results, even one that dies right
+    # after taking a task token, makes the run raise instead of hang
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    parent = os.getpid()
+    real_walk = phi23.parallel._walk_tasks
+
+    def walk(tasks, limit, table, tokens, stride):
+        if os.getpid() != parent:
+            if holding_a_token:
+                os.read(tokens[0], 8)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_walk(tasks, limit, table, tokens, stride)
+
+    monkeypatch.setattr(phi23.parallel, "_walk_tasks", walk)
+    with deadline(60), pytest.raises(RuntimeError, match="exited without sending its results"):
+        solve(SearchConfig(k_max=12, limit=2_000_000, threads=2))
+    assert_no_children()
 
 
 def test_package_import_keeps_search_a_module():
