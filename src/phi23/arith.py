@@ -36,12 +36,18 @@ class FactoringError(Exception):
     """Raised when factoring gave up after exhausting its retry budget.
 
     The result is never silently truncated: a search stops with no partial
-    output and the CLI exits 3.
+    output and the CLI exits 3.  ``branch`` is the search prefix whose
+    endgame target n could not be factored (empty outside a search).
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, branch: tuple[int, ...] = ()):
         self.n = n
-        super().__init__(f"factoring gave up on {n}")
+        self.branch = branch
+        super().__init__(n, branch)  # unpickling calls FactoringError(*args)
+
+    def __str__(self) -> str:
+        where = f" at branch {list(self.branch)}" if self.branch else ""
+        return f"factoring gave up on {self.n}{where}"
 
 
 class SieveCapError(MemoryError):

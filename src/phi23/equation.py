@@ -24,7 +24,6 @@ from .arith import FactoringError, PrimeTable, factorize, is_prime
 __all__ = [
     "EquationState",
     "Pruned",
-    "BranchFactoringError",
     "root_state",
     "absorb_prime",
     "finiteness_bound",
@@ -41,22 +40,6 @@ ROOT_GAMMA = 2
 # Odd moduli, ascending, that sieve the scan's discriminants by quadratic
 # residues before any square root is taken (see _square_steps).
 SIEVE_MODULI = (5, 7, 9, 11, 13, 17)
-
-
-class BranchFactoringError(FactoringError):
-    """Factoring gave up inside an endgame; names the branch where it happened.
-
-    The search stops there with no partial result (the CLI exits 3).
-    """
-
-    def __init__(self, target: int, prefix: tuple[int, ...]):
-        self.prefix = prefix
-        Exception.__init__(self, target, prefix)
-        self.n = target
-        self.target = target
-
-    def __str__(self) -> str:
-        return f"factoring gave up on target {self.target} at branch {list(self.prefix)}"
 
 
 @dataclass(frozen=True)

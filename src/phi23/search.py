@@ -12,12 +12,13 @@ search path that produced it.
 
 Each run builds one PrimeTable, which grows itself whenever a bound needs
 primes past its end.  When more than one worker may start, ``solve``
-expands every k's tree breadth-first into independent subtree tasks and
-forks the extra workers once for the whole run (``phi23.parallel``).  Every
-process, this one included, claims its next task through one shared pipe of
-task tokens and walks it with the run's prime table, which the forked
-workers inherit.  Results are merged in task order and sorted, so output
-does not depend on the worker count.
+expands every k's tree breadth-first into independent subtree tasks, and
+stops at nodes with three primes left, so each tree level takes the same
+path on any worker count.  It forks the extra workers once for the whole
+run (``phi23.parallel``).  Every process, this one included, claims its
+next task through one shared pipe of task tokens and walks it with the
+run's prime table, which the forked workers inherit.  Results are merged in
+task order and sorted, so output does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Callable, Sequence
 
 from .arith import FactoringError, PrimeTable, build_prime_table, is_prime
 from .equation import (
-    BranchFactoringError,
     EquationState,
     Pruned,
     absorb_prime,
@@ -252,7 +252,7 @@ def _solve_endgame(
         try:
             pairs = two_prime_solve(*two_prime_args(state), limit, counters)
         except FactoringError as exc:
-            raise BranchFactoringError(exc.n, state.prefix) from exc
+            raise FactoringError(exc.n, state.prefix) from exc
         for q, r in pairs:
             emit(state.prefix + (q, r))
 
@@ -294,7 +294,7 @@ def _solve_last_level(
             for r1, r2 in two_prime_solve(a3, b3, gamma // g, q, b * q, limit, counters):
                 emit(state.prefix + (q, r1, r2))
     except FactoringError as exc:
-        raise BranchFactoringError(exc.n, state.prefix + (q,)) from exc
+        raise FactoringError(exc.n, state.prefix + (q,)) from exc
 
 
 def _dfs(
@@ -324,16 +324,15 @@ def _make_tasks(
     counters: SearchCounters,
     want: int,
 ) -> list[EquationState]:
-    """Breadth-first expansion until at least ``want`` independent subtrees."""
+    """Breadth-first expansion until at least ``want`` independent subtrees.
+
+    The split stops at nodes with three primes left, which _solve_last_level
+    walks on any worker count; a root with three or fewer is one task.  The
+    frontier stays sorted by depth, so its front is the shallowest node.
+    """
     frontier: deque[EquationState] = deque([root])
-    while len(frontier) < want:
-        state = next((s for s in frontier if s.remaining > 2), None)
-        if state is None:
-            break
-        frontier.remove(state)
-        frontier.extend(_expand_node(state, limit, table, counters))
-        if not frontier:
-            break
+    while 0 < len(frontier) < want and frontier[0].remaining > 3:
+        frontier.extend(_expand_node(frontier.popleft(), limit, table, counters))
     return list(frontier)
 
 

@@ -1,5 +1,6 @@
 """Tests for the integer arithmetic layer."""
 
+import pickle
 import random
 from math import isqrt
 
@@ -8,6 +9,7 @@ import pytest
 from helpers import integer_root, simple_sieve, trial_is_prime
 from phi23.arith import (
     FactoringError,
+    SieveCapError,
     _strong_lucas,
     build_prime_table,
     factorize,
@@ -153,6 +155,23 @@ def test_factorize_gives_up_without_rho():
     with pytest.raises(FactoringError) as info:
         factorize(n, rho_rounds=0)
     assert info.value.n == n
+
+
+@pytest.mark.parametrize(
+    "error, text",
+    [
+        (FactoringError(15), "factoring gave up on 15"),
+        (FactoringError(15, (5, 7)), "factoring gave up on 15 at branch [5, 7]"),
+        (SieveCapError(1 << 33), f"needs a prime table up to {1 << 33}; the sieve is capped below {1 << 32}"),
+    ],
+    ids=["factoring", "factoring-at-branch", "sieve-cap"],
+)
+def test_errors_survive_pickle(error, text):
+    # a forked search worker sends the exception that stopped it by pickle
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error) == text
+    assert vars(back) == vars(error)
 
 
 def test_factorization_helpers():

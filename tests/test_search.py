@@ -551,6 +551,39 @@ def test_stats_report_the_workers_started(monkeypatch, capsys, fake_pool):
     assert lines[-1] == serial[-1]
 
 
+def test_every_tree_level_takes_one_path_on_two_workers(monkeypatch, fake_pool):
+    # The split stops at nodes with three primes left, so on two workers as
+    # on one, _expand_node sees only nodes with four or more left (the fused
+    # _solve_last_level takes those with three), and _solve_endgame only the
+    # k <= 2 roots.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    expanded, endgames = [], []
+    real_expand = phi23.search._expand_node
+    real_endgame = phi23.search._solve_endgame
+
+    def expand_spy(state, *args):
+        expanded.append(state)
+        return real_expand(state, *args)
+
+    def endgame_spy(state, *args):
+        endgames.append(state)
+        return real_endgame(state, *args)
+
+    monkeypatch.setattr(phi23.search, "_expand_node", expand_spy)
+    monkeypatch.setattr(phi23.search, "_solve_endgame", endgame_spy)
+    for config in (SearchConfig(k_min=1, k_max=6, threads=2), SearchConfig(limit=10**14, threads=2)):
+        serial_counters = SearchCounters()
+        serial = solve(dataclasses.replace(config, threads=1), serial_counters)
+        expanded.clear()
+        endgames.clear()
+        counters = SearchCounters()
+        assert solve(config, counters) == serial
+        assert counters == serial_counters
+        assert expanded and min(s.remaining for s in expanded) >= 4
+        assert [s.prefix for s in endgames] == [(), ()]
+    assert fake_pool == [2, 2]
+
+
 @contextlib.contextmanager
 def deadline(seconds):
     """Raise TimeoutError in this process if the block is still running after
@@ -638,8 +671,10 @@ def test_package_import_keeps_search_a_module():
 
 
 def test_task_partition_covers_the_whole_tree():
-    # the parallel driver must see exactly the subtrees the sequential walk sees
-    for k in (4, 5, 6):
+    # the parallel driver must see exactly the subtrees the sequential walk
+    # sees, and never splits a node with three primes left (k = 3's root is
+    # its only task)
+    for k in (3, 4, 5, 6):
         full: list[tuple[int, ...]] = []
         _dfs(root_state(k), None, build_prime_table(1 << 17), SearchCounters(), full.append)
 
@@ -647,6 +682,9 @@ def test_task_partition_covers_the_whole_tree():
         counters = SearchCounters()
         tasks = _make_tasks(root_state(k), None, table, counters, want=10)
         assert len({t.prefix for t in tasks}) == len(tasks)
+        assert all(t.remaining >= 3 for t in tasks), k
+        if k == 3:
+            assert tasks == [root_state(3)]
         merged: list[tuple[int, ...]] = []
         for task in tasks:
             _dfs(task, None, table, counters, merged.append)
