@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 check verdict negative, 2 usage error (also a
 search whose bounds need primes past the prime table's sieve cap; the
-message names the table limit it needed), 3 factoring gave up (a search is
-then incomplete, a check reaches no verdict).
+message names the table size the search asked for, which the fourfold
+growth can put at up to four times the need), 3 factoring gave up (a search
+is then incomplete, a check reaches no verdict).
 Solutions are printed only after a search completes, so an interrupted run
 never emits a partial result.
 """
@@ -16,50 +17,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .arith import FactoringError, SieveCapError
 from .oracle import SCAN_LIMIT_CAP, check_single, scan_solutions
 from .search import SearchConfig, SearchCounters, solve, steinerberger_relevance
 
-__all__ = ["RunReport", "main", "run"]
-
-
-@dataclass
-class RunReport:
-    """Summary of one search invocation for the --stats output.
-
-    Holds the solution list itself so the report can never drift from
-    what was printed; the emitted report carries the count.
-    """
-
-    command: str
-    config: dict
-    solutions: list
-    counters: SearchCounters
-    wall_time_sec: float
-    threads: int
-
-    def as_json(self) -> dict:
-        return {
-            "report": {
-                "command": self.command,
-                **self.config,
-                "threads": self.threads,
-                "solutions": len(self.solutions),
-                "wall_time_sec": round(self.wall_time_sec, 6),
-                "counters": self.counters.as_dict(),
-            }
-        }
-
-    def text_lines(self) -> list[str]:
-        cfg = " ".join(f"{k}={v}" for k, v in self.config.items())
-        counts = " ".join(f"{k}={v}" for k, v in self.counters.as_dict().items())
-        return [
-            f"# {self.command} {cfg} threads={self.threads} "
-            f"solutions={len(self.solutions)} wall_time_sec={self.wall_time_sec:.3f}",
-            f"# {counts}",
-        ]
+__all__ = ["main", "run"]
 
 
 def _parse_count(text: str) -> int:
@@ -124,20 +87,21 @@ def cmd_search(args: argparse.Namespace) -> int:
     for sol in solutions:
         print(_solution_line(sol.n, sol.factors, steinerberger_relevance(sol), args.format))
     if args.stats:
-        report = RunReport(
-            command="search",
+        summary = {
             # the k range searched, which the limit may have capped
-            config={"k_min": config.ks.start, "k_max": config.ks.stop - 1, "limit": config.limit},
-            solutions=solutions,
-            counters=counters,
-            wall_time_sec=elapsed,
-            threads=config.workers,
-        )
+            "k_min": config.ks.start,
+            "k_max": config.ks.stop - 1,
+            "limit": config.limit,
+            "threads": config.workers,
+            "solutions": len(solutions),
+        }
+        counts = counters.as_dict()
         if args.format == "json":
-            print(json.dumps(report.as_json()))
+            report = {"command": "search", **summary, "wall_time_sec": round(elapsed, 6), "counters": counts}
+            print(json.dumps({"report": report}))
         else:
-            for line in report.text_lines():
-                print(line)
+            print("# search", *(f"{k}={v}" for k, v in summary.items()), f"wall_time_sec={elapsed:.3f}")
+            print("#", *(f"{k}={v}" for k, v in counts.items()))
     return 0
 
 

@@ -1,33 +1,30 @@
-"""Multi-process driver of the search: fork the workers once, and let every
-process, this one included, claim and walk subtree tasks.
+"""Multi-process driver: map a walk over opaque tasks, with the workers
+forked once and every process, this one included, claiming tasks.
 
-``search.solve`` imports this module only when a run may start more than
-one worker, so a serial run never loads it.  It needs ``os.fork``; where
-that does not exist ``SearchConfig.workers`` is 1.
+The driver knows nothing about what a task is or how it is walked; the
+forked workers inherit the walk and the tasks, and only results travel back,
+pickled.  ``search.solve`` imports this module only when a run may start
+more than one worker, so a serial run never loads it.  It needs ``os.fork``;
+where that does not exist ``SearchConfig.workers`` is 1.
 """
 
 from __future__ import annotations
 
 import os
-from typing import NoReturn, Sequence
-
-from .arith import PrimeTable
-from .equation import EquationState
-from .search import SearchCounters, _dfs
+from typing import Callable, NoReturn, Sequence, TypeVar
 
 __all__ = ["run_tasks"]
 
+T = TypeVar("T")
+R = TypeVar("R")
+
 
 def _walk_tasks(
-    tasks: Sequence[EquationState],
-    limit: int | None,
-    table: PrimeTable,
-    tokens: tuple[int, int],
-    stride: int,
-) -> list[tuple[int, list[tuple[int, ...]], SearchCounters]]:
+    tasks: Sequence[T], walk: Callable[[T], R], tokens: tuple[int, int], stride: int
+) -> list[tuple[int, R]]:
     """Claim tasks through the token pipe and walk them until none is left.
 
-    Returns (index, solutions, counters) for each task this process walked.
+    Returns (index, result) for each task this process walked.
     """
     read_end, write_end = tokens
     done = []
@@ -36,16 +33,12 @@ def _walk_tasks(
         if i >= len(tasks):
             return done
         os.write(write_end, (i + stride).to_bytes(8, "little"))
-        counters = SearchCounters()
-        found: list[tuple[int, ...]] = []
-        _dfs(tasks[i], limit, table, counters, found.append)
-        done.append((i, found, counters))
+        done.append((i, walk(tasks[i])))
 
 
 def _run_child(
-    tasks: Sequence[EquationState],
-    limit: int | None,
-    table: PrimeTable,
+    tasks: Sequence[T],
+    walk: Callable[[T], R],
     tokens: tuple[int, int],
     stride: int,
     result_end: int,
@@ -58,7 +51,7 @@ def _run_child(
     code = 1
     try:
         try:
-            outcome = _walk_tasks(tasks, limit, table, tokens, stride)
+            outcome = _walk_tasks(tasks, walk, tokens, stride)
         except BaseException as exc:
             outcome = exc
         with open(result_end, "wb") as pipe:
@@ -68,23 +61,22 @@ def _run_child(
         os._exit(code)
 
 
-def run_tasks(
-    tasks: Sequence[EquationState], limit: int | None, table: PrimeTable, processes: int
-) -> list[tuple[list[tuple[int, ...]], SearchCounters]]:
-    """Walk ``tasks`` on ``processes`` processes, this one included; returns
-    each task's solutions and counters, in task order.
+def run_tasks(tasks: Sequence[T], walk: Callable[[T], R], processes: int) -> list[R]:
+    """``[walk(t) for t in tasks]``, computed on ``processes`` processes, this
+    one included.
 
-    The other processes are forked here and walk with ``table`` as it is at
-    the fork.  Tasks are claimed through one pipe of 8-byte tokens, one per
-    process to start with: token i is the next task of the indices i mod
-    ``processes``.  A claim reads a token i; if task i exists it at once
-    writes back i + ``processes`` and walks task i, and otherwise the process
-    is done and the spent token leaves the pipe with it.  So the pipe never
-    holds more than ``processes`` tokens, however many tasks there are, and
-    no process holds a token while it walks.  A process that dies takes at
-    most one token with it, so the pipe keeps a token for each process left
-    and none of them waits forever; only the tasks of a lost token's class
-    go unwalked, and the dead child's missing result makes this raise.
+    The other processes are forked here and inherit ``walk`` and ``tasks``
+    as they are at the fork.  Tasks are claimed through one pipe of 8-byte
+    tokens, one per process to start with: token i is the next task of the
+    indices i mod ``processes``.  A claim reads a token i; if task i exists
+    it at once writes back i + ``processes`` and walks task i, and otherwise
+    the process is done and the spent token leaves the pipe with it.  So the
+    pipe never holds more than ``processes`` tokens, however many tasks there
+    are, and no process holds a token while it walks.  A process that dies
+    takes at most one token with it, so the pipe keeps a token for each
+    process left and none of them waits forever; only the tasks of a lost
+    token's class go unwalked, and the dead child's missing result makes
+    this raise.
 
     Each child pickles its results, or the exception that stopped it, into
     a pipe of its own, which is read here after this process's share.  A
@@ -108,15 +100,15 @@ def run_tasks(
                 os.close(write_end)
                 raise
             if pid == 0:
-                _run_child(tasks, limit, table, tokens, processes, write_end)
+                _run_child(tasks, walk, tokens, processes, write_end)
             os.close(write_end)
             children[pid] = read_end
-        done = _walk_tasks(tasks, limit, table, tokens, processes)
+        done = _walk_tasks(tasks, walk, tokens, processes)
         for pid, read_end in children.items():
             with open(read_end, "rb", closefd=False) as pipe:
                 sent = pipe.read()
             if not sent:
-                raise RuntimeError(f"search worker {pid} exited without sending its results")
+                raise RuntimeError(f"worker {pid} exited without sending its results")
             outcome = pickle.loads(sent)
             if isinstance(outcome, BaseException):
                 raise outcome
@@ -129,4 +121,4 @@ def run_tasks(
         os.close(tokens[0])
         os.close(tokens[1])
     done.sort(key=lambda task: task[0])
-    return [(found, counters) for _, found, counters in done]
+    return [result for _, result in done]

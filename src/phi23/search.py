@@ -11,12 +11,14 @@ solution is re-verified against the original equation, independent of the
 search path that produced it.
 
 Each run builds one PrimeTable, which grows itself whenever a bound needs
-primes past its end.  When more than one worker may start, ``solve``
-expands every k's tree breadth-first into independent subtree tasks, and
-stops at nodes with three primes left, so each tree level takes the same
-path on any worker count.  It forks the extra workers once for the whole
-run (``phi23.parallel``).  Every process, this one included, claims its
-next task through one shared pipe of task tokens and walks it with the
+primes past its end.  ``_walk_task`` is the one walk of a subtree task on
+any worker count; a serial run walks each k's whole tree as one task.  When
+more than one worker may start, ``solve`` expands every k's tree
+breadth-first into independent subtree tasks, and stops at nodes with three
+primes left, so each tree level takes the same path on any worker count.
+It hands the tasks and the walk to ``phi23.parallel``, which forks the extra
+workers once for the whole run; every process, this one included, claims
+its next task through one shared pipe of task tokens and walks it with the
 run's prime table, which the forked workers inherit.  Results are merged in
 task order and sorted, so output does not depend on the worker count.
 """
@@ -59,8 +61,9 @@ __all__ = [
 
 # Unbounded searches beyond this many prime factors are refused.  k = 7 does
 # finish (about 17 min on one core, nearly all of it two-prime endgames) but
-# has no opt-in yet; k = 8's finiteness bounds need primes past the 2**32
-# sieve cap of the prime table.
+# has no opt-in yet.  k = 8's finiteness bounds need primes past 2**30: a
+# walk-only run stopped when the table, grown fourfold from 2**12, asked for
+# 2**32; whether k = 8 stays below the 2**32 sieve cap is unmeasured.
 MAX_UNBOUNDED_K = 6
 
 # Holds every prime the unbounded k = 1..6 walk and the limited walks up to
@@ -313,6 +316,20 @@ def _dfs(
             _dfs(child, limit, table, counters, emit)
 
 
+def _walk_task(
+    task: EquationState, limit: int | None, table: PrimeTable
+) -> tuple[list[tuple[int, ...]], SearchCounters]:
+    """Walk one subtree; returns the factors of its solutions and its counters.
+
+    The one task walk of serial and multi-worker runs alike: per-task
+    measurements belong here.
+    """
+    counters = SearchCounters()
+    found: list[tuple[int, ...]] = []
+    _dfs(task, limit, table, counters, found.append)
+    return found, counters
+
+
 # ---------------------------------------------------------------------------
 # Parallel driver
 # ---------------------------------------------------------------------------
@@ -350,12 +367,11 @@ def search_exact_k(
     supplied), and it grows in place when the walk needs more primes.
     """
     SearchConfig(k_min=k, k_max=k, limit=limit)  # validates the arguments
-    if counters is None:
-        counters = SearchCounters()
     if table is None:
         table = build_prime_table(_INITIAL_TABLE_LIMIT)
-    found: list[tuple[int, ...]] = []
-    _dfs(root_state(k), limit, table, counters, found.append)
+    found, walked = _walk_task(root_state(k), limit, table)
+    if counters is not None:
+        counters.merge(walked)
     solutions = [Solution.from_factors(f) for f in found]
     solutions.sort(key=lambda s: s.n)
     return solutions
@@ -386,8 +402,9 @@ def solve(config: SearchConfig, counters: SearchCounters | None = None) -> list[
             # Imported here: a serial run never loads the driver.
             from .parallel import run_tasks
 
-            for found, sub_counters in run_tasks(tasks, config.limit, table, min(workers, len(tasks))):
+            walk = functools.partial(_walk_task, limit=config.limit, table=table)
+            for found, walked in run_tasks(tasks, walk, min(workers, len(tasks))):
                 out.extend(Solution.from_factors(f) for f in found)
-                counters.merge(sub_counters)
+                counters.merge(walked)
     out.sort(key=lambda s: s.n)
     return out

@@ -1,6 +1,7 @@
 """Tests for the command line interface: output shapes and exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -91,6 +92,50 @@ def test_search_stats_text(capsys):
     assert lines[1].startswith("# search ")
     assert lines[2].startswith("# ")
     assert "nodes_expanded=" in lines[2]
+
+
+def test_search_stats_layout(capsys):
+    # the exact report lines and key order, wall time masked; perfbench's
+    # runner reads report.counters from the last JSON line
+    argv = ["search", "--k", "3", "--threads", "1", "--stats"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert re.sub(r"wall_time_sec=\d+\.\d{3}$", "wall_time_sec=*", out, flags=re.M).splitlines() == [
+        KNOWN_TEXT_LINES[2],
+        "# search k_min=3 k_max=3 limit=None threads=1 solutions=1 wall_time_sec=*",
+        "# nodes_expanded=2 prune_limit=0 prune_corollary=0 prune_congruence=0 "
+        "prune_infeasible=0 endgame_scan=0 endgame_factor=1",
+    ]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[0]) == {"n": 1295, "k": 3, "factors": [5, 7, 37], "relevance": False}
+    last = json.loads(lines[1])
+    assert list(last) == ["report"]
+    report = last["report"]
+    assert list(report) == [
+        "command", "k_min", "k_max", "limit", "threads", "solutions", "wall_time_sec", "counters",
+    ]
+    assert isinstance(report.pop("wall_time_sec"), float)
+    assert report == {
+        "command": "search",
+        "k_min": 3,
+        "k_max": 3,
+        "limit": None,
+        "threads": 1,
+        "solutions": 1,
+        "counters": {
+            "nodes_expanded": 2,
+            "prune_limit": 0,
+            "prune_corollary": 0,
+            "prune_congruence": 0,
+            "prune_infeasible": 0,
+            "endgame_scan": 0,
+            "endgame_factor": 1,
+        },
+    }
+    assert list(report["counters"]) == list(phi23.search.SearchCounters().as_dict())
 
 
 def test_search_scientific_notation_limit(capsys):

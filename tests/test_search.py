@@ -2,10 +2,12 @@
 
 import contextlib
 import dataclasses
+import importlib.util
 import json
 import os
 import signal
 import types
+from pathlib import Path
 
 import pytest
 
@@ -479,9 +481,9 @@ def fake_pool(monkeypatch):
     runs = []
     real = phi23.parallel.run_tasks
 
-    def in_process(tasks, limit, table, processes):
+    def in_process(tasks, walk, processes):
         runs.append(processes)
-        return real(tasks, limit, table, 1)
+        return real(tasks, walk, 1)
 
     monkeypatch.setattr(phi23.parallel, "run_tasks", in_process)
     return runs
@@ -606,18 +608,31 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def trivial_walk(task, limit, table, counters, emit):
-    counters.nodes_expanded += 1
-    emit((task,))
-
-
-def test_driver_returns_many_tasks_in_task_order(monkeypatch):
+def test_driver_returns_many_tasks_in_task_order():
     # the token pipe holds one token per process however many tasks there are
-    monkeypatch.setattr(phi23.parallel, "_dfs", trivial_walk)
+    def walk(task):
+        return [(task,)], SearchCounters(nodes_expanded=1)
+
     with deadline(60):
-        results = run_tasks(range(20_000), None, None, 2)
+        results = run_tasks(range(20_000), walk, 2)
     assert [found for found, _ in results] == [[(i,)] for i in range(20_000)]
     assert all(counters == SearchCounters(nodes_expanded=1) for _, counters in results)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_driver_stands_alone(processes):
+    # the driver maps any walk over any tasks and imports nothing from phi23,
+    # so it loads and runs outside the package
+    spec = importlib.util.spec_from_file_location(
+        "standalone_driver", Path(phi23.parallel.__file__)
+    )
+    driver = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(driver)
+    with deadline(60):
+        assert driver.run_tasks(range(100), lambda t: t * t, processes) == [
+            t * t for t in range(100)
+        ]
     assert_no_children()
 
 
@@ -653,12 +668,12 @@ def test_driver_raises_when_a_child_dies(monkeypatch, holding_a_token):
     parent = os.getpid()
     real_walk = phi23.parallel._walk_tasks
 
-    def walk(tasks, limit, table, tokens, stride):
+    def walk(tasks, task_walk, tokens, stride):
         if os.getpid() != parent:
             if holding_a_token:
                 os.read(tokens[0], 8)
             os.kill(os.getpid(), signal.SIGKILL)
-        return real_walk(tasks, limit, table, tokens, stride)
+        return real_walk(tasks, task_walk, tokens, stride)
 
     monkeypatch.setattr(phi23.parallel, "_walk_tasks", walk)
     with deadline(60), pytest.raises(RuntimeError, match="exited without sending its results"):
