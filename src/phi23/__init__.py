@@ -6,7 +6,6 @@ from .arith import (
     PrimeTable,
     build_prime_table,
     factorize,
-    gcd,
     is_prime,
 )
 from .equation import (
@@ -20,7 +19,7 @@ from .equation import (
     two_prime_args,
     two_prime_solve,
 )
-from .oracle import CheckResult, TotientTable, check_single, scan_solutions, totient_sieve
+from .oracle import CheckResult, check_single, scan_solutions, totient_sieve
 from .search import (
     SearchConfig,
     SearchCounters,
@@ -39,7 +38,6 @@ __all__ = [
     "PrimeTable",
     "build_prime_table",
     "factorize",
-    "gcd",
     "is_prime",
     "EquationState",
     "Pruned",
@@ -51,7 +49,6 @@ __all__ = [
     "two_prime_args",
     "two_prime_solve",
     "CheckResult",
-    "TotientTable",
     "check_single",
     "scan_solutions",
     "totient_sieve",

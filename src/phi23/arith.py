@@ -25,7 +25,6 @@ __all__ = [
     "build_prime_table",
     "is_prime",
     "factorize",
-    "gcd",
 ]
 
 # Hard ceiling for sieve allocation (bytes); one byte per candidate.
@@ -51,10 +50,10 @@ class FactoringError(Exception):
 
 
 class SieveCapError(MemoryError):
-    """Raised for a prime table up to ``limit`` >= _SIEVE_CAP.
+    """Raised when a walk needs a prime table up to ``limit`` (never more
+    than it needed) that cannot be sieved below _SIEVE_CAP.
 
-    A walk whose bounds need such a table is out of this solver's reach:
-    the CLI exits 2 and names the limit.
+    Such a walk is out of this solver's reach: the CLI exits 2 and names the limit.
     """
 
     def __init__(self, limit: int):
@@ -76,9 +75,6 @@ class PrimeTable:
     primes: array
     limit: int
 
-    def __len__(self) -> int:
-        return len(self.primes)
-
     def index_of(self, p: int) -> int:
         """Index of the prime p in the table; raises if absent."""
         i = bisect_left(self.primes, p)
@@ -87,7 +83,13 @@ class PrimeTable:
         return i
 
     def grow(self) -> None:
-        """Sieve to four times the limit and append the new primes."""
+        """Sieve to four times the limit and append the new primes.
+
+        Callers need a prime past the limit: when four times it reaches the
+        sieve cap, this raises before sieving and names limit + 1.
+        """
+        if 4 * self.limit >= _SIEVE_CAP:
+            raise SieveCapError(self.limit + 1)
         bigger = build_prime_table(4 * self.limit)
         self.primes.extend(bigger.primes[len(self.primes) :])
         self.limit = bigger.limit
@@ -265,9 +267,6 @@ class Factorization:
     def is_square_free(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
     def phi(self) -> int:
         """Euler totient computed from the factorization."""
         out = 1
@@ -291,9 +290,12 @@ class Factorization:
 
 _TRIAL_LIMIT = 1_000
 _TRIAL_PRIMES = tuple(build_prime_table(_TRIAL_LIMIT).primes)
+# Brent-rho restarts per composite, and the iteration budget of each one.
+_RHO_ROUNDS = 8
+_RHO_MAX_ITERS = 1 << 21
 
 
-def _rho_brent(n: int, attempt: int, max_iters: int) -> int:
+def _rho_brent(n: int, attempt: int) -> int:
     """One Brent-cycle attempt at a nontrivial factor of composite odd n.
 
     Seeded deterministically from (n, attempt) so runs are reproducible.
@@ -315,42 +317,42 @@ def _rho_brent(n: int, attempt: int, max_iters: int) -> int:
             ys = y
             for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             g = gcd(q, n)
             k += m
         r <<= 1
         iters += r
-        if iters > max_iters:
+        if iters > _RHO_MAX_ITERS:
             return 0
     if g == n:
         # Backtrack one step at a time from the last checkpoint.
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = gcd(abs(x - ys), n)
+            g = gcd(x - ys, n)
     return g if g != n else 0
 
 
-def _split(m: int, out: dict[int, int], rho_rounds: int) -> None:
+def _split(m: int, out: dict[int, int]) -> None:
     if m == 1:
         return
     if is_prime(m):
         out[m] = out.get(m, 0) + 1
         return
-    for attempt in range(rho_rounds):
-        d = _rho_brent(m, attempt, max_iters=1 << 21)
+    for attempt in range(_RHO_ROUNDS):
+        d = _rho_brent(m, attempt)
         if d:
-            _split(d, out, rho_rounds)
-            _split(m // d, out, rho_rounds)
+            _split(d, out)
+            _split(m // d, out)
             return
     raise FactoringError(m)
 
 
-def factorize(n: int, rho_rounds: int = 8) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Full prime factorization of n >= 1.
 
     Strategy: trial division by primes up to 1000, then a primality check,
-    then recursive Brent-rho splitting with ``rho_rounds`` deterministic
+    then recursive Brent-rho splitting with ``_RHO_ROUNDS`` deterministic
     restarts per composite.  Raises FactoringError if the budget runs out;
     the restarts are seeded deterministically, so a repeat call fails the
     same way.
@@ -370,5 +372,5 @@ def factorize(n: int, rho_rounds: int = 8) -> Factorization:
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
-            _split(m, out, rho_rounds)
+            _split(m, out)
     return Factorization(value=n, factors=tuple(sorted(out.items())))

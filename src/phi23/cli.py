@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 check verdict negative, 2 usage error (also a
 search whose bounds need primes past the prime table's sieve cap; the
-message names the table size the search asked for, which the fourfold
-growth can put at up to four times the need), 3 factoring gave up (a search
-is then incomplete, a check reaches no verdict).
+message names a table limit the search needed), 3 factoring gave up (a
+search is then incomplete, a check reaches no verdict).
 Solutions are printed only after a search completes, so an interrupted run
 never emits a partial result.
 """

@@ -19,7 +19,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "TotientTable",
     "CheckResult",
     "SCAN_LIMIT_CAP",
     "totient_sieve",
@@ -31,16 +30,8 @@ __all__ = [
 SCAN_LIMIT_CAP = 200_000_000
 
 
-@dataclass(frozen=True)
-class TotientTable:
+def totient_sieve(limit: int) -> np.ndarray:
     """phi[i] = Euler totient of i, for 0 <= i <= limit."""
-
-    phi: np.ndarray
-    limit: int
-
-
-def totient_sieve(limit: int) -> TotientTable:
-    """Tabulate the totient for 1..limit."""
     import numpy as np
 
     if limit < 1:
@@ -59,16 +50,16 @@ def totient_sieve(limit: int) -> TotientTable:
     for p in np.flatnonzero(~composite):
         sl = phi[p::p]
         sl -= sl // p
-    return TotientTable(phi=phi, limit=limit)
+    return phi
 
 
 def scan_solutions(limit: int) -> list[int]:
     """Every n <= limit with phi(n) = (2/3)(n+1), by direct tabulation."""
     import numpy as np
 
-    table = totient_sieve(limit)
-    n = np.arange(table.limit + 1, dtype=np.int64)
-    hits = np.flatnonzero(3 * table.phi == 2 * (n + 1))
+    phi = totient_sieve(limit)
+    n = np.arange(limit + 1, dtype=np.int64)
+    hits = np.flatnonzero(3 * phi == 2 * (n + 1))
     return [int(v) for v in hits if v >= 1]
 
 

@@ -62,8 +62,10 @@ __all__ = [
 # Unbounded searches beyond this many prime factors are refused.  k = 7 does
 # finish (about 17 min on one core, nearly all of it two-prime endgames) but
 # has no opt-in yet.  k = 8's finiteness bounds need primes past 2**30: a
-# walk-only run stopped when the table, grown fourfold from 2**12, asked for
-# 2**32; whether k = 8 stays below the 2**32 sieve cap is unmeasured.
+# walk-only run stopped when the table, grown fourfold from 2**12 to 2**30,
+# could not grow again below the 2**32 sieve cap.  PrimeTable.grow names that
+# need as "a prime table up to 1073741825" (2**30 + 1); whether k = 8 stays
+# below the cap is unmeasured.
 MAX_UNBOUNDED_K = 6
 
 # Holds every prime the unbounded k = 1..6 walk and the limited walks up to
@@ -247,16 +249,14 @@ def _solve_endgame(
     counters: SearchCounters,
     emit: Callable[[tuple[int, ...]], None],
 ) -> None:
+    # Only the k <= 2 roots get here; their prefix is empty, so a
+    # FactoringError needs no branch.
     counters.nodes_expanded += 1
     if state.remaining == 1:
         for q in one_prime_solve(state, limit):
             emit(state.prefix + (q,))
     else:
-        try:
-            pairs = two_prime_solve(*two_prime_args(state), limit, counters)
-        except FactoringError as exc:
-            raise FactoringError(exc.n, state.prefix) from exc
-        for q, r in pairs:
+        for q, r in two_prime_solve(*two_prime_args(state), limit, counters):
             emit(state.prefix + (q, r))
 
 

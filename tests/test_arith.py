@@ -6,6 +6,7 @@ from math import isqrt
 
 import pytest
 
+import phi23.arith
 from helpers import integer_root, simple_sieve, trial_is_prime
 from phi23.arith import (
     FactoringError,
@@ -13,7 +14,6 @@ from phi23.arith import (
     _strong_lucas,
     build_prime_table,
     factorize,
-    gcd,
     is_prime,
 )
 
@@ -21,7 +21,7 @@ from phi23.arith import (
 def test_prime_table_small_limits():
     table = build_prime_table(10)
     assert list(table.primes) == [2, 3, 5, 7]
-    assert len(table) == 4
+    assert len(table.primes) == 4
     assert table.limit == 10
     assert list(build_prime_table(5).primes) == [2, 3, 5]
     with pytest.raises(ValueError):
@@ -32,7 +32,7 @@ def test_prime_table_millionth_prime():
     # expected values cross-checked against an independent odd-only sieve
     table = build_prime_table(20_000_000)
     ref = simple_sieve(20_000_000)
-    assert len(table) == len(ref) == 1_270_607
+    assert len(table.primes) == len(ref) == 1_270_607
     assert table.primes[999_999] == ref[999_999] == 15_485_863
     assert table.primes[0] == 2
     assert table.primes[-1] == ref[-1] == 19_999_999
@@ -67,6 +67,21 @@ def test_prime_table_in_range():
     assert list(table.in_range(0, 1_000)) == simple_sieve(1_000)
     assert table.limit == 1_600
     assert list(table.primes) == simple_sieve(1_600)
+
+
+def test_prime_table_cap_names_no_more_than_the_need(monkeypatch):
+    monkeypatch.setattr(phi23.arith, "_SIEVE_CAP", 1024)
+    table = build_prime_table(64)
+    # a range past the cap is refused before any sieving
+    with pytest.raises(SieveCapError) as info:
+        table.in_range(0, 1024)
+    assert (info.value.limit, table.limit) == (1024, 64)
+    # 64 grows to 256; growing 256 fourfold would reach the cap, so the
+    # table stays as it is and the error names 257, the first prime past it
+    with pytest.raises(SieveCapError) as info:
+        table.in_range(0, 300)
+    assert (info.value.limit, table.limit) == (257, 256)
+    assert list(table.primes) == simple_sieve(256)
 
 
 def test_is_prime_matches_sieve_exhaustively():
@@ -115,13 +130,13 @@ def test_strong_lucas_on_primes_and_known_pseudoprime():
 
 def test_factorize_known_values():
     assert factorize(1).factors == ()
-    assert factorize(2).as_dict() == {2: 1}
-    assert factorize(720).as_dict() == {2: 4, 3: 2, 5: 1}
-    assert factorize(4687).as_dict() == {43: 1, 109: 1}
-    assert factorize(1261).as_dict() == {13: 1, 97: 1}
-    assert factorize(15_485_863).as_dict() == {15_485_863: 1}
-    assert factorize(1727).as_dict() == {11: 1, 157: 1}
-    assert factorize(2_239_487).as_dict() == {23: 1, 97_369: 1}
+    assert dict(factorize(2).factors) == {2: 1}
+    assert dict(factorize(720).factors) == {2: 4, 3: 2, 5: 1}
+    assert dict(factorize(4687).factors) == {43: 1, 109: 1}
+    assert dict(factorize(1261).factors) == {13: 1, 97: 1}
+    assert dict(factorize(15_485_863).factors) == {15_485_863: 1}
+    assert dict(factorize(1727).factors) == {11: 1, 157: 1}
+    assert dict(factorize(2_239_487).factors) == {23: 1, 97_369: 1}
     with pytest.raises(ValueError):
         factorize(0)
 
@@ -130,7 +145,7 @@ def test_factorize_large_semiprime():
     p, q = 1_000_003, 10_000_019
     assert trial_is_prime(p) and trial_is_prime(q)
     f = factorize(p * q)
-    assert f.as_dict() == {p: 1, q: 1}
+    assert dict(f.factors) == {p: 1, q: 1}
     assert f.value == p * q
 
 
@@ -150,10 +165,11 @@ def test_factorize_roundtrip_random():
         assert back == n
 
 
-def test_factorize_gives_up_without_rho():
+def test_factorize_gives_up_without_rho(monkeypatch):
     n = 1_000_003 * 10_000_019
+    monkeypatch.setattr(phi23.arith, "_RHO_ROUNDS", 0)
     with pytest.raises(FactoringError) as info:
-        factorize(n, rho_rounds=0)
+        factorize(n)
     assert info.value.n == n
 
 
@@ -184,12 +200,6 @@ def test_factorization_helpers():
     assert factorize(1).phi() == 1
     assert factorize(1).divisors() == [1]
     assert factorize(36).divisors() == [1, 2, 3, 4, 6, 9, 12, 18, 36]
-
-
-def test_gcd_reexport():
-    assert gcd(60, 55) == 5
-    assert gcd(36, 35) == 1
-    assert gcd(0, 7) == 7
 
 
 # integer_root is a test helper now (the limit bound the walk once used);

@@ -2,6 +2,7 @@
 
 import json
 import re
+from itertools import count
 
 import pytest
 
@@ -9,7 +10,7 @@ import phi23.arith
 import phi23.equation
 import phi23.oracle
 import phi23.search
-from phi23.arith import FactoringError
+from phi23.arith import FactoringError, SieveCapError, is_prime
 from phi23.cli import main
 
 KNOWN_TEXT_LINES = [
@@ -18,6 +19,11 @@ KNOWN_TEXT_LINES = [
     "n=1295 k=3 factors=[5,7,37] relevance=no",
     "n=1679615 k=4 factors=[5,7,37,1297] relevance=no",
 ]
+
+
+def give_up(n):
+    """A factorize that always fails."""
+    raise FactoringError(n)
 
 
 def run_cli(capsys, *args):
@@ -346,10 +352,7 @@ def test_non_finite_counts_are_usage_errors(capsys, args):
 
 
 def test_factoring_failure_exit_code(capsys, monkeypatch):
-    def boom(n, rho_rounds=8):
-        raise FactoringError(n)
-
-    monkeypatch.setattr(phi23.equation, "factorize", boom)
+    monkeypatch.setattr(phi23.equation, "factorize", give_up)
     # the endgame after (5, 7, 37) takes 1295 scan steps, far above 1678321**(1/4) = 35
     code, out, err = run_cli(capsys, "search", "--k", "5", "--threads", "1")
     assert code == 3
@@ -359,11 +362,22 @@ def test_factoring_failure_exit_code(capsys, monkeypatch):
     assert "branch" in err
 
 
-def test_check_factoring_failure_exit_code(capsys, monkeypatch):
-    def boom(n, rho_rounds=8):
-        raise FactoringError(n)
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("ks", [("--k", "2"), ("--k-min", "1", "--k-max", "2")], ids=["k2", "k1-2"])
+def test_factoring_failure_at_the_k2_root(capsys, monkeypatch, ks, threads):
+    # the k = 2 root's endgame factors its target 8 itself; its branch is empty
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(phi23.equation, "factorize", give_up)
+    code, out, err = run_cli(capsys, "search", *ks, "--threads", threads)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: factoring gave up on 8; the search is incomplete and printed no solutions "
+        "(factoring is deterministic, so a rerun gives up at the same branch)\n"
+    )
 
-    monkeypatch.setattr(phi23.oracle, "factorize", boom)
+
+def test_check_factoring_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(phi23.oracle, "factorize", give_up)
     code, out, err = run_cli(capsys, "check", "1295")
     assert (code, out) == (3, "")
     assert err == "error: factoring gave up on 1295; no verdict was reached\n"
@@ -372,11 +386,8 @@ def test_check_factoring_failure_exit_code(capsys, monkeypatch):
 def test_factoring_failure_exit_code_through_the_pool(capsys, monkeypatch, only_walker):
     # the forked worker inherits the patch and walks every task; the branch
     # error it pickles must unpickle in the parent
-    def boom(n, rho_rounds=8):
-        raise FactoringError(n)
-
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setattr(phi23.equation, "factorize", boom)
+    monkeypatch.setattr(phi23.equation, "factorize", give_up)
     only_walker("children")
     code, out, err = run_cli(capsys, "search", "--k-min", "2", "--k-max", "5", "--threads", "2")
     assert code == 3
@@ -387,7 +398,9 @@ def test_factoring_failure_exit_code_through_the_pool(capsys, monkeypatch, only_
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sieve_cap_is_a_usage_error(capsys, monkeypatch, only_walker, threads):
     # a walk whose bounds need primes past the sieve cap exits 2 and names
-    # the table limit, also when the forked worker is the one that hits it
+    # a table limit it needed, also when the forked worker is the one that
+    # hits it: grown fourfold from 64 to 256, the table cannot grow again
+    # below the cap, and the walk needs the first prime past 256
     monkeypatch.setattr(phi23.arith, "_SIEVE_CAP", 1024)
     monkeypatch.setattr(phi23.search, "_INITIAL_TABLE_LIMIT", 64)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
@@ -400,11 +413,34 @@ def test_sieve_cap_is_a_usage_error(capsys, monkeypatch, only_walker, threads):
         return tasks
 
     monkeypatch.setattr(phi23.search, "_make_tasks", make_tasks_spy)
+    # the named limit never exceeds the need: the next prime past the table
+    # for grow, the top of the range for in_range (a failed assertion in the
+    # forked worker is raised again in this process)
+    table_type = phi23.arith.PrimeTable
+    real_grow, real_in_range = table_type.grow, table_type.in_range
+
+    def grow_spy(self):
+        need = next(p for p in count(self.limit + 1) if is_prime(p))
+        try:
+            real_grow(self)
+        except SieveCapError as exc:
+            assert exc.limit <= need
+            raise
+
+    def in_range_spy(self, lo, hi):
+        try:
+            return real_in_range(self, lo, hi)
+        except SieveCapError as exc:
+            assert exc.limit <= hi
+            raise
+
+    monkeypatch.setattr(table_type, "grow", grow_spy)
+    monkeypatch.setattr(table_type, "in_range", in_range_spy)
     only_walker("children")
     code, out, err = run_cli(capsys, "search", "--limit", "1e12", "--threads", threads)
     assert (code, out) == (2, "")
     assert err == (
-        "error: the search needs a prime table up to 1024; the sieve is capped below 1024; "
+        "error: the search needs a prime table up to 257; the sieve is capped below 1024; "
         "no solutions were printed\n"
     )
     assert split == ([] if threads == "1" else list(phi23.search.SearchConfig(limit=10**12).ks))

@@ -490,7 +490,7 @@ def test_two_prime_limit_boundary():
 
 
 def test_two_prime_limit_cut_skips_factoring(monkeypatch):
-    def boom(n, rho_rounds=8):
+    def boom(n):
         raise AssertionError("factorize must not run when the cut applies")
 
     monkeypatch.setattr(phi23.equation, "factorize", boom)

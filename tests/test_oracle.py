@@ -20,44 +20,43 @@ from phi23.oracle import (
 
 
 @pytest.fixture(scope="module")
-def table_2m():
+def phi_2m():
     return totient_sieve(2_000_000)
 
 
 def test_totient_sieve_exhaustive_small():
-    table = totient_sieve(100_000)
-    assert table.limit == 100_000
-    assert int(table.phi[0]) == 0
-    assert int(table.phi[1]) == 1
+    phi = totient_sieve(100_000)
+    assert len(phi) == 100_001
+    assert int(phi[0]) == 0
+    assert int(phi[1]) == 1
     for n in range(1, 100_001):
-        assert int(table.phi[n]) == naive_phi(n), n
+        assert int(phi[n]) == naive_phi(n), n
 
 
-def test_totient_sieve_random_spots(table_2m):
+def test_totient_sieve_random_spots(phi_2m):
     rng = random.Random(0xFEED)
     for _ in range(10_000):
         n = rng.randrange(1, 2_000_001)
-        assert int(table_2m.phi[n]) == naive_phi(n), n
+        assert int(phi_2m[n]) == naive_phi(n), n
 
 
-def test_totient_sieve_prime_and_multiplicative_spots(table_2m, primes_100k):
+def test_totient_sieve_prime_and_multiplicative_spots(phi_2m, primes_100k):
     rng = random.Random(51)
     for _ in range(500):
         p = rng.choice(primes_100k)
-        assert int(table_2m.phi[p]) == p - 1
-    phi = table_2m.phi
+        assert int(phi_2m[p]) == p - 1
     for _ in range(500):
         a = rng.randrange(2, 1_400)
         b = rng.randrange(2, 1_400)
         if math.gcd(a, b) == 1:
-            assert int(phi[a * b]) == int(phi[a]) * int(phi[b]), (a, b)
+            assert int(phi_2m[a * b]) == int(phi_2m[a]) * int(phi_2m[b]), (a, b)
 
 
-def test_totient_sieve_known_values(table_2m):
-    assert int(table_2m.phi[1_679_615]) == 1_119_744
+def test_totient_sieve_known_values(phi_2m):
+    assert int(phi_2m[1_679_615]) == 1_119_744
     assert 3 * 1_119_744 == 2 * (1_679_615 + 1)
-    assert int(table_2m.phi[1295]) == 864
-    assert int(table_2m.phi[15_485_863 % 2_000_000]) == naive_phi(15_485_863 % 2_000_000)
+    assert int(phi_2m[1295]) == 864
+    assert int(phi_2m[15_485_863 % 2_000_000]) == naive_phi(15_485_863 % 2_000_000)
 
 
 def test_totient_sieve_validation():

@@ -110,9 +110,9 @@ def test_relevance_of_known_solutions():
     assert [steinerberger_relevance(s) for s in sols] == [True, True, False, False]
     # the two composite (4n+1)/3 values, factored
     assert (4 * 1295 + 1) // 3 == 1727
-    assert factorize(1727).as_dict() == {11: 1, 157: 1}
+    assert dict(factorize(1727).factors) == {11: 1, 157: 1}
     assert (4 * 1_679_615 + 1) // 3 == 2_239_487
-    assert factorize(2_239_487).as_dict() == {23: 1, 97_369: 1}
+    assert dict(factorize(2_239_487).factors) == {23: 1, 97_369: 1}
     # and the two prime ones
     assert (4 * 5 + 1) // 3 == 7
     assert (4 * 35 + 1) // 3 == 47
