@@ -50,18 +50,21 @@ class FactoringError(Exception):
 
 
 class SieveCapError(MemoryError):
-    """Raised when a walk needs a prime table up to ``limit`` (never more
-    than it needed) that cannot be sieved below _SIEVE_CAP.
+    """Raised when a prime table up to ``limit`` cannot be had below _SIEVE_CAP.
 
-    Such a walk is out of this solver's reach: the CLI exits 2 and names the limit.
+    ``grown`` is set when the table would reach ``limit`` only by growing
+    fourfold to ``grown``, past the cap.  A walk that raises it is out of
+    this solver's reach: the CLI exits 2 and prints the message.
     """
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, grown: int | None = None):
         self.limit = limit
-        super().__init__(limit)
+        self.grown = grown
+        super().__init__(limit, grown)  # unpickling calls SieveCapError(*args)
 
     def __str__(self) -> str:
-        return f"needs a prime table up to {self.limit}; the sieve is capped below {_SIEVE_CAP}"
+        grows = "" if self.grown is None else f", but the table grows fourfold, to {self.grown}"
+        return f"needs a prime table up to {self.limit}{grows}; the sieve is capped below {_SIEVE_CAP}"
 
 
 @dataclass
@@ -86,20 +89,19 @@ class PrimeTable:
         """Sieve to four times the limit and append the new primes.
 
         Callers need a prime past the limit: when four times it reaches the
-        sieve cap, this raises before sieving and names limit + 1.
+        sieve cap, this raises before sieving, naming limit + 1 and the
+        fourfold limit.
         """
         if 4 * self.limit >= _SIEVE_CAP:
-            raise SieveCapError(self.limit + 1)
+            raise SieveCapError(self.limit + 1, 4 * self.limit)
         bigger = build_prime_table(4 * self.limit)
         self.primes.extend(bigger.primes[len(self.primes) :])
         self.limit = bigger.limit
 
     def in_range(self, lo: int, hi: int) -> array:
-        """The primes p with lo < p <= hi, growing the table to reach hi."""
-        while hi > self.limit:
-            if hi >= _SIEVE_CAP:
-                raise SieveCapError(hi)
-            self.grow()
+        """The primes p with lo < p <= hi; hi must not exceed the limit."""
+        if hi > self.limit:
+            raise ValueError(f"{hi} is past the table limit {self.limit}")
         i = bisect_right(self.primes, lo)
         j = bisect_right(self.primes, hi)
         return self.primes[i:j]

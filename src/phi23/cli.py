@@ -1,9 +1,10 @@
 """Command line front end: search (solver), scan (oracle), check (verdict).
 
 Exit codes: 0 success, 1 check verdict negative, 2 usage error (also a
-search whose bounds need primes past the prime table's sieve cap; the
-message names a table limit the search needed), 3 factoring gave up (a
-search is then incomplete, a check reaches no verdict).
+search whose bounds need primes past the prime table's sieve cap), 3
+factoring gave up (a search is then incomplete, a check reaches no verdict).
+A usage error prints the message of the check that owns the rule:
+SearchConfig for k and threads, the oracle's sieve for the scan limit.
 Solutions are printed only after a search completes, so an interrupted run
 never emits a partial result.
 """
@@ -18,7 +19,7 @@ import sys
 import time
 
 from .arith import FactoringError, SieveCapError
-from .oracle import SCAN_LIMIT_CAP, check_single, scan_solutions
+from .oracle import check_single, scan_solutions
 from .search import SearchConfig, SearchCounters, solve, steinerberger_relevance
 
 __all__ = ["main", "run"]
@@ -41,13 +42,6 @@ def _parse_count(text: str) -> int:
     return int(value)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
 def _solution_line(n: int, factors: tuple[int, ...], relevance: bool, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(
@@ -68,7 +62,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.k is not None:
         k_min = k_max = args.k
     else:
-        k_min, k_max = args.k_min or 1, args.k_max
+        k_min = 1 if args.k_min is None else args.k_min
+        k_max = args.k_max
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     try:
         config = SearchConfig(k_min=k_min, k_max=k_max, limit=args.limit, threads=threads)
@@ -105,14 +100,11 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    if args.limit < 1:
-        return _usage_error(f"need limit >= 1, got {args.limit}")
-    if args.limit > SCAN_LIMIT_CAP:
-        return _usage_error(
-            f"scan limit capped at {SCAN_LIMIT_CAP} (one word per index); "
-            "use 'search --limit' beyond that"
-        )
-    for n in scan_solutions(args.limit):
+    try:
+        found = scan_solutions(args.limit)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    for n in found:
         res = check_single(n)
         factors = tuple(p for p, e in res.factors for _ in range(e))
         print(_solution_line(n, factors, res.relevance, args.format))
@@ -153,16 +145,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_search = sub.add_parser("search", help="run the pruned solver")
-    p_search.add_argument("--k", type=_positive_int, help="exact number of prime factors")
-    p_search.add_argument("--k-min", type=_positive_int, help="smallest k (default 1)")
-    p_search.add_argument("--k-max", type=_positive_int, help="largest k")
+    p_search.add_argument("--k", type=int, help="exact number of prime factors")
+    p_search.add_argument("--k-min", type=int, help="smallest k (default 1)")
+    p_search.add_argument("--k-max", type=int, help="largest k")
     p_search.add_argument(
         "--limit",
         type=_parse_count,
         help="only report n <= LIMIT (accepts 1e14 style); required for k > 6",
     )
     p_search.add_argument(
-        "--threads", type=_positive_int, help="worker processes, at most one per core (default: all cores)"
+        "--threads", type=int, help="worker processes, at most one per core (default: all cores)"
     )
     p_search.add_argument("--format", choices=("text", "json"), default="text")
     p_search.add_argument("--stats", action="store_true", help="append a run report")

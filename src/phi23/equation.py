@@ -100,8 +100,6 @@ class Pruned:
 
 def root_state(k: int) -> EquationState:
     """Initial state 3*prod(q-1) = 2*prod(q) + 2 with k primes to choose."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     return EquationState(prefix=(), alpha=ROOT_ALPHA, beta=ROOT_BETA, gamma=ROOT_GAMMA, remaining=k)
 
 
@@ -131,8 +129,6 @@ def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
     residual equation, and q | r - 1 reduces the two-prime equation mod q
     to gamma = 0 (mod q); neither can happen for primes >= 5.
     """
-    if state.remaining < 1:
-        raise ValueError("no primes remain to absorb")
     if q < 5 or q <= state.floor:
         raise ValueError(f"next prime must exceed {state.floor} (and be >= 5), got {q}")
     a2 = state.alpha * (q - 1)

@@ -38,8 +38,8 @@ def totient_sieve(limit: int) -> np.ndarray:
         raise ValueError(f"need limit >= 1, got {limit}")
     if limit > SCAN_LIMIT_CAP:
         raise ValueError(
-            f"sieve limit {limit} exceeds {SCAN_LIMIT_CAP}; "
-            "use the solver search for ranges this large"
+            f"scan limit capped at {SCAN_LIMIT_CAP} (one word per index); "
+            "use 'search --limit' beyond that"
         )
     composite = np.zeros(limit + 1, dtype=bool)
     composite[:2] = True

@@ -10,7 +10,7 @@ to the two-prime endgame, without building the child state.  Every emitted
 solution is re-verified against the original equation, independent of the
 search path that produced it.
 
-Each run builds one PrimeTable, which grows itself whenever a bound needs
+Each run builds one PrimeTable, which the bounds grow whenever they need
 primes past its end.  ``_walk_task`` is the one walk of a subtree task on
 any worker count; a serial run walks each k's whole tree as one task.  When
 more than one worker may start, ``solve`` expands every k's tree
@@ -63,9 +63,10 @@ __all__ = [
 # finish (about 17 min on one core, nearly all of it two-prime endgames) but
 # has no opt-in yet.  k = 8's finiteness bounds need primes past 2**30: a
 # walk-only run stopped when the table, grown fourfold from 2**12 to 2**30,
-# could not grow again below the 2**32 sieve cap.  PrimeTable.grow names that
-# need as "a prime table up to 1073741825" (2**30 + 1); whether k = 8 stays
-# below the cap is unmeasured.
+# could not grow again below the 2**32 sieve cap: PrimeTable.grow says the
+# walk "needs a prime table up to 1073741825, but the table grows fourfold,
+# to 4294967296" (2**30 + 1 and 2**32).  Whether k = 8 stays below the cap is
+# unmeasured.
 MAX_UNBOUNDED_K = 6
 
 # Holds every prime the unbounded k = 1..6 walk and the limited walks up to

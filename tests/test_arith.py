@@ -63,24 +63,27 @@ def test_prime_table_in_range():
     assert list(table.in_range(89, 97)) == [97]
     assert list(table.in_range(10, 10)) == []
     assert list(table.in_range(0, 100)) == list(table.primes)
-    # past the limit the table grows itself, here twice
-    assert list(table.in_range(0, 1_000)) == simple_sieve(1_000)
+    # a range past the limit is refused; only grow() extends the table
+    with pytest.raises(ValueError):
+        table.in_range(0, 1_000)
+    assert table.limit == 100
+    table.grow()
+    table.grow()
     assert table.limit == 1_600
     assert list(table.primes) == simple_sieve(1_600)
+    assert list(table.in_range(0, 1_000)) == simple_sieve(1_000)
 
 
 def test_prime_table_cap_names_no_more_than_the_need(monkeypatch):
     monkeypatch.setattr(phi23.arith, "_SIEVE_CAP", 1024)
     table = build_prime_table(64)
-    # a range past the cap is refused before any sieving
+    table.grow()
+    assert table.limit == 256
+    # growing 256 fourfold would reach the cap, so the table stays as it is
+    # and the error names 257, the first prime past it, and the growth to 1024
     with pytest.raises(SieveCapError) as info:
-        table.in_range(0, 1024)
-    assert (info.value.limit, table.limit) == (1024, 64)
-    # 64 grows to 256; growing 256 fourfold would reach the cap, so the
-    # table stays as it is and the error names 257, the first prime past it
-    with pytest.raises(SieveCapError) as info:
-        table.in_range(0, 300)
-    assert (info.value.limit, table.limit) == (257, 256)
+        table.grow()
+    assert (info.value.limit, info.value.grown, table.limit) == (257, 1024, 256)
     assert list(table.primes) == simple_sieve(256)
 
 
@@ -179,8 +182,13 @@ def test_factorize_gives_up_without_rho(monkeypatch):
         (FactoringError(15), "factoring gave up on 15"),
         (FactoringError(15, (5, 7)), "factoring gave up on 15 at branch [5, 7]"),
         (SieveCapError(1 << 33), f"needs a prime table up to {1 << 33}; the sieve is capped below {1 << 32}"),
+        (
+            SieveCapError((1 << 30) + 1, 1 << 32),
+            f"needs a prime table up to {(1 << 30) + 1}, but the table grows fourfold, to {1 << 32}; "
+            f"the sieve is capped below {1 << 32}",
+        ),
     ],
-    ids=["factoring", "factoring-at-branch", "sieve-cap"],
+    ids=["factoring", "factoring-at-branch", "sieve-cap", "sieve-cap-growth"],
 )
 def test_errors_survive_pickle(error, text):
     # a forked search worker sends the exception that stopped it by pickle

@@ -333,6 +333,29 @@ def test_usage_error_messages(capsys):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        (("search", "--k", "0"), "need 1 <= k_min <= k_max, got [0, 0]"),
+        (("search", "--k-min", "0"), "need 1 <= k_min <= k_max, got [0, None]"),
+        (("search", "--k-max", "0"), "need 1 <= k_min <= k_max, got [1, 0]"),
+        (("search", "--threads", "0"), "need threads >= 1, got 0"),
+        (("scan", "--limit", "0"), "need limit >= 1, got 0"),
+        (
+            ("scan", "--limit", "2.5e8"),
+            "scan limit capped at 200000000 (one word per index); use 'search --limit' beyond that",
+        ),
+    ],
+    ids=["k", "k-min", "k-max", "threads", "scan-limit-0", "scan-limit-cap"],
+)
+def test_usage_errors_carry_the_owner_message(capsys, args, message):
+    # each rule is checked once, where the value is used: SearchConfig for k
+    # and threads, totient_sieve for the scan limit; the CLI prints its message
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ("search", "--limit", "inf"),
@@ -413,11 +436,10 @@ def test_sieve_cap_is_a_usage_error(capsys, monkeypatch, only_walker, threads):
         return tasks
 
     monkeypatch.setattr(phi23.search, "_make_tasks", make_tasks_spy)
-    # the named limit never exceeds the need: the next prime past the table
-    # for grow, the top of the range for in_range (a failed assertion in the
-    # forked worker is raised again in this process)
+    # the named limit never exceeds the need, the next prime past the table
+    # (a failed assertion in the forked worker is raised again in this process)
     table_type = phi23.arith.PrimeTable
-    real_grow, real_in_range = table_type.grow, table_type.in_range
+    real_grow = table_type.grow
 
     def grow_spy(self):
         need = next(p for p in count(self.limit + 1) if is_prime(p))
@@ -427,21 +449,13 @@ def test_sieve_cap_is_a_usage_error(capsys, monkeypatch, only_walker, threads):
             assert exc.limit <= need
             raise
 
-    def in_range_spy(self, lo, hi):
-        try:
-            return real_in_range(self, lo, hi)
-        except SieveCapError as exc:
-            assert exc.limit <= hi
-            raise
-
     monkeypatch.setattr(table_type, "grow", grow_spy)
-    monkeypatch.setattr(table_type, "in_range", in_range_spy)
     only_walker("children")
     code, out, err = run_cli(capsys, "search", "--limit", "1e12", "--threads", threads)
     assert (code, out) == (2, "")
     assert err == (
-        "error: the search needs a prime table up to 257; the sieve is capped below 1024; "
-        "no solutions were printed\n"
+        "error: the search needs a prime table up to 257, but the table grows fourfold, to 1024; "
+        "the sieve is capped below 1024; no solutions were printed\n"
     )
     assert split == ([] if threads == "1" else list(phi23.search.SearchConfig(limit=10**12).ks))
 
