@@ -13,7 +13,7 @@ import math
 import random
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, isqrt
 
@@ -72,11 +72,17 @@ class PrimeTable:
     """Ascending primes up to ``limit``, stored compactly; grows on demand.
 
     ``grow`` extends ``primes`` in place, so a caller holding the array sees
-    the new primes.
+    the new primes.  ``windows`` maps (i, m) to (prod(p - 1), prod(p)) over
+    the m primes after primes[i]: the opening window of the finiteness
+    scan, multiplied out once per run.  Growth only appends primes, so an
+    entry never goes stale.
     """
 
     primes: array
     limit: int
+    windows: dict[tuple[int, int], tuple[int, int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def index_of(self, p: int) -> int:
         """Index of the prime p in the table; raises if absent."""
@@ -230,10 +236,13 @@ def _strong_lucas(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Proven exact for all n below 3.3e24 via the Miller-Rabin witness
-    ladder (this subsumes the full 64-bit range plus every value the
-    solver tests).  Beyond that the 13-prime witness set is combined with
-    a strong Lucas test; no composite passing that combination is known.
+    Proven exact for all n below 3.3e24 (about 2**81.4) via the
+    Miller-Rabin witness ladder, which covers the full 64-bit range.  The
+    unbounded search to k = 6 and the search to 1e14 test no value past
+    42 bits, but factoring a larger endgame target can test a cofactor
+    past the ladder (an 86-bit one among the sampled k = 7 endgames).
+    Beyond it the 13-prime witness set is combined with a strong Lucas
+    test; no composite passing that combination is known.
     """
     if n < 2:
         return False

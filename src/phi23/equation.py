@@ -15,9 +15,10 @@ budget) and the closed-form endgames for one and two remaining primes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from .arith import FactoringError, PrimeTable, factorize, is_prime
 
@@ -47,7 +48,8 @@ class EquationState:
     """Residual equation after absorbing ``prefix``; ``remaining`` primes left.
 
     Invariants: alpha > beta >= 1, gamma >= 1, gcd(alpha, beta) = 1, prefix
-    strictly ascending primes >= 5.
+    strictly ascending primes >= 5.  ``prefix_product`` is prod(prefix),
+    carried from parent to child rather than recomputed.
     """
 
     prefix: tuple[int, ...]
@@ -55,6 +57,7 @@ class EquationState:
     beta: int
     gamma: int
     remaining: int
+    prefix_product: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.beta < 1 or self.alpha <= self.beta:
@@ -67,13 +70,7 @@ class EquationState:
             raise ValueError(f"need remaining >= 1, got {self.remaining}")
         if any(p >= q for p, q in zip(self.prefix, self.prefix[1:])):
             raise ValueError(f"prefix not strictly ascending: {self.prefix}")
-
-    @property
-    def prefix_product(self) -> int:
-        out = 1
-        for p in self.prefix:
-            out *= p
-        return out
+        object.__setattr__(self, "prefix_product", prod(self.prefix))
 
     @property
     def floor(self) -> int:
@@ -81,14 +78,14 @@ class EquationState:
         return self.prefix[-1] if self.prefix else 3
 
 
-@dataclass(frozen=True)
-class Pruned:
+class Pruned(NamedTuple):
     """Evidence that absorbing ``prime`` kills the branch.
 
     ``alpha``/``beta`` are the pre-normalization candidates and ``gcd`` their
     common divisor, so a gcd prune is fully reconstructible from the record.
     Reasons: 'gcd' (gcd does not divide gamma), 'infeasible' (normalized
-    alpha <= beta, so the residual equation has no solution at all).
+    alpha <= beta, so the residual equation has no solution at all).  A
+    tuple, so the walk builds one per pruned candidate cheaply.
     """
 
     reason: str
@@ -135,11 +132,11 @@ def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
     b2 = state.beta * q
     g = gcd(a2, b2)
     if state.gamma % g:
-        return Pruned(reason="gcd", prime=q, alpha=a2, beta=b2, gcd=g)
+        return Pruned("gcd", q, a2, b2, g)
     a3, b3, g3 = a2 // g, b2 // g, state.gamma // g
     if a3 <= b3:
         # prod(q-1) < prod(q) forces LHS < RHS forever: dead branch.
-        return Pruned(reason="infeasible", prime=q, alpha=a2, beta=b2, gcd=g)
+        return Pruned("infeasible", q, a2, b2, g)
     if state.remaining == 1:
         raise ValueError("need remaining >= 1, got 0")
     child = object.__new__(EquationState)  # valid by construction: skip __post_init__
@@ -149,6 +146,7 @@ def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
         beta=b3,
         gamma=g3,
         remaining=state.remaining - 1,
+        prefix_product=state.prefix_product * q,
     )
     return child
 
@@ -178,19 +176,23 @@ def finiteness_bound(state: EquationState, table: PrimeTable, room: int | None =
 
     When a tail runs past the end of ``table``, the table grows and the
     scan goes on where it was, so the bound never depends on the table
-    size.  state.floor must be in the table.
+    size.  state.floor must be in the table.  The opening tail's products
+    come from ``table.windows``, multiplied out on their first use in a run,
+    and each step divides one prime out of them and multiplies one in, so
+    no node multiplies out a whole tail.
     """
     primes = table.primes  # grow() extends this very array
     rem = state.remaining
     i = table.index_of(state.floor)
-    while i + rem + 1 > len(primes):
-        table.grow()
-    tail = primes[i + 1 : i + 1 + rem]
-    prod_m1 = 1
-    prod_p = 1
-    for p in tail:
-        prod_m1 *= p - 1
-        prod_p *= p
+    window = table.windows.get((i, rem))
+    if window is None:
+        # A cached window lay inside the table when it was made, and the
+        # table only grows, so only a first use can need more primes.
+        while i + rem + 1 > len(primes):
+            table.grow()
+        tail = primes[i + 1 : i + 1 + rem]
+        window = table.windows[i, rem] = prod(p - 1 for p in tail), prod(tail)
+    prod_m1, prod_p = window
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
     while True:
         if alpha * prod_m1 > beta * prod_p + gamma or (room is not None and prod_p > room):

@@ -11,8 +11,9 @@ solution is re-verified against the original equation, independent of the
 search path that produced it.
 
 Each run builds one PrimeTable, which the bounds grow whenever they need
-primes past its end.  ``_walk_task`` is the one walk of a subtree task on
-any worker count; a serial run walks each k's whole tree as one task.  When
+primes past its end and in which they remember the opening windows of their
+scans.  ``_walk_task`` is the one walk of a subtree task on any worker
+count; a serial run walks each k's whole tree as one task.  When
 more than one worker may start, ``solve`` expands every k's tree
 breadth-first into independent subtree tasks, and stops at nodes with three
 primes left, so each tree level takes the same path on any worker count.

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import phi23.arith
 import phi23.equation
 from helpers import (
     WALKS,
@@ -257,6 +258,54 @@ def test_finiteness_cap_is_exact_on_walk_states(monkeypatch, config):
         for room in rooms:
             want = min(bound, tight_limit_bound(st, room * st.prefix_product))
             assert finiteness_bound(st, table, room) == want, (st, room, bound)
+
+
+@pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
+def test_opening_windows_are_exact(monkeypatch, config):
+    # every opening window a run remembers is the product over its primes on
+    # the independent sieve, and the run makes one per distinct (floor
+    # index, remaining) pair among its internal nodes
+    tables = {}
+    pairs = set()
+    real = phi23.search.finiteness_bound
+
+    def spy(st, table, room=None):
+        tables[id(table)] = table
+        hi = real(st, table, room)
+        pairs.add((table.index_of(st.floor), st.remaining))
+        return hi
+
+    monkeypatch.setattr(phi23.search, "finiteness_bound", spy)
+    solve(config)
+    (table,) = tables.values()
+    primes = simple_sieve(table.limit)
+    assert list(table.primes) == primes
+    assert set(table.windows) == pairs
+    for (i, rem), window in table.windows.items():
+        tail = primes[i + 1 : i + 1 + rem]
+        assert len(tail) == rem
+        assert window == (math.prod(p - 1 for p in tail), math.prod(tail)), (i, rem)
+    if config is WALKS["limit-1e14"]:
+        assert len(pairs) == 163
+
+
+def test_opening_window_survives_growth(table_100k):
+    # a window made before grow() reads the same after it, and so does every
+    # bound scanned from it
+    tiny = build_prime_table(20)
+    st5 = absorb_chain((5,), extra=3)
+    assert finiteness_bound(st5, tiny, 4198) == 11
+    assert tiny.limit == 20
+    made = dict(tiny.windows)
+    assert made == {(2, 3): (6 * 10 * 12, 7 * 11 * 13)}
+    tiny.grow()
+    assert tiny.limit == 80
+    assert tiny.windows == made
+    for (i, rem), window in made.items():
+        tail = tiny.primes[i + 1 : i + 1 + rem]
+        assert window == (math.prod(p - 1 for p in tail), math.prod(tail))
+    for room in (None, 1000, 4198, 4199, 10**30):
+        assert finiteness_bound(st5, tiny, room) == finiteness_bound(st5, table_100k, room), room
 
 
 def _tail_clears(st, tail):
@@ -597,6 +646,32 @@ def test_two_prime_strategies_agree_on_k7_endgames():
     for row in rows:
         st = state(row["prefix"], row["alpha"], row["beta"], row["gamma"], 2)
         _assert_strategies_agree(two_prime_args(st))
+
+
+def test_every_primality_argument_is_in_the_proven_range(monkeypatch):
+    """is_prime is exact below _MR_LADDER's last bound, about 3.3e24: the
+    walks of k = 1..6 and to 1e14 and the 40 k = 7 endgames under the
+    default rule test nothing larger, factoring included (42 bits at most).
+    Forcing "factor" on those endgames does: an 86-bit cofactor."""
+    seen = []
+    real = phi23.arith.is_prime
+
+    def spy(n):
+        seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr(phi23.equation, "is_prime", spy)
+    monkeypatch.setattr(phi23.arith, "is_prime", spy)
+    counters = SearchCounters()
+    solve(WALKS["k1-6"], counters)
+    solve(WALKS["limit-1e14"], counters)
+    assert counters.endgame_factor > 0
+    rows = json.loads((Path(__file__).parent / "data" / "endgames_k7.json").read_text())
+    for row in rows:
+        st = state(row["prefix"], row["alpha"], row["beta"], row["gamma"], 2)
+        two_prime_solve(*two_prime_args(st))
+    assert seen
+    assert max(seen) < phi23.arith._MR_LADDER[-1][0]
 
 
 @pytest.mark.parametrize(
