@@ -27,7 +27,8 @@ __all__ = [
     "factorize",
 ]
 
-# Hard ceiling for sieve allocation (bytes); one byte per candidate.
+# Hard ceiling for a sieve's limit; the sieve holds one byte per odd
+# candidate, so it allocates at most half this many bytes.
 _SIEVE_CAP = 1 << 32
 
 
@@ -72,15 +73,16 @@ class PrimeTable:
     """Ascending primes up to ``limit``, stored compactly; grows on demand.
 
     ``grow`` extends ``primes`` in place, so a caller holding the array sees
-    the new primes.  ``windows`` maps (i, m) to (prod(p - 1), prod(p)) over
-    the m primes after primes[i]: the opening window of the finiteness
-    scan, multiplied out once per run.  Growth only appends primes, so an
-    entry never goes stale.
+    the new primes.  ``windows`` maps (f, m), a prime f of the table and a
+    count m, to (i, prod(p - 1), prod(p)) with primes[i] = f and the products
+    over the m primes after it: the opening window of the finiteness scan,
+    found and multiplied out once per run.  Growth only appends primes, so
+    an entry never goes stale.
     """
 
     primes: array
     limit: int
-    windows: dict[tuple[int, int], tuple[int, int]] = field(
+    windows: dict[tuple[int, int], tuple[int, int, int]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -114,22 +116,27 @@ class PrimeTable:
 
 
 def build_prime_table(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to ``limit`` inclusive.
+    """Sieve of Eratosthenes up to ``limit`` inclusive, over the odd numbers.
 
-    limit must be >= 5.  Memory is one byte per candidate plus eight bytes
-    per prime found; a limit implying more than the supported allocation is
-    refused outright rather than truncated.
+    limit must be >= 5.  Memory is one byte per odd candidate plus eight
+    bytes per prime found; a limit of _SIEVE_CAP or more is refused outright
+    rather than truncated.
     """
     if limit < 5:
         raise ValueError(f"prime table limit must be >= 5, got {limit}")
     if limit >= _SIEVE_CAP:
         raise SieveCapError(limit)
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    primes = array("Q", compress(range(limit + 1), sieve))
+    # sieve[j] stands for 2*j + 1; an odd multiple of p steps j by p
+    size = (limit + 1) // 2
+    sieve = bytearray([1]) * size
+    sieve[0] = 0
+    for j in range(1, (isqrt(limit) + 1) // 2):
+        if sieve[j]:
+            p = 2 * j + 1
+            start = p * p // 2
+            sieve[start::p] = bytes((size - 1 - start) // p + 1)
+    primes = array("Q", [2])
+    primes.extend(compress(range(1, limit + 1, 2), sieve))
     return PrimeTable(primes=primes, limit=limit)
 
 

@@ -48,8 +48,10 @@ class EquationState:
     """Residual equation after absorbing ``prefix``; ``remaining`` primes left.
 
     Invariants: alpha > beta >= 1, gamma >= 1, gcd(alpha, beta) = 1, prefix
-    strictly ascending primes >= 5.  ``prefix_product`` is prod(prefix),
-    carried from parent to child rather than recomputed.
+    strictly ascending primes >= 5.  ``prefix_product`` is prod(prefix) and
+    ``floor`` the strict lower bound for the next prime, prefix[-1] (3 on an
+    empty prefix, which admits the minimum, 5); both are carried from parent
+    to child rather than recomputed.
     """
 
     prefix: tuple[int, ...]
@@ -58,6 +60,7 @@ class EquationState:
     gamma: int
     remaining: int
     prefix_product: int = field(init=False, repr=False, compare=False)
+    floor: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.beta < 1 or self.alpha <= self.beta:
@@ -71,11 +74,7 @@ class EquationState:
         if any(p >= q for p, q in zip(self.prefix, self.prefix[1:])):
             raise ValueError(f"prefix not strictly ascending: {self.prefix}")
         object.__setattr__(self, "prefix_product", prod(self.prefix))
-
-    @property
-    def floor(self) -> int:
-        """Strict lower bound for the next prime (3 admits the minimum, 5)."""
-        return self.prefix[-1] if self.prefix else 3
+        object.__setattr__(self, "floor", self.prefix[-1] if self.prefix else 3)
 
 
 class Pruned(NamedTuple):
@@ -85,7 +84,8 @@ class Pruned(NamedTuple):
     common divisor, so a gcd prune is fully reconstructible from the record.
     Reasons: 'gcd' (gcd does not divide gamma), 'infeasible' (normalized
     alpha <= beta, so the residual equation has no solution at all).  A
-    tuple, so the walk builds one per pruned candidate cheaply.
+    tuple, so the walk builds one per pruned candidate cheaply (through
+    ``_make``, which skips the generated ``__new__``).
     """
 
     reason: str
@@ -132,11 +132,11 @@ def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
     b2 = state.beta * q
     g = gcd(a2, b2)
     if state.gamma % g:
-        return Pruned("gcd", q, a2, b2, g)
+        return Pruned._make(("gcd", q, a2, b2, g))
     a3, b3, g3 = a2 // g, b2 // g, state.gamma // g
     if a3 <= b3:
         # prod(q-1) < prod(q) forces LHS < RHS forever: dead branch.
-        return Pruned("infeasible", q, a2, b2, g)
+        return Pruned._make(("infeasible", q, a2, b2, g))
     if state.remaining == 1:
         raise ValueError("need remaining >= 1, got 0")
     child = object.__new__(EquationState)  # valid by construction: skip __post_init__
@@ -147,6 +147,7 @@ def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
         gamma=g3,
         remaining=state.remaining - 1,
         prefix_product=state.prefix_product * q,
+        floor=q,
     )
     return child
 
@@ -176,23 +177,26 @@ def finiteness_bound(state: EquationState, table: PrimeTable, room: int | None =
 
     When a tail runs past the end of ``table``, the table grows and the
     scan goes on where it was, so the bound never depends on the table
-    size.  state.floor must be in the table.  The opening tail's products
-    come from ``table.windows``, multiplied out on their first use in a run,
-    and each step divides one prime out of them and multiplies one in, so
-    no node multiplies out a whole tail.
+    size.  state.floor must be in the table.  The opening tail comes from
+    ``table.windows``, keyed by (state.floor, remaining): the floor's index
+    and the tail's products, found and multiplied out on their first use in
+    a run, so only that use bisects the table.  Each step divides one prime
+    out of the products and multiplies one in, so no node multiplies out a
+    whole tail.
     """
     primes = table.primes  # grow() extends this very array
     rem = state.remaining
-    i = table.index_of(state.floor)
-    window = table.windows.get((i, rem))
+    key = (state.floor, rem)
+    window = table.windows.get(key)
     if window is None:
+        i = table.index_of(state.floor)
         # A cached window lay inside the table when it was made, and the
         # table only grows, so only a first use can need more primes.
         while i + rem + 1 > len(primes):
             table.grow()
         tail = primes[i + 1 : i + 1 + rem]
-        window = table.windows[i, rem] = prod(p - 1 for p in tail), prod(tail)
-    prod_m1, prod_p = window
+        window = table.windows[key] = i, prod(p - 1 for p in tail), prod(tail)
+    i, prod_m1, prod_p = window
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
     while True:
         if alpha * prod_m1 > beta * prod_p + gamma or (room is not None and prod_p > room):

@@ -12,7 +12,11 @@ search path that produced it.
 
 Each run builds one PrimeTable, which the bounds grow whenever they need
 primes past its end and in which they remember the opening windows of their
-scans.  ``_walk_task`` is the one walk of a subtree task on any worker
+scans.  The walk takes every next prime at a known index of that table and
+hands each node the index of its floor along with its state, so a node's
+candidates are a range of table indices and it looks nothing up that its
+parent already knew.  A task is such a (state, floor index) pair.
+``_walk_task`` is the one walk of a subtree task on any worker
 count; a serial run walks each k's whole tree as one task.  When
 more than one worker may start, ``solve`` expands every k's tree
 breadth-first into independent subtree tasks, and stops at nodes with three
@@ -34,7 +38,7 @@ from dataclasses import dataclass, fields
 from itertools import accumulate
 from math import gcd
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable
 
 from .arith import FactoringError, PrimeTable, build_prime_table, is_prime
 from .equation import (
@@ -73,6 +77,9 @@ MAX_UNBOUNDED_K = 6
 # Holds every prime the unbounded k = 1..6 walk and the limited walks up to
 # 1e16 and to k = 22 at 1e38 need; grow() quadruples it past that.
 _INITIAL_TABLE_LIMIT = 1 << 12
+
+# Table index of a root state's floor, 3, in any table (2, 3, 5, ...).
+_ROOT_FLOOR_INDEX = 1
 
 # 5, 5*7, 5*7*11, ...: the smallest n with 1, 2, 3, ... admissible prime
 # factors, over the primes below 512 (a limit past the last is refused).
@@ -210,29 +217,33 @@ def max_k_for_limit(limit: int) -> int:
 
 
 def _next_primes(
-    state: EquationState, limit: int | None, table: PrimeTable, counters: SearchCounters
-) -> Sequence[int]:
-    """Count an internal node as expanded and return its candidate next primes."""
+    state: EquationState, i: int, limit: int | None, table: PrimeTable, counters: SearchCounters
+) -> range:
+    """Count an internal node as expanded and return the table indices of its
+    candidate next primes; i is the index of state.floor in the table."""
     counters.nodes_expanded += 1
     hi = finiteness_bound(state, table, None if limit is None else limit_bound(state, limit))
-    lo = state.floor
-    if hi <= lo:
+    if hi <= state.floor:
         # Only the limit can close a branch here: the first run of `remaining`
         # primes past the floor already overflows the budget.  A child's first
         # finiteness test is the one its parent passed at the prime before it,
         # so the uncapped finiteness_bound(state) > state.floor on every state
         # the walk makes.
         counters.prune_limit += 1
-        return []
-    return table.in_range(lo, hi)
+        return range(0)
+    # hi is a prime of the table past the floor, so this ends just after it
+    return range(i + 1, bisect_right(table.primes, hi, i + 1))
 
 
 def _expand_node(
-    state: EquationState, limit: int | None, table: PrimeTable, counters: SearchCounters
-) -> list[EquationState]:
+    state: EquationState, i: int, limit: int | None, table: PrimeTable, counters: SearchCounters
+) -> list[tuple[EquationState, int]]:
+    """The children of an internal node, each with the table index of its
+    floor (the prime it absorbed)."""
+    primes = table.primes
     children = []
-    for q in _next_primes(state, limit, table, counters):
-        child = absorb_prime(state, q)
+    for j in _next_primes(state, i, limit, table, counters):
+        child = absorb_prime(state, primes[j])
         if isinstance(child, Pruned):
             # On a reachable state the gcd test fails exactly when p | q - 1
             # for a prefix prime p (see absorb_prime).
@@ -241,7 +252,7 @@ def _expand_node(
             else:
                 counters.prune_corollary += 1
             continue
-        children.append(child)
+        children.append((child, j))
     return children
 
 
@@ -264,6 +275,7 @@ def _solve_endgame(
 
 def _solve_last_level(
     state: EquationState,
+    i: int,
     limit: int | None,
     table: PrimeTable,
     counters: SearchCounters,
@@ -279,8 +291,10 @@ def _solve_last_level(
     """
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
     b = state.prefix_product
+    primes = table.primes
     try:
-        for q in _next_primes(state, limit, table, counters):
+        for j in _next_primes(state, i, limit, table, counters):
+            q = primes[j]
             # absorb_prime's arithmetic; its docstring proves that the gcd
             # test rejects exactly the q with p | q - 1 for a prefix prime p
             # and that a child passing both tests is a valid state.
@@ -304,31 +318,34 @@ def _solve_last_level(
 
 def _dfs(
     state: EquationState,
+    i: int,
     limit: int | None,
     table: PrimeTable,
     counters: SearchCounters,
     emit: Callable[[tuple[int, ...]], None],
 ) -> None:
+    """Walk the subtree of ``state``, whose floor is primes[i]."""
     if state.remaining <= 2:
         _solve_endgame(state, limit, counters, emit)
     elif state.remaining == 3:
-        _solve_last_level(state, limit, table, counters, emit)
+        _solve_last_level(state, i, limit, table, counters, emit)
     else:
-        for child in _expand_node(state, limit, table, counters):
-            _dfs(child, limit, table, counters, emit)
+        for child, j in _expand_node(state, i, limit, table, counters):
+            _dfs(child, j, limit, table, counters, emit)
 
 
 def _walk_task(
-    task: EquationState, limit: int | None, table: PrimeTable
+    task: tuple[EquationState, int], limit: int | None, table: PrimeTable
 ) -> tuple[list[tuple[int, ...]], SearchCounters]:
-    """Walk one subtree; returns the factors of its solutions and its counters.
+    """Walk one subtree task, a (state, floor index) pair; returns the factors
+    of its solutions and its counters.
 
     The one task walk of serial and multi-worker runs alike: per-task
     measurements belong here.
     """
     counters = SearchCounters()
     found: list[tuple[int, ...]] = []
-    _dfs(task, limit, table, counters, found.append)
+    _dfs(*task, limit, table, counters, found.append)
     return found, counters
 
 
@@ -342,16 +359,17 @@ def _make_tasks(
     table: PrimeTable,
     counters: SearchCounters,
     want: int,
-) -> list[EquationState]:
-    """Breadth-first expansion until at least ``want`` independent subtrees.
+) -> list[tuple[EquationState, int]]:
+    """Breadth-first expansion until at least ``want`` independent subtree
+    tasks, (state, floor index) pairs.
 
     The split stops at nodes with three primes left, which _solve_last_level
     walks on any worker count; a root with three or fewer is one task.  The
     frontier stays sorted by depth, so its front is the shallowest node.
     """
-    frontier: deque[EquationState] = deque([root])
-    while 0 < len(frontier) < want and frontier[0].remaining > 3:
-        frontier.extend(_expand_node(frontier.popleft(), limit, table, counters))
+    frontier: deque[tuple[EquationState, int]] = deque([(root, _ROOT_FLOOR_INDEX)])
+    while 0 < len(frontier) < want and frontier[0][0].remaining > 3:
+        frontier.extend(_expand_node(*frontier.popleft(), limit, table, counters))
     return list(frontier)
 
 
@@ -371,7 +389,7 @@ def search_exact_k(
     SearchConfig(k_min=k, k_max=k, limit=limit)  # validates the arguments
     if table is None:
         table = build_prime_table(_INITIAL_TABLE_LIMIT)
-    found, walked = _walk_task(root_state(k), limit, table)
+    found, walked = _walk_task((root_state(k), _ROOT_FLOOR_INDEX), limit, table)
     if counters is not None:
         counters.merge(walked)
     solutions = [Solution.from_factors(f) for f in found]

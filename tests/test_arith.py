@@ -26,6 +26,18 @@ def test_prime_table_small_limits():
     assert list(build_prime_table(5).primes) == [2, 3, 5]
     with pytest.raises(ValueError):
         build_prime_table(4)
+    # the sieve holds odd candidates only: odd and even limits, and limits
+    # at p*p - 1, p*p and p*p + 1, all agree with the independent sieve
+    for limit in range(5, 2_001):
+        table = build_prime_table(limit)
+        assert table.limit == limit
+        assert list(table.primes) == simple_sieve(limit), limit
+    # and so does every table grown from the smallest one
+    table = build_prime_table(5)
+    for limit in (20, 80, 320, 1_280, 5_120):
+        table.grow()
+        assert table.limit == limit
+        assert list(table.primes) == simple_sieve(limit)
 
 
 def test_prime_table_millionth_prime():

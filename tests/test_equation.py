@@ -262,9 +262,9 @@ def test_finiteness_cap_is_exact_on_walk_states(monkeypatch, config):
 
 @pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
 def test_opening_windows_are_exact(monkeypatch, config):
-    # every opening window a run remembers is the product over its primes on
-    # the independent sieve, and the run makes one per distinct (floor
-    # index, remaining) pair among its internal nodes
+    # every opening window a run remembers holds its floor's index and the
+    # products over its primes on the independent sieve, and the run makes
+    # one per distinct (floor, remaining) pair among its internal nodes
     tables = {}
     pairs = set()
     real = phi23.search.finiteness_bound
@@ -272,7 +272,7 @@ def test_opening_windows_are_exact(monkeypatch, config):
     def spy(st, table, room=None):
         tables[id(table)] = table
         hi = real(st, table, room)
-        pairs.add((table.index_of(st.floor), st.remaining))
+        pairs.add((st.floor, st.remaining))
         return hi
 
     monkeypatch.setattr(phi23.search, "finiteness_bound", spy)
@@ -281,10 +281,11 @@ def test_opening_windows_are_exact(monkeypatch, config):
     primes = simple_sieve(table.limit)
     assert list(table.primes) == primes
     assert set(table.windows) == pairs
-    for (i, rem), window in table.windows.items():
+    for (floor, rem), (i, *products) in table.windows.items():
+        assert primes[i] == floor, (floor, i)
         tail = primes[i + 1 : i + 1 + rem]
         assert len(tail) == rem
-        assert window == (math.prod(p - 1 for p in tail), math.prod(tail)), (i, rem)
+        assert products == [math.prod(p - 1 for p in tail), math.prod(tail)], (floor, rem)
     if config is WALKS["limit-1e14"]:
         assert len(pairs) == 163
 
@@ -297,13 +298,14 @@ def test_opening_window_survives_growth(table_100k):
     assert finiteness_bound(st5, tiny, 4198) == 11
     assert tiny.limit == 20
     made = dict(tiny.windows)
-    assert made == {(2, 3): (6 * 10 * 12, 7 * 11 * 13)}
+    assert made == {(5, 3): (2, 6 * 10 * 12, 7 * 11 * 13)}
     tiny.grow()
     assert tiny.limit == 80
     assert tiny.windows == made
-    for (i, rem), window in made.items():
+    for (floor, rem), (i, *products) in made.items():
+        assert tiny.primes[i] == floor
         tail = tiny.primes[i + 1 : i + 1 + rem]
-        assert window == (math.prod(p - 1 for p in tail), math.prod(tail))
+        assert products == [math.prod(p - 1 for p in tail), math.prod(tail)]
     for room in (None, 1000, 4198, 4199, 10**30):
         assert finiteness_bound(st5, tiny, room) == finiteness_bound(st5, table_100k, room), room
 
@@ -636,9 +638,9 @@ def test_two_prime_strategies_agree_on_k7_endgames():
     fixed-seed sample of the walk's 272,297 endgame states, made with
 
         states = []
-        search._solve_last_level = lambda st, limit, table, counters, emit: states.extend(
-            search._expand_node(st, limit, table, counters))
-        search._dfs(root_state(7), None, build_prime_table(1 << 17), SearchCounters(), None)
+        search._solve_last_level = lambda st, i, limit, table, counters, emit: states.extend(
+            child for child, _ in search._expand_node(st, i, limit, table, counters))
+        search._dfs(root_state(7), 1, None, build_prime_table(1 << 17), SearchCounters(), None)
         sample = sorted(random.Random(7).sample(states, 40), key=lambda s: s.prefix)
     """
     rows = json.loads((Path(__file__).parent / "data" / "endgames_k7.json").read_text())

@@ -356,9 +356,9 @@ def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
     real_level = phi23.search._solve_last_level
     real_two = phi23.search.two_prime_solve
 
-    def level_spy(state, limit, table, counters, emit):
+    def level_spy(state, i, limit, table, counters, emit):
         nodes.append(state)
-        real_level(state, limit, table, counters, emit)
+        real_level(state, i, limit, table, counters, emit)
 
     monkeypatch.setattr(phi23.search, "_solve_last_level", level_spy)
     solve(config)
@@ -379,16 +379,17 @@ def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
     table = build_prime_table(1 << 17)
     emitted = 0
     for state in nodes:
+        i = table.index_of(state.floor)
         endgames.clear()
         fused_counters = SearchCounters()
         fused: list[tuple[int, ...]] = []
-        phi23.search._solve_last_level(state, config.limit, table, fused_counters, fused.append)
+        phi23.search._solve_last_level(state, i, config.limit, table, fused_counters, fused.append)
         fused_endgames = endgames[:]
 
         endgames.clear()
         counters = SearchCounters()
         unfused: list[tuple[int, ...]] = []
-        children = _expand_node(state, config.limit, table, counters)
+        children = [child for child, _ in _expand_node(state, i, config.limit, table, counters)]
         for child in children:
             _solve_endgame(child, config.limit, counters, unfused.append)
 
@@ -487,6 +488,40 @@ def fake_pool(monkeypatch):
 
     monkeypatch.setattr(phi23.parallel, "run_tasks", in_process)
     return runs
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("walk", ["k1-6", "limit-1e14"])
+def test_walk_bisects_only_on_window_misses(monkeypatch, fake_pool, walk, threads):
+    # The walk takes every next prime at a known table index, so on one
+    # worker as on two it finds a floor's index only when a finiteness scan
+    # first opens a window there, and never looks its candidates up by value.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    table_type = phi23.arith.PrimeTable
+    tables, index_calls, range_calls = {}, [], []
+    real_index_of = table_type.index_of
+    real_in_range = table_type.in_range
+
+    def index_spy(self, p):
+        tables[id(self)] = self
+        index_calls.append(p)
+        return real_index_of(self, p)
+
+    def range_spy(self, lo, hi):
+        range_calls.append((lo, hi))
+        return real_in_range(self, lo, hi)
+
+    monkeypatch.setattr(table_type, "index_of", index_spy)
+    monkeypatch.setattr(table_type, "in_range", range_spy)
+    counters = SearchCounters()
+    assert [s.n for s in solve(dataclasses.replace(WALKS[walk], threads=threads), counters)] == KNOWN_N
+    (table,) = tables.values()
+    assert len(index_calls) == len(table.windows)
+    assert sorted(index_calls) == sorted(floor for floor, _ in table.windows)
+    assert range_calls == []
+    assert fake_pool == ([2] if threads == 2 else [])
+    if walk == "limit-1e14":
+        assert (len(table.windows), counters.nodes_expanded) == (163, 10_560)
 
 
 def test_pool_size_is_capped_by_the_cores(monkeypatch, fake_pool):
@@ -691,18 +726,19 @@ def test_task_partition_covers_the_whole_tree():
     # its only task)
     for k in (3, 4, 5, 6):
         full: list[tuple[int, ...]] = []
-        _dfs(root_state(k), None, build_prime_table(1 << 17), SearchCounters(), full.append)
+        _dfs(root_state(k), 1, None, build_prime_table(1 << 17), SearchCounters(), full.append)
 
         table = build_prime_table(1 << 17)
         counters = SearchCounters()
         tasks = _make_tasks(root_state(k), None, table, counters, want=10)
-        assert len({t.prefix for t in tasks}) == len(tasks)
-        assert all(t.remaining >= 3 for t in tasks), k
+        assert len({t.prefix for t, _ in tasks}) == len(tasks)
+        assert all(t.remaining >= 3 for t, _ in tasks), k
+        assert all(table.primes[i] == t.floor for t, i in tasks), k
         if k == 3:
-            assert tasks == [root_state(3)]
+            assert tasks == [(root_state(3), 1)]
         merged: list[tuple[int, ...]] = []
-        for task in tasks:
-            _dfs(task, None, table, counters, merged.append)
+        for task, i in tasks:
+            _dfs(task, i, None, table, counters, merged.append)
         assert sorted(merged) == sorted(full)
 
 
