@@ -1,63 +1,15 @@
-"""Solver and oracle for the totient equation phi(n) = (2/3)(n+1)."""
+"""Solver and oracle for the totient equation phi(n) = (2/3)(n+1).
 
-from .arith import (
-    FactoringError,
-    Factorization,
-    PrimeTable,
-    build_prime_table,
-    factorize,
-    is_prime,
-)
-from .equation import (
-    EquationState,
-    Pruned,
-    absorb_prime,
-    finiteness_bound,
-    limit_bound,
-    one_prime_solve,
-    root_state,
-    two_prime_args,
-    two_prime_solve,
-)
-from .oracle import CheckResult, check_single, scan_solutions, totient_sieve
-from .search import (
-    SearchConfig,
-    SearchCounters,
-    Solution,
-    max_k_for_limit,
-    search_exact_k,
-    solve,
-    steinerberger_relevance,
-)
+The package re-exports every public name of its modules, as each module's
+``__all__`` lists them.
+"""
+
+from . import arith, equation, oracle, search
+from .arith import *  # noqa: F403
+from .equation import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .search import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FactoringError",
-    "Factorization",
-    "PrimeTable",
-    "build_prime_table",
-    "factorize",
-    "is_prime",
-    "EquationState",
-    "Pruned",
-    "absorb_prime",
-    "finiteness_bound",
-    "limit_bound",
-    "one_prime_solve",
-    "root_state",
-    "two_prime_args",
-    "two_prime_solve",
-    "CheckResult",
-    "check_single",
-    "scan_solutions",
-    "totient_sieve",
-    "SearchConfig",
-    "SearchCounters",
-    "Solution",
-    "max_k_for_limit",
-    "search_exact_k",
-    "solve",
-    "steinerberger_relevance",
-    "__version__",
-]
+__all__ = [*arith.__all__, *equation.__all__, *oracle.__all__, *search.__all__, "__version__"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, isqrt
@@ -33,11 +33,12 @@ _SIEVE_CAP = 1 << 32
 
 
 class FactoringError(Exception):
-    """Raised when factoring gave up after exhausting its retry budget.
+    """Raised when factorize(n) gave up after exhausting its retry budget.
 
-    The result is never silently truncated: a search stops with no partial
-    output and the CLI exits 3.  ``branch`` is the search prefix whose
-    endgame target n could not be factored (empty outside a search).
+    ``n`` is the number factorize was given, not the cofactor it got stuck
+    on.  The result is never silently truncated: a search stops with no
+    partial output and the CLI exits 3.  ``branch`` is the search prefix
+    whose endgame target n could not be factored (empty outside a search).
     """
 
     def __init__(self, n: int, branch: tuple[int, ...] = ()):
@@ -105,14 +106,6 @@ class PrimeTable:
         bigger = build_prime_table(4 * self.limit)
         self.primes.extend(bigger.primes[len(self.primes) :])
         self.limit = bigger.limit
-
-    def in_range(self, lo: int, hi: int) -> array:
-        """The primes p with lo < p <= hi; hi must not exceed the limit."""
-        if hi > self.limit:
-            raise ValueError(f"{hi} is past the table limit {self.limit}")
-        i = bisect_right(self.primes, lo)
-        j = bisect_right(self.primes, hi)
-        return self.primes[i:j]
 
 
 def build_prime_table(limit: int) -> PrimeTable:
@@ -351,19 +344,18 @@ def _rho_brent(n: int, attempt: int) -> int:
     return g if g != n else 0
 
 
-def _split(m: int, out: dict[int, int]) -> None:
+def _split(m: int, out: dict[int, int]) -> bool:
+    """Add the prime factors of m to out; False when rho gave up on a part."""
     if m == 1:
-        return
+        return True
     if is_prime(m):
         out[m] = out.get(m, 0) + 1
-        return
+        return True
     for attempt in range(_RHO_ROUNDS):
         d = _rho_brent(m, attempt)
         if d:
-            _split(d, out)
-            _split(m // d, out)
-            return
-    raise FactoringError(m)
+            return _split(d, out) and _split(m // d, out)
+    return False
 
 
 def factorize(n: int) -> Factorization:
@@ -371,9 +363,9 @@ def factorize(n: int) -> Factorization:
 
     Strategy: trial division by primes up to 1000, then a primality check,
     then recursive Brent-rho splitting with ``_RHO_ROUNDS`` deterministic
-    restarts per composite.  Raises FactoringError if the budget runs out;
-    the restarts are seeded deterministically, so a repeat call fails the
-    same way.
+    restarts per composite.  Raises FactoringError(n), naming n itself,
+    if the budget runs out on any cofactor; the restarts are seeded
+    deterministically, so a repeat call fails the same way.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -389,6 +381,6 @@ def factorize(n: int) -> Factorization:
         # m has no factor <= min(1000, sqrt(m)).
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
             out[m] = out.get(m, 0) + 1
-        else:
-            _split(m, out)
+        elif not _split(m, out):
+            raise FactoringError(n)
     return Factorization(value=n, factors=tuple(sorted(out.items())))

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 check verdict negative, 2 usage error (also a
 search whose bounds need primes past the prime table's sieve cap), 3
 factoring gave up (a search is then incomplete, a check reaches no verdict).
 A usage error prints the message of the check that owns the rule:
-SearchConfig for k and threads, the oracle's sieve for the scan limit.
+SearchConfig for k and threads, the oracle's sieve for the scan limit,
+check_single for check's n.
 Solutions are printed only after a search completes, so an interrupted run
 never emits a partial result.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import os
 import sys
@@ -112,9 +114,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        return _usage_error(f"need n >= 1, got {args.n}")
-    res = check_single(args.n)
+    try:
+        res = check_single(args.n)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     if res.factors:
         shown = " * ".join(
             str(p) if e == 1 else f"{p}^{e}" for p, e in res.factors
@@ -136,7 +139,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if res.is_solution else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: building it costs
+    several times what parsing with it does."""
     parser = argparse.ArgumentParser(
         prog="phi23",
         description="Find every n with phi(n) = (2/3)(n+1): "
@@ -177,9 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -20,7 +20,7 @@ from itertools import compress
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .arith import FactoringError, PrimeTable, factorize, is_prime
+from .arith import PrimeTable, factorize, is_prime
 
 __all__ = [
     "EquationState",
@@ -270,7 +270,8 @@ def two_prime_solve(
     gcd(alpha, beta) = 1, gamma >= 1), its floor and the product of its
     prefix, so the walk can solve a child without building it;
     two_prime_args(state) gives them for a state.  A factoring failure
-    raises FactoringError on the target; callers name the branch.
+    raises factorize's FactoringError, which names the target; callers
+    name the branch.
 
     With delta = alpha - beta the equation is equivalent to
 
@@ -290,8 +291,9 @@ def two_prime_solve(
     alpha with q an integer in lo <= q <= hi, where lo > floor keeps f1 >= 1
     and hi keeps f1 <= sqrt(target) and, with a limit, q*q <= limit /
     prefix_product.  It works from both ends of that range, split at mid =
-    (isqrt(target // delta) + alpha) // delta clipped to [lo - 1, hi], where
-    f1 is about sqrt(target / delta):
+    (isqrt(target // delta) + alpha) // delta clipped to at most hi, then to
+    at least lo - 1 (so the range is empty when hi < lo), where f1 is about
+    sqrt(target / delta):
 
       - each q in [lo, mid] is tried: does f1 divide the target?
       - each q in (mid, hi] is found through its sum s = q + r.  The
@@ -320,7 +322,10 @@ def two_prime_solve(
     default the endgame scans when its step count, (mid - lo + 1) +
     (floor(S(mid + 1)) - ceil(S(hi))) // delta + 1, is at most
     target**(1/4), Brent rho's iteration count on a worst-case split, and
-    factors the target otherwise; ``strategy`` forces one source (tests
+    factors the target otherwise.  The count is never negative (mid >= lo -
+    1, and S falls on (mid, hi], so s_hi >= s_lo - 1), and for steps >= 0
+    the exact test steps**4 <= target holds exactly when steps <=
+    floor(target**(1/4)).  ``strategy`` forces one source (tests
     cross-check the two with it).  The rule prices a sieved sum step like a
     tried q, though it is the cheaper of the two on large targets.  Most
     endgames of a walk have no scan step at all: no q in [lo, mid] and no
@@ -360,10 +365,10 @@ def two_prime_solve(
     # q in [lo, mid] are tried one by one, q in (mid, hi] found through their
     # sums q + r, which fill [s_lo, s_hi] (see above).
     mid = (isqrt(target // delta) + alpha) // delta
-    if mid < lo:
-        mid = lo - 1
     if mid > hi:
         mid = hi
+    if mid < lo:
+        mid = lo - 1
     s_lo, s_hi = 1, 0
     if mid < hi:
         f_hi = delta * hi - alpha
@@ -372,14 +377,9 @@ def two_prime_solve(
         s_hi = mid + 1 + (target + alpha * f_mid) // (delta * f_mid)
     if strategy is None:
         # Brent rho needs about target**(1/4) iterations on a worst-case
-        # split, so taking at most that many steps is never dearer.  The
-        # power of two is at most floor(target**(1/4)), so the roots are
-        # taken only when it does not settle the rule.
+        # split, so taking at most that many steps is never dearer.
         steps = (mid - lo + 1) + (s_hi - s_lo) // delta + 1
-        if steps <= 1 << ((target.bit_length() - 1) >> 2) or steps <= isqrt(isqrt(target)):
-            strategy = "scan"
-        else:
-            strategy = "factor"
+        strategy = "scan" if steps**4 <= target else "factor"
     if strategy == "scan":
         # Every integer q, not just primes, so a composite q is traced as such.
         divisors = []
@@ -406,10 +406,7 @@ def two_prime_solve(
             # nothing to filter, trace or sort
             return []
     elif strategy == "factor":
-        try:
-            divisors = factorize(target).divisors()
-        except FactoringError as exc:
-            raise FactoringError(target) from exc
+        divisors = factorize(target).divisors()
         if counters is not None:
             counters.endgame_factor += 1
     else:

@@ -83,7 +83,7 @@ _ROOT_FLOOR_INDEX = 1
 
 # 5, 5*7, 5*7*11, ...: the smallest n with 1, 2, 3, ... admissible prime
 # factors, over the primes below 512 (a limit past the last is refused).
-_SMALLEST_N_BY_K = list(accumulate(build_prime_table(512).in_range(3, 512), mul))
+_SMALLEST_N_BY_K = list(accumulate(build_prime_table(512).primes[2:], mul))
 
 
 @dataclass
@@ -178,11 +178,12 @@ class Solution:
 
     @classmethod
     def from_factors(cls, factors: tuple[int, ...]) -> "Solution":
-        """Build and re-verify a solution; raises ValueError when invalid."""
+        """Build and re-verify a solution: strictly ascending primes >= 5
+        whose product solves the equation; raises ValueError otherwise."""
         if not factors or any(q >= r for q, r in zip(factors, factors[1:])):
             raise ValueError(f"factors must be strictly ascending, got {factors}")
-        if factors[0] < 5:
-            raise ValueError(f"solution primes are >= 5, got {factors}")
+        if factors[0] < 5 or not all(map(is_prime, factors)):
+            raise ValueError(f"solution factors are primes >= 5, got {factors}")
         n = 1
         tot = 1
         for q in factors:
@@ -190,8 +191,7 @@ class Solution:
             tot *= q - 1
         if 3 * tot != 2 * n + 2:
             raise ValueError(f"factors {factors} do not satisfy the equation")
-        if n % 6 != 5:
-            raise ValueError(f"solution must be 5 mod 6, got {n}")
+        # no n mod 6 test: with distinct primes >= 5 the equation forces n odd and 3 | n + 1
         return cls(n=n, factors=tuple(factors), k=len(factors))
 
 

@@ -67,25 +67,6 @@ def test_prime_table_index_of():
         table.index_of(101)
 
 
-def test_prime_table_in_range():
-    table = build_prime_table(100)
-    assert list(table.in_range(3, 20)) == [5, 7, 11, 13, 17, 19]
-    assert list(table.in_range(4, 20)) == [5, 7, 11, 13, 17, 19]
-    assert list(table.in_range(5, 20)) == [7, 11, 13, 17, 19]
-    assert list(table.in_range(89, 97)) == [97]
-    assert list(table.in_range(10, 10)) == []
-    assert list(table.in_range(0, 100)) == list(table.primes)
-    # a range past the limit is refused; only grow() extends the table
-    with pytest.raises(ValueError):
-        table.in_range(0, 1_000)
-    assert table.limit == 100
-    table.grow()
-    table.grow()
-    assert table.limit == 1_600
-    assert list(table.primes) == simple_sieve(1_600)
-    assert list(table.in_range(0, 1_000)) == simple_sieve(1_000)
-
-
 def test_prime_table_cap_names_no_more_than_the_need(monkeypatch):
     monkeypatch.setattr(phi23.arith, "_SIEVE_CAP", 1024)
     table = build_prime_table(64)
@@ -181,11 +162,14 @@ def test_factorize_roundtrip_random():
 
 
 def test_factorize_gives_up_without_rho(monkeypatch):
-    n = 1_000_003 * 10_000_019
+    # the error names the n factorize was given, not the cofactor left after
+    # trial division (10000049000057 for the second n)
     monkeypatch.setattr(phi23.arith, "_RHO_ROUNDS", 0)
-    with pytest.raises(FactoringError) as info:
-        factorize(n)
-    assert info.value.n == n
+    for n in (1_000_003 * 10_000_019, 6 * 1_000_003 * 10_000_019):
+        with pytest.raises(FactoringError) as info:
+            factorize(n)
+        assert info.value.n == n
+        assert info.value.branch == ()
 
 
 @pytest.mark.parametrize(

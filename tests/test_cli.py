@@ -1,5 +1,6 @@
 """Tests for the command line interface: output shapes and exit codes."""
 
+import argparse
 import json
 import re
 from itertools import count
@@ -7,6 +8,7 @@ from itertools import count
 import pytest
 
 import phi23.arith
+import phi23.cli
 import phi23.equation
 import phi23.oracle
 import phi23.search
@@ -344,12 +346,14 @@ def test_usage_error_messages(capsys):
             ("scan", "--limit", "2.5e8"),
             "scan limit capped at 200000000 (one word per index); use 'search --limit' beyond that",
         ),
+        (("check", "0"), "need n >= 1, got 0"),
     ],
-    ids=["k", "k-min", "k-max", "threads", "scan-limit-0", "scan-limit-cap"],
+    ids=["k", "k-min", "k-max", "threads", "scan-limit-0", "scan-limit-cap", "check-n-0"],
 )
 def test_usage_errors_carry_the_owner_message(capsys, args, message):
     # each rule is checked once, where the value is used: SearchConfig for k
-    # and threads, totient_sieve for the scan limit; the CLI prints its message
+    # and threads, totient_sieve for the scan limit, check_single for check's
+    # n; the CLI prints its message
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
@@ -404,6 +408,13 @@ def test_check_factoring_failure_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "check", "1295")
     assert (code, out) == (3, "")
     assert err == "error: factoring gave up on 1295; no verdict was reached\n"
+    # the real factorize names n too, not the cofactor 10000049000057 it gave up on
+    monkeypatch.undo()
+    monkeypatch.setattr(phi23.arith, "_RHO_ROUNDS", 0)
+    n = 6 * 1_000_003 * 10_000_019
+    code, out, err = run_cli(capsys, "check", str(n))
+    assert (code, out) == (3, "")
+    assert err == f"error: factoring gave up on {n}; no verdict was reached\n"
 
 
 def test_factoring_failure_exit_code_through_the_pool(capsys, monkeypatch, only_walker):
@@ -458,6 +469,26 @@ def test_sieve_cap_is_a_usage_error(capsys, monkeypatch, only_walker, threads):
         "the sieve is capped below 1024; no solutions were printed\n"
     )
     assert split == ([] if threads == "1" else list(phi23.search.SearchConfig(limit=10**12).ks))
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # building the parser costs several times what parsing does, so every
+    # main call of a process shares one
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    phi23.cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        assert run_cli(capsys, "check", "35")[0] == 0
+        assert run_cli(capsys, "search", "--k", "2", "--threads", "1")[1] == KNOWN_TEXT_LINES[1] + "\n"
+    finally:
+        phi23.cli._build_parser.cache_clear()
+    assert built.count("phi23") == 1
 
 
 def test_run_entry_point_raises_system_exit():

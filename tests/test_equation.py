@@ -461,19 +461,6 @@ def test_two_prime_default_strategy():
     assert (counters.endgame_scan, counters.endgame_factor) == (0, 1)
 
 
-def test_step_rule_power_of_two_is_below_the_fourth_root():
-    # the default rule settles "scan" on 1 << ((bits - 1) >> 2) before it
-    # takes isqrt(isqrt(target)); that is exact only if the power of two never
-    # exceeds floor(target**(1/4)); check every bit-length boundary
-    for n in range(201):
-        for t in (2**n - 1, 2**n, 2**n + 1):
-            if t >= 1:
-                assert 1 << ((t.bit_length() - 1) >> 2) <= math.isqrt(math.isqrt(t)), t
-        # equal at t = 2**(4m): the shortcut is as tight as it can be there
-        if n % 4 == 0:
-            assert 1 << (((2**n).bit_length() - 1) >> 2) == math.isqrt(math.isqrt(2**n))
-
-
 @pytest.mark.parametrize(
     "args, split, sums_in_range",
     [
@@ -484,11 +471,15 @@ def test_step_rule_power_of_two_is_below_the_fourth_root():
         ((3672, 3605, 1, 103, 3605), (104, 103, 109), False),
         # the limit caps hi at 1150, below lo = 1151
         ((75613824, 75548095, 1, 307, 75548095), (1151, 1150, 1150), False),
+        # not from the walk: the floor puts lo = 101 far past hi = 5, so mid
+        # clips to lo - 1 and the step count is 0, not 5 - 101 + 1 = -95,
+        # whose fourth power would pass the target 8 and choose factoring
+        ((3, 2, 2, 100, 1), (101, 100, 5), False),
     ],
 )
 def test_two_prime_zero_step_endgames(monkeypatch, args, split, sums_in_range):
-    # endgames of the 1e14 walk whose scan has no step: no q to try and no sum
-    # of the class to step; they return after their bounds
+    # endgames (all but the last of the 1e14 walk) whose scan has no step: no
+    # q to try and no sum of the class to step; they return after their bounds
     limit = 10**14
     assert _scan_split(args, limit) == split
     _assert_strategies_agree(args, limit)
@@ -580,7 +571,7 @@ def _scan_split(args, limit):
     hi = (math.isqrt(target) + alpha) // delta
     if limit is not None:
         hi = min(hi, math.isqrt(limit // b))
-    mid = min(max((math.isqrt(target // delta) + alpha) // delta, lo - 1), hi)
+    mid = max(min((math.isqrt(target // delta) + alpha) // delta, hi), lo - 1)
     return lo, mid, hi
 
 

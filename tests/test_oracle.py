@@ -148,6 +148,18 @@ def test_package_import_leaves_numpy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_package_reexports_each_module_public_names():
+    # phi23 lists no name itself: it re-exports each module's __all__
+    modules = (phi23.arith, phi23.equation, phi23.oracle, phi23.search)
+    assert phi23.__all__ == [name for m in modules for name in m.__all__] + ["__version__"]
+    assert len(set(phi23.__all__)) == len(phi23.__all__)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(phi23, name) is getattr(m, name), (m.__name__, name)
+    assert phi23.SieveCapError is phi23.arith.SieveCapError
+    assert phi23.SCAN_LIMIT_CAP is SCAN_LIMIT_CAP
+
+
 def _pool_modules_after(run: str) -> str:
     """The top-level pool packages loaded after importing phi23 and ``run``."""
     src = Path(phi23.__file__).resolve().parent.parent

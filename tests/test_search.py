@@ -7,6 +7,7 @@ import json
 import os
 import signal
 import types
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,9 @@ def test_solution_from_factors():
         Solution.from_factors((7, 5))
     with pytest.raises(ValueError):
         Solution.from_factors((5, 5))
+    # 3*4*6*48*132 = 2*228095 + 2, but 49 and 133 are composite
+    with pytest.raises(ValueError):
+        Solution.from_factors((5, 7, 49, 133))
 
 
 def test_relevance_of_known_solutions():
@@ -287,7 +291,8 @@ def _walk_record(monkeypatch, config):
             assert hi <= min(uncapped, integer_root(room, state.remaining)), (state, room, hi)
         bounds.append((state, uncapped))
         if state.remaining == 3:
-            for q in table.in_range(state.floor, hi):
+            primes = table.primes
+            for q in primes[bisect_right(primes, state.floor) : bisect_right(primes, hi)]:
                 absorbed.append((state, q, real_absorb(state, q)))
         return hi
 
@@ -498,27 +503,20 @@ def test_walk_bisects_only_on_window_misses(monkeypatch, fake_pool, walk, thread
     # first opens a window there, and never looks its candidates up by value.
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     table_type = phi23.arith.PrimeTable
-    tables, index_calls, range_calls = {}, [], []
+    tables, index_calls = {}, []
     real_index_of = table_type.index_of
-    real_in_range = table_type.in_range
 
     def index_spy(self, p):
         tables[id(self)] = self
         index_calls.append(p)
         return real_index_of(self, p)
 
-    def range_spy(self, lo, hi):
-        range_calls.append((lo, hi))
-        return real_in_range(self, lo, hi)
-
     monkeypatch.setattr(table_type, "index_of", index_spy)
-    monkeypatch.setattr(table_type, "in_range", range_spy)
     counters = SearchCounters()
     assert [s.n for s in solve(dataclasses.replace(WALKS[walk], threads=threads), counters)] == KNOWN_N
     (table,) = tables.values()
     assert len(index_calls) == len(table.windows)
     assert sorted(index_calls) == sorted(floor for floor, _ in table.windows)
-    assert range_calls == []
     assert fake_pool == ([2] if threads == 2 else [])
     if walk == "limit-1e14":
         assert (len(table.windows), counters.nodes_expanded) == (163, 10_560)
