@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, isqrt
@@ -74,25 +73,19 @@ class PrimeTable:
     """Ascending primes up to ``limit``, stored compactly; grows on demand.
 
     ``grow`` extends ``primes`` in place, so a caller holding the array sees
-    the new primes.  ``windows`` maps (f, m), a prime f of the table and a
-    count m, to (i, prod(p - 1), prod(p)) with primes[i] = f and the products
-    over the m primes after it: the opening window of the finiteness scan,
-    found and multiplied out once per run.  Growth only appends primes, so
-    an entry never goes stale.
+    the new primes.  ``tails`` holds the finiteness scan's tail products:
+    for a count r, two lists whose entry m is prod(p - 1) and prod(p) over
+    the r primes after primes[m].  finiteness_bound extends them, one entry
+    at a time, only as far as its scans reach, so a run multiplies each
+    entry out once.  Growth only appends primes, so an entry never goes
+    stale.
     """
 
     primes: array
     limit: int
-    windows: dict[tuple[int, int], tuple[int, int, int]] = field(
+    tails: dict[int, tuple[list[int], list[int]]] = field(
         default_factory=dict, repr=False, compare=False
     )
-
-    def index_of(self, p: int) -> int:
-        """Index of the prime p in the table; raises if absent."""
-        i = bisect_left(self.primes, p)
-        if i == len(self.primes) or self.primes[i] != p:
-            raise ValueError(f"{p} is not in the table")
-        return i
 
     def grow(self) -> None:
         """Sieve to four times the limit and append the new primes.

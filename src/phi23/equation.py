@@ -152,8 +152,9 @@ def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
     return child
 
 
-def finiteness_bound(state: EquationState, table: PrimeTable, room: int | None = None) -> int:
-    """Inclusive upper bound for the next prime in any solution.
+def finiteness_bound(state: EquationState, i: int, table: PrimeTable, room: int | None = None) -> int:
+    """Inclusive upper bound for the next prime in any solution; i is the
+    index of state.floor in ``table``.
 
     Scans consecutive-prime tails: if the next prime exceeded p_m, each of
     the ``remaining`` primes would be at least the corresponding entry of
@@ -175,39 +176,43 @@ def finiteness_bound(state: EquationState, table: PrimeTable, room: int | None =
     bound and the largest prime whose run of ``remaining`` consecutive
     primes fits in room (state.floor when none does).
 
-    When a tail runs past the end of ``table``, the table grows and the
-    scan goes on where it was, so the bound never depends on the table
-    size.  state.floor must be in the table.  The opening tail comes from
-    ``table.windows``, keyed by (state.floor, remaining): the floor's index
-    and the tail's products, found and multiplied out on their first use in
-    a run, so only that use bisects the table.  Each step divides one prime
-    out of the products and multiplies one in, so no node multiplies out a
-    whole tail.
+    The tail products come from ``table.tails``, whose entry m for
+    ``remaining`` primes covers the tail after primes[m], so a scan opens at
+    entry i without looking the floor up and a step is two multiplications
+    and a comparison.  When the scan runs past the end of the lists, it
+    extends them one entry at a time, dividing one prime out of the last
+    entry's products and multiplying the next one in, and grows the table
+    when an entry needs primes past its end.  So the bound never depends on
+    the table size, and the lists reach exactly as far as the furthest scan
+    of the run.
     """
     primes = table.primes  # grow() extends this very array
     rem = state.remaining
-    key = (state.floor, rem)
-    window = table.windows.get(key)
-    if window is None:
-        i = table.index_of(state.floor)
-        # A cached window lay inside the table when it was made, and the
-        # table only grows, so only a first use can need more primes.
-        while i + rem + 1 > len(primes):
+    tails = table.tails.get(rem)
+    if tails is None:
+        while rem + 1 > len(primes):
             table.grow()
-        tail = primes[i + 1 : i + 1 + rem]
-        window = table.windows[key] = i, prod(p - 1 for p in tail), prod(tail)
-    i, prod_m1, prod_p = window
+        tail = primes[1 : 1 + rem]
+        tails = table.tails[rem] = [prod(p - 1 for p in tail)], [prod(tail)]
+    m1s, ps = tails
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
+    for m in range(i, len(ps)):
+        if alpha * m1s[m] > beta * ps[m] + gamma or (room is not None and ps[m] > room):
+            return primes[m]
+    # Past the lists: extend them an entry at a time, testing those from i on.
+    m = len(ps)
+    prod_m1, prod_p = m1s[-1], ps[-1]
     while True:
-        if alpha * prod_m1 > beta * prod_p + gamma or (room is not None and prod_p > room):
-            return primes[i]
-        i += 1
-        old = primes[i]
-        if i + rem + 1 > len(primes):
+        if m + rem + 1 > len(primes):
             table.grow()
-        new = primes[i + rem]
+        old, new = primes[m], primes[m + rem]
         prod_m1 = prod_m1 // (old - 1) * (new - 1)
         prod_p = prod_p // old * new
+        m1s.append(prod_m1)
+        ps.append(prod_p)
+        if m >= i and (alpha * prod_m1 > beta * prod_p + gamma or (room is not None and prod_p > room)):
+            return primes[m]
+        m += 1
 
 
 def limit_bound(state: EquationState, limit: int) -> int:

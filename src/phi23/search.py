@@ -11,11 +11,12 @@ solution is re-verified against the original equation, independent of the
 search path that produced it.
 
 Each run builds one PrimeTable, which the bounds grow whenever they need
-primes past its end and in which they remember the opening windows of their
-scans.  The walk takes every next prime at a known index of that table and
-hands each node the index of its floor along with its state, so a node's
-candidates are a range of table indices and it looks nothing up that its
-parent already knew.  A task is such a (state, floor index) pair.
+primes past its end and in which they keep the tail products of their
+scans, extended only as far as a scan reaches.  The walk takes every next
+prime at a known index of that table and hands each node the index of its
+floor along with its state, so a node's bound scan opens at that index, its
+candidates are a range of table indices, and it looks no floor up by value.
+A task is such a (state, floor index) pair.
 ``_walk_task`` is the one walk of a subtree task on any worker
 count; a serial run walks each k's whole tree as one task.  When
 more than one worker may start, ``solve`` expands every k's tree
@@ -222,7 +223,7 @@ def _next_primes(
     """Count an internal node as expanded and return the table indices of its
     candidate next primes; i is the index of state.floor in the table."""
     counters.nodes_expanded += 1
-    hi = finiteness_bound(state, table, None if limit is None else limit_bound(state, limit))
+    hi = finiteness_bound(state, i, table, None if limit is None else limit_bound(state, limit))
     if hi <= state.floor:
         # Only the limit can close a branch here: the first run of `remaining`
         # primes past the floor already overflows the budget.  A child's first

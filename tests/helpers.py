@@ -2,18 +2,22 @@
 
 The reference implementations share no code with the package: primality
 is plain trial division, the sieve is a separate odd-only implementation,
-and the pair oracles test the raw residual equation directly.  The state
-helpers at the end (absorb_chain and the one after it) drive the package's
-own state transition to build test inputs.
+and the pair oracles test the raw residual equation directly.
+rolling_finiteness_bound is a finiteness scan that keeps no tail lists; it
+uses the package's prime table, which it grows under finiteness_bound's
+condition.  The state helpers at the end (absorb_chain and the one after
+it) drive the package's own state transition to build test inputs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from itertools import combinations
 from typing import NamedTuple
 
+from phi23.arith import PrimeTable
 from phi23.equation import EquationState, Pruned, absorb_prime, root_state
 from phi23.search import SearchConfig
 
@@ -46,6 +50,48 @@ def simple_sieve(limit: int) -> list[int]:
 
 
 _sieve = functools.cache(simple_sieve)  # callers must not change the lists
+
+
+def index_of(table: PrimeTable, p: int) -> int:
+    """Index of the prime p in table.primes, found by bisection; raises
+    ValueError if p is not there.  The walk looks no floor up this way: it
+    carries each floor's index."""
+    i = bisect_left(table.primes, p)
+    if i == len(table.primes) or table.primes[i] != p:
+        raise ValueError(f"{p} is not in the table")
+    return i
+
+
+def rolling_finiteness_bound(state: EquationState, table: PrimeTable, room: int | None = None) -> int:
+    """finiteness_bound by a rolling scan that keeps nothing between calls.
+
+    Finds the floor's index by value, multiplies out the tail of
+    ``remaining`` primes after it and rolls both products one prime at a
+    time: each step divides out the prime it leaves and multiplies in the
+    one it reaches.  The table grows when the floor or a tail lies past its
+    end, under the condition finiteness_bound uses, so the two leave the
+    same table behind.
+    """
+    primes = table.primes
+    rem = state.remaining
+    while state.floor > table.limit:
+        table.grow()
+    i = index_of(table, state.floor)
+    while i + rem + 1 > len(primes):
+        table.grow()
+    tail = primes[i + 1 : i + 1 + rem]
+    prod_m1, prod_p = math.prod(p - 1 for p in tail), math.prod(tail)
+    alpha, beta, gamma = state.alpha, state.beta, state.gamma
+    while True:
+        if alpha * prod_m1 > beta * prod_p + gamma or (room is not None and prod_p > room):
+            return primes[i]
+        i += 1
+        old = primes[i]
+        if i + rem + 1 > len(primes):
+            table.grow()
+        new = primes[i + rem]
+        prod_m1 = prod_m1 // (old - 1) * (new - 1)
+        prod_p = prod_p // old * new
 
 
 def tight_limit_bound(state: EquationState, limit: int) -> int:

@@ -7,7 +7,7 @@ from math import isqrt
 import pytest
 
 import phi23.arith
-from helpers import integer_root, simple_sieve, trial_is_prime
+from helpers import index_of, integer_root, simple_sieve, trial_is_prime
 from phi23.arith import (
     FactoringError,
     SieveCapError,
@@ -57,14 +57,15 @@ def test_prime_table_matches_trial_division():
 
 
 def test_prime_table_index_of():
+    # the tests' by-value lookup; the walk carries indices instead
     table = build_prime_table(100)
-    assert table.index_of(2) == 0
-    assert table.index_of(5) == 2
-    assert table.index_of(97) == 24
+    assert index_of(table, 2) == 0
+    assert index_of(table, 5) == 2
+    assert index_of(table, 97) == 24
     with pytest.raises(ValueError):
-        table.index_of(9)
+        index_of(table, 9)
     with pytest.raises(ValueError):
-        table.index_of(101)
+        index_of(table, 101)
 
 
 def test_prime_table_cap_names_no_more_than_the_need(monkeypatch):

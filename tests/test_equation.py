@@ -14,10 +14,12 @@ from helpers import (
     WALKS,
     absorb_chain,
     endgame_params,
+    index_of,
     integer_root,
     literal_pairs,
     pair_scan,
     reachable_endgame_states,
+    rolling_finiteness_bound,
     simple_sieve,
     tight_limit_bound,
 )
@@ -45,6 +47,11 @@ from phi23.search import SearchConfig, SearchCounters, solve
 @pytest.fixture(scope="module")
 def table_100k():
     return build_prime_table(100_000)
+
+
+def bound(st, table, room=None):
+    """finiteness_bound from st.floor, its table index found by value."""
+    return finiteness_bound(st, index_of(table, st.floor), table, room)
 
 
 def state(prefix, alpha, beta, gamma, remaining):
@@ -146,14 +153,14 @@ def test_gamma_stays_small_on_reachable_states():
 
 
 def test_finiteness_bound_golden(table_100k):
-    assert finiteness_bound(root_state(4), table_100k) == 5
-    assert finiteness_bound(root_state(1), table_100k) == 5
+    assert bound(root_state(4), table_100k) == 5
+    assert bound(root_state(1), table_100k) == 5
     st5 = absorb_chain((5,), extra=3)
-    assert finiteness_bound(st5, table_100k) == 13
+    assert bound(st5, table_100k) == 13
     st5_last = absorb_chain((5,), extra=1)
-    assert finiteness_bound(st5_last, table_100k) == 7
+    assert bound(st5_last, table_100k) == 7
     st537 = absorb_chain((5, 7, 37), extra=1)
-    assert finiteness_bound(st537, table_100k) == 1297
+    assert bound(st537, table_100k) == 1297
     # the closed-form last prime must sit exactly at its bound
     assert one_prime_solve(st537) == [1297]
 
@@ -176,7 +183,7 @@ def test_finiteness_bound_cross_checked_fractions(table_100k):
 
 def test_finiteness_bound_can_return_floor(table_100k):
     st = state((5,), 100, 3, 1, 1)
-    assert finiteness_bound(st, table_100k) == 5
+    assert bound(st, table_100k) == 5
 
 
 def test_finiteness_bound_exhaustion():
@@ -185,7 +192,7 @@ def test_finiteness_bound_exhaustion():
     tiny = build_prime_table(20)
     primes = tiny.primes
     st = state((5,), 6, 5, 1, 3)
-    assert finiteness_bound(st, tiny) == 13
+    assert bound(st, tiny) == 13
     assert tiny.limit == 80
     assert tiny.primes is primes
     assert list(primes) == simple_sieve(80)
@@ -208,25 +215,25 @@ def test_finiteness_bound_cap_golden(table_100k):
         (7429, 13),  # past the bound the finiteness test decides
         (10**30, 13),  # far past the table
     ]:
-        assert finiteness_bound(st5, table_100k, room) == want, room
+        assert bound(st5, table_100k, room) == want, room
     # with one prime left the run is the prime itself
     st537 = absorb_chain((5, 7, 37), extra=1)  # floor 37, uncapped bound 1297
     for room, want in [(40, 37), (41, 41), (42, 41), (1296, 1291), (1297, 1297), (10**30, 1297)]:
-        assert finiteness_bound(st537, table_100k, room) == want, room
+        assert bound(st537, table_100k, room) == want, room
     # the uncapped scan outgrows this table (test_finiteness_bound_exhaustion);
     # a room short of the run of 13 needs only the tails of 5, 7 and 11
     tiny = build_prime_table(20)
-    assert finiteness_bound(st5, table_100k) == 13
-    assert finiteness_bound(st5, tiny, 4198) == 11
+    assert bound(st5, table_100k) == 13
+    assert bound(st5, tiny, 4198) == 11
     assert tiny.limit == 20
     # a room that fits the run of 13 needs the tail after 13, so the table grows
-    assert finiteness_bound(st5, tiny, 4199) == 13
+    assert bound(st5, tiny, 4199) == 13
     assert tiny.limit == 80
     # the floor's first run decides even where the uncapped bound is the floor
     at_floor = state((5,), 100, 3, 1, 1)
-    assert finiteness_bound(at_floor, tiny) == 5
-    assert finiteness_bound(at_floor, tiny, 6) == 5
-    assert finiteness_bound(at_floor, tiny, 7) == 5
+    assert bound(at_floor, tiny) == 5
+    assert bound(at_floor, tiny, 6) == 5
+    assert bound(at_floor, tiny, 7) == 5
 
 
 @pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
@@ -234,45 +241,86 @@ def test_finiteness_cap_is_exact_on_walk_states(monkeypatch, config):
     walk_rooms = {}
     real = phi23.search.finiteness_bound
 
-    def spy(st, table, room=None):
+    def spy(st, i, table, room=None):
+        assert table.primes[i] == st.floor, (st, i)
         walk_rooms[st] = room
-        return real(st, table, room)
+        return real(st, i, table, room)
 
     monkeypatch.setattr(phi23.search, "finiteness_bound", spy)
     solve(config)
     assert walk_rooms
     table = build_prime_table(1 << 17)
     for st, walk_room in walk_rooms.items():
-        bound = finiteness_bound(st, table)
+        hi = bound(st, table)
         primes, rem = table.primes, st.remaining
         # the runs right after the floor and at and after the uncapped bound,
         # each as a room and one below it
-        starts = (table.index_of(st.floor) + 1, table.index_of(bound), table.index_of(bound) + 1)
+        starts = (index_of(table, st.floor) + 1, index_of(table, hi), index_of(table, hi) + 1)
         runs = [math.prod(primes[j : j + rem]) for j in starts]
         rooms = {*runs, *(r - 1 for r in runs)}
         if walk_room is not None:
             assert walk_room == config.limit // st.prefix_product
             # never above the bound the integer root of the room gave
-            assert finiteness_bound(st, table, walk_room) <= min(bound, integer_root(walk_room, rem))
+            assert bound(st, table, walk_room) <= min(hi, integer_root(walk_room, rem))
             rooms.add(walk_room)
         for room in rooms:
-            want = min(bound, tight_limit_bound(st, room * st.prefix_product))
-            assert finiteness_bound(st, table, room) == want, (st, room, bound)
+            want = min(hi, tight_limit_bound(st, room * st.prefix_product))
+            assert bound(st, table, room) == want, (st, room, hi)
+
+
+# The walks of WALKS and the deepest workload slice; none of them grows the
+# walk's table past its initial limit of 4,096.
+CROSS_CHECKED = {**WALKS, "k22-1e38": SearchConfig(k_min=22, k_max=22, limit=10**38)}
+
+
+@pytest.mark.parametrize("config", CROSS_CHECKED.values(), ids=CROSS_CHECKED)
+def test_finiteness_bound_matches_the_rolling_scan(monkeypatch, config):
+    # every internal node's bound, replayed in walk order on two tables
+    # started at 20 so that scans cross grow(): the tail lists and the
+    # reference rolling scan agree on every bound and grow their tables
+    # alike
+    calls = []
+    tables = {}
+    real = phi23.search.finiteness_bound
+
+    def spy(st, i, table, room=None):
+        tables[id(table)] = table
+        hi = real(st, i, table, room)
+        calls.append((st, i, room, hi))
+        return hi
+
+    monkeypatch.setattr(phi23.search, "finiteness_bound", spy)
+    solve(config)
+    (walk_table,) = tables.values()
+    assert walk_table.limit == 1 << 12
+    lists, rolling = build_prime_table(20), build_prime_table(20)
+    for st, i, room, hi in calls:
+        assert finiteness_bound(st, i, lists, room) == rolling_finiteness_bound(st, rolling, room) == hi
+        assert lists.limit == rolling.limit, st
+    assert lists.limit > 20
+    assert list(lists.primes) == list(rolling.primes)
+
+
+# Entries per tail list, by remaining count, after the 1e14 walk: each list
+# reaches the furthest bound a node with that many primes left returned.
+LISTS_1E14 = {3: 537, 4: 97, 5: 39, 6: 27, 7: 14, 8: 11, 9: 6, 10: 5, 11: 3}
 
 
 @pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
 def test_opening_windows_are_exact(monkeypatch, config):
-    # every opening window a run remembers holds its floor's index and the
-    # products over its primes on the independent sieve, and the run makes
-    # one per distinct (floor, remaining) pair among its internal nodes
+    # every tail-list entry a run holds, the window of ``remaining`` primes
+    # after a table prime, has the products over those primes on the
+    # independent sieve, and each run's lists reach exactly the furthest
+    # window its scans test: the one of the bound they return
     tables = {}
-    pairs = set()
+    furthest = {}
     real = phi23.search.finiteness_bound
 
-    def spy(st, table, room=None):
+    def spy(st, i, table, room=None):
         tables[id(table)] = table
-        hi = real(st, table, room)
-        pairs.add((st.floor, st.remaining))
+        hi = real(st, i, table, room)
+        m = index_of(table, hi)
+        furthest[st.remaining] = max(furthest.get(st.remaining, m), m)
         return hi
 
     monkeypatch.setattr(phi23.search, "finiteness_bound", spy)
@@ -280,34 +328,39 @@ def test_opening_windows_are_exact(monkeypatch, config):
     (table,) = tables.values()
     primes = simple_sieve(table.limit)
     assert list(table.primes) == primes
-    assert set(table.windows) == pairs
-    for (floor, rem), (i, *products) in table.windows.items():
-        assert primes[i] == floor, (floor, i)
-        tail = primes[i + 1 : i + 1 + rem]
-        assert len(tail) == rem
-        assert products == [math.prod(p - 1 for p in tail), math.prod(tail)], (floor, rem)
+    assert table.tails.keys() == furthest.keys()
+    for rem, (m1s, ps) in table.tails.items():
+        assert len(m1s) == len(ps) == furthest[rem] + 1, rem
+        for m, products in enumerate(zip(m1s, ps)):
+            tail = primes[m + 1 : m + 1 + rem]
+            assert len(tail) == rem
+            assert products == (math.prod(p - 1 for p in tail), math.prod(tail)), (rem, m)
     if config is WALKS["limit-1e14"]:
-        assert len(pairs) == 163
+        assert {rem: len(ps) for rem, (_, ps) in table.tails.items()} == LISTS_1E14
 
 
 def test_opening_window_survives_growth(table_100k):
-    # a window made before grow() reads the same after it, and so does every
-    # bound scanned from it
+    # tail-list entries made before grow() read the same after it, and so
+    # does every bound scanned from them
     tiny = build_prime_table(20)
     st5 = absorb_chain((5,), extra=3)
-    assert finiteness_bound(st5, tiny, 4198) == 11
+    assert bound(st5, tiny, 4198) == 11
     assert tiny.limit == 20
-    made = dict(tiny.windows)
-    assert made == {(5, 3): (2, 6 * 10 * 12, 7 * 11 * 13)}
+    # the scan opened at the window after 5 (index 2) and stopped at 11's;
+    # the lists hold every window up to there
+    made = {rem: (m1s[:], ps[:]) for rem, (m1s, ps) in tiny.tails.items()}
+    assert made[3][0][2:] == [6 * 10 * 12, 10 * 12 * 16, 12 * 16 * 18]
+    assert made[3][1][2:] == [7 * 11 * 13, 11 * 13 * 17, 13 * 17 * 19]
+    assert [len(lists) for lists in made[3]] == [5, 5]
     tiny.grow()
     assert tiny.limit == 80
-    assert tiny.windows == made
-    for (floor, rem), (i, *products) in made.items():
-        assert tiny.primes[i] == floor
-        tail = tiny.primes[i + 1 : i + 1 + rem]
-        assert products == [math.prod(p - 1 for p in tail), math.prod(tail)]
+    assert {rem: (m1s[:], ps[:]) for rem, (m1s, ps) in tiny.tails.items()} == made
+    for rem, (m1s, ps) in made.items():
+        for m, products in enumerate(zip(m1s, ps)):
+            tail = tiny.primes[m + 1 : m + 1 + rem]
+            assert products == (math.prod(p - 1 for p in tail), math.prod(tail))
     for room in (None, 1000, 4198, 4199, 10**30):
-        assert finiteness_bound(st5, tiny, room) == finiteness_bound(st5, table_100k, room), room
+        assert bound(st5, tiny, room) == bound(st5, table_100k, room), room
 
 
 def _tail_clears(st, tail):
@@ -325,7 +378,7 @@ def test_finiteness_bound_is_tight(table_100k):
     for st in sample:
         for rem in (1, 2, 3):
             probe = state(st.prefix, st.alpha, st.beta, st.gamma, rem)
-            v = finiteness_bound(probe, table_100k)
+            v = bound(probe, table_100k)
             i = all_primes.index(v)
             assert v >= probe.floor
             assert _tail_clears(probe, all_primes[i + 1 : i + 1 + rem])

@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import phi23.arith
+import phi23.equation
 import phi23.parallel
 import phi23.search
-from helpers import WALKS, brute_force_k, integer_root, simple_sieve, tight_limit_bound
+from helpers import WALKS, brute_force_k, index_of, integer_root, simple_sieve, tight_limit_bound
 from phi23.arith import build_prime_table, factorize
 from phi23.cli import main
 from phi23.equation import EquationState, Pruned, root_state
@@ -275,11 +276,12 @@ def _walk_record(monkeypatch, config):
     real_absorb = phi23.search.absorb_prime
     own_table = build_prime_table(1 << 17)
 
-    def bound_spy(state, table, room):
-        hi = real_bound(state, table, room)
+    def bound_spy(state, i, table, room):
+        assert table.primes[i] == state.floor, (state, i)
+        hi = real_bound(state, i, table, room)
         # the walk's primes up to hi come from this table without growing it
         assert hi <= table.limit, (state, hi, table.limit)
-        uncapped = real_bound(state, own_table)
+        uncapped = real_bound(state, i, own_table)
         if room is None:
             assert hi == uncapped <= table.limit, (state, uncapped, table.limit)
         else:
@@ -384,7 +386,7 @@ def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
     table = build_prime_table(1 << 17)
     emitted = 0
     for state in nodes:
-        i = table.index_of(state.floor)
+        i = index_of(table, state.floor)
         endgames.clear()
         fused_counters = SearchCounters()
         fused: list[tuple[int, ...]] = []
@@ -497,29 +499,42 @@ def fake_pool(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("walk", ["k1-6", "limit-1e14"])
-def test_walk_bisects_only_on_window_misses(monkeypatch, fake_pool, walk, threads):
-    # The walk takes every next prime at a known table index, so on one
-    # worker as on two it finds a floor's index only when a finiteness scan
-    # first opens a window there, and never looks its candidates up by value.
+def test_walk_looks_up_no_floor_by_value(monkeypatch, fake_pool, walk, threads):
+    # The walk takes every next prime at a known table index and hands each
+    # node its floor's index, so on one worker as on two it looks no floor
+    # and no candidate up by value.  Its one bisection per node finds where
+    # the candidates end: the index of the bound the node just got.  (The
+    # only other bisection, max_k_for_limit's, reads the k cap.)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    table_type = phi23.arith.PrimeTable
-    tables, index_calls = {}, []
-    real_index_of = table_type.index_of
+    assert not hasattr(phi23.arith.PrimeTable, "index_of")
+    for module in (phi23.arith, phi23.equation):
+        assert not any(name.startswith("bisect") for name in vars(module)), module
+    assert [name for name in vars(phi23.search) if name.startswith("bisect")] == ["bisect_right"]
+    bounds, lookups = [], []
+    real_bound = phi23.search.finiteness_bound
+    real_bisect = phi23.search.bisect_right
 
-    def index_spy(self, p):
-        tables[id(self)] = self
-        index_calls.append(p)
-        return real_index_of(self, p)
+    def bound_spy(state, i, table, room=None):
+        hi = real_bound(state, i, table, room)
+        if hi > state.floor:
+            bounds.append((table.primes, hi, i + 1))
+        return hi
 
-    monkeypatch.setattr(table_type, "index_of", index_spy)
+    def bisect_spy(a, x, lo=0, *args, **kwargs):
+        lookups.append((a, x, lo))
+        return real_bisect(a, x, lo, *args, **kwargs)
+
+    monkeypatch.setattr(phi23.search, "finiteness_bound", bound_spy)
+    monkeypatch.setattr(phi23.search, "bisect_right", bisect_spy)
     counters = SearchCounters()
     assert [s.n for s in solve(dataclasses.replace(WALKS[walk], threads=threads), counters)] == KNOWN_N
-    (table,) = tables.values()
-    assert len(index_calls) == len(table.windows)
-    assert sorted(index_calls) == sorted(floor for floor, _ in table.windows)
+    assert bounds
+    in_table = [lookup for lookup in lookups if lookup[0] is not phi23.search._SMALLEST_N_BY_K]
+    assert len(in_table) == len(bounds)
+    assert all(a is b and x == y and lo == k for (a, x, lo), (b, y, k) in zip(in_table, bounds))
     assert fake_pool == ([2] if threads == 2 else [])
     if walk == "limit-1e14":
-        assert (len(table.windows), counters.nodes_expanded) == (163, 10_560)
+        assert counters.nodes_expanded == 10_560
 
 
 def test_pool_size_is_capped_by_the_cores(monkeypatch, fake_pool):
