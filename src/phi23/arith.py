@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, isqrt
@@ -75,16 +76,14 @@ class PrimeTable:
     ``grow`` extends ``primes`` in place, so a caller holding the array sees
     the new primes.  ``tails`` holds the finiteness scan's tail products:
     for a count r, two lists whose entry m is prod(p - 1) and prod(p) over
-    the r primes after primes[m].  finiteness_bound extends them, one entry
-    at a time, only as far as its scans reach, so a run multiplies each
-    entry out once.  Growth only appends primes, so an entry never goes
-    stale.
+    the r primes after primes[m].  ``extend_tail`` alone makes their
+    entries.  Growth only appends primes, so an entry never goes stale.
     """
 
     primes: array
     limit: int
-    tails: dict[int, tuple[list[int], list[int]]] = field(
-        default_factory=dict, repr=False, compare=False
+    tails: defaultdict[int, tuple[list[int], list[int]]] = field(
+        default_factory=lambda: defaultdict(lambda: ([], [])), repr=False, compare=False
     )
 
     def grow(self) -> None:
@@ -99,6 +98,30 @@ class PrimeTable:
         bigger = build_prime_table(4 * self.limit)
         self.primes.extend(bigger.primes[len(self.primes) :])
         self.limit = bigger.limit
+
+    def extend_tail(self, r: int) -> None:
+        """Append the next entry, m, of the tail lists for r primes left.
+
+        The first entry is multiplied out; each later one rolls the last,
+        dividing primes[m] out of its products and multiplying primes[m + r]
+        in.  The table grows when the entry needs primes past its end.  The
+        finiteness scan calls this when it runs past the end of the lists,
+        so they reach exactly as far as the furthest scan of the run, and
+        the bound never depends on the table size.
+        """
+        primes = self.primes  # grow() extends this very array
+        m1s, ps = self.tails[r]
+        m = len(ps)
+        while m + r + 1 > len(primes):
+            self.grow()
+        if m:
+            old, new = primes[m], primes[m + r]
+            m1s.append(m1s[-1] // (old - 1) * (new - 1))
+            ps.append(ps[-1] // old * new)
+        else:
+            tail = primes[1 : 1 + r]
+            m1s.append(math.prod(p - 1 for p in tail))
+            ps.append(math.prod(tail))
 
 
 def build_prime_table(limit: int) -> PrimeTable:

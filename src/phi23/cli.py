@@ -27,6 +27,12 @@ from .search import SearchConfig, SearchCounters, solve, steinerberger_relevance
 __all__ = ["main", "run"]
 
 
+# Python's default limit on int-string conversion: a count with more digits
+# could not be printed, and converting one to int takes time quadratic in
+# its digits, so 1e1000000 is refused before it is converted.
+_MAX_COUNT_DIGITS = 4300
+
+
 def _parse_count(text: str) -> int:
     """Exact integer from plain or scientific notation; 1e14 stays exact."""
     try:
@@ -39,6 +45,8 @@ def _parse_count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not value.is_finite():
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    if value and value.adjusted() >= _MAX_COUNT_DIGITS:
+        raise argparse.ArgumentTypeError(f"a count has at most {_MAX_COUNT_DIGITS} digits")
     if value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(value)

@@ -153,8 +153,8 @@ def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
 
 
 def finiteness_bound(state: EquationState, i: int, table: PrimeTable, room: int | None = None) -> int:
-    """Inclusive upper bound for the next prime in any solution; i is the
-    index of state.floor in ``table``.
+    """Table index of the inclusive upper bound for the next prime in any
+    solution; i is the index of state.floor in ``table``.
 
     Scans consecutive-prime tails: if the next prime exceeded p_m, each of
     the ``remaining`` primes would be at least the corresponding entry of
@@ -163,8 +163,8 @@ def finiteness_bound(state: EquationState, i: int, table: PrimeTable, room: int 
         alpha * prod(tail_i - 1) > beta * prod(tail_i) + gamma
 
     holds the residual equation is unsatisfiable (the left side only grows
-    faster).  The first p_m where that happens is returned; it can equal
-    state.floor, in which case no admissible next prime exists.  All
+    faster).  The index m of the first p_m where that happens is returned;
+    it can be i, in which case no admissible next prime exists.  All
     comparisons are exact integer arithmetic.
 
     With a ``room`` (the walk passes limit_bound, the budget for the product
@@ -173,46 +173,26 @@ def finiteness_bound(state: EquationState, i: int, table: PrimeTable, room: int 
     past p_m brings at least prod(tail_i) into that product, and the scan
     also stops at the first p_m where prod(tail_i) > room.  Both tests are
     monotone in m, so the result is exactly the smaller of the uncapped
-    bound and the largest prime whose run of ``remaining`` consecutive
-    primes fits in room (state.floor when none does).
+    bound and the index of the largest prime whose run of ``remaining``
+    consecutive primes fits in room (i when none does).
 
     The tail products come from ``table.tails``, whose entry m for
     ``remaining`` primes covers the tail after primes[m], so a scan opens at
     entry i without looking the floor up and a step is two multiplications
-    and a comparison.  When the scan runs past the end of the lists, it
-    extends them one entry at a time, dividing one prime out of the last
-    entry's products and multiplying the next one in, and grows the table
-    when an entry needs primes past its end.  So the bound never depends on
-    the table size, and the lists reach exactly as far as the furthest scan
-    of the run.
+    and a comparison.  Past the end of the lists the scan asks
+    ``table.extend_tail`` for the next entry.
     """
-    primes = table.primes  # grow() extends this very array
     rem = state.remaining
-    tails = table.tails.get(rem)
-    if tails is None:
-        while rem + 1 > len(primes):
-            table.grow()
-        tail = primes[1 : 1 + rem]
-        tails = table.tails[rem] = [prod(p - 1 for p in tail)], [prod(tail)]
-    m1s, ps = tails
+    m1s, ps = table.tails[rem]
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
-    for m in range(i, len(ps)):
-        if alpha * m1s[m] > beta * ps[m] + gamma or (room is not None and ps[m] > room):
-            return primes[m]
-    # Past the lists: extend them an entry at a time, testing those from i on.
-    m = len(ps)
-    prod_m1, prod_p = m1s[-1], ps[-1]
+    m = i
     while True:
-        if m + rem + 1 > len(primes):
-            table.grow()
-        old, new = primes[m], primes[m + rem]
-        prod_m1 = prod_m1 // (old - 1) * (new - 1)
-        prod_p = prod_p // old * new
-        m1s.append(prod_m1)
-        ps.append(prod_p)
-        if m >= i and (alpha * prod_m1 > beta * prod_p + gamma or (room is not None and prod_p > room)):
-            return primes[m]
-        m += 1
+        if m >= len(ps):
+            table.extend_tail(rem)
+        elif alpha * m1s[m] > beta * ps[m] + gamma or (room is not None and ps[m] > room):
+            return m
+        else:
+            m += 1
 
 
 def limit_bound(state: EquationState, limit: int) -> int:

@@ -10,23 +10,20 @@ to the two-prime endgame, without building the child state.  Every emitted
 solution is re-verified against the original equation, independent of the
 search path that produced it.
 
-Each run builds one PrimeTable, which the bounds grow whenever they need
-primes past its end and in which they keep the tail products of their
-scans, extended only as far as a scan reaches.  The walk takes every next
-prime at a known index of that table and hands each node the index of its
-floor along with its state, so a node's bound scan opens at that index, its
-candidates are a range of table indices, and it looks no floor up by value.
-A task is such a (state, floor index) pair.
-``_walk_task`` is the one walk of a subtree task on any worker
-count; a serial run walks each k's whole tree as one task.  When
+Each run builds one PrimeTable, which keeps the tail products of the bound
+scans and grows when they need primes past its end.  The walk takes every
+next prime at a known index of that table and hands each node the index of
+its floor along with its state: the node's bound scan opens at that index
+and returns the index of the bound, so its candidates are a range of table
+indices and it looks nothing up by value.  A task is such a (state, floor
+index) pair, and ``_walk_task`` is the one walk of a subtree task on any
+worker count; a serial run walks each k's whole tree as one task.  When
 more than one worker may start, ``solve`` expands every k's tree
-breadth-first into independent subtree tasks, and stops at nodes with three
-primes left, so each tree level takes the same path on any worker count.
-It hands the tasks and the walk to ``phi23.parallel``, which forks the extra
-workers once for the whole run; every process, this one included, claims
-its next task through one shared pipe of task tokens and walks it with the
-run's prime table, which the forked workers inherit.  Results are merged in
-task order and sorted, so output does not depend on the worker count.
+breadth-first into independent subtree tasks, stopping at nodes with three
+primes left so that each tree level takes the same path on any worker
+count, and hands the tasks and the walk to ``phi23.parallel.run_tasks``
+(see there for how the workers share them).  Results come back in task
+order and are sorted, so output does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -208,7 +205,9 @@ def max_k_for_limit(limit: int) -> int:
     Raises ValueError for a limit beyond any supported search size.
     """
     if limit >= _SMALLEST_N_BY_K[-1]:
-        raise ValueError(f"limit {limit} is beyond any supported search size")
+        raise ValueError(
+            "limit is beyond any supported search size: it reaches the product of the primes 5..509"
+        )
     return bisect_right(_SMALLEST_N_BY_K, limit)
 
 
@@ -223,17 +222,15 @@ def _next_primes(
     """Count an internal node as expanded and return the table indices of its
     candidate next primes; i is the index of state.floor in the table."""
     counters.nodes_expanded += 1
-    hi = finiteness_bound(state, i, table, None if limit is None else limit_bound(state, limit))
-    if hi <= state.floor:
+    m = finiteness_bound(state, i, table, None if limit is None else limit_bound(state, limit))
+    if m == i:
         # Only the limit can close a branch here: the first run of `remaining`
         # primes past the floor already overflows the budget.  A child's first
         # finiteness test is the one its parent passed at the prime before it,
-        # so the uncapped finiteness_bound(state) > state.floor on every state
-        # the walk makes.
+        # so the uncapped finiteness_bound(state) > i on every state the walk
+        # makes.
         counters.prune_limit += 1
-        return range(0)
-    # hi is a prime of the table past the floor, so this ends just after it
-    return range(i + 1, bisect_right(table.primes, hi, i + 1))
+    return range(i + 1, m + 1)
 
 
 def _expand_node(
@@ -383,9 +380,10 @@ def search_exact_k(
     """All solutions with exactly k prime factors (and n <= limit if given).
 
     A serial walk; ``solve`` spreads a run over worker processes.  Unbounded
-    runs are refused for k > 6.  ``counters``, when supplied, is updated in
-    place; ``table`` is the prime table to walk with (a fresh one when not
-    supplied), and it grows in place when the walk needs more primes.
+    runs are refused for k > ``MAX_UNBOUNDED_K``.  ``counters``, when
+    supplied, is updated in place; ``table`` is the prime table to walk with
+    (a fresh one when not supplied), and it grows in place when the walk
+    needs more primes.
     """
     SearchConfig(k_min=k, k_max=k, limit=limit)  # validates the arguments
     if table is None:

@@ -4,7 +4,7 @@ The reference implementations share no code with the package: primality
 is plain trial division, the sieve is a separate odd-only implementation,
 and the pair oracles test the raw residual equation directly.
 rolling_finiteness_bound is a finiteness scan that keeps no tail lists; it
-uses the package's prime table, which it grows under finiteness_bound's
+uses the package's prime table, which it grows under PrimeTable.extend_tail's
 condition.  The state helpers at the end (absorb_chain and the one after
 it) drive the package's own state transition to build test inputs.
 """
@@ -63,14 +63,15 @@ def index_of(table: PrimeTable, p: int) -> int:
 
 
 def rolling_finiteness_bound(state: EquationState, table: PrimeTable, room: int | None = None) -> int:
-    """finiteness_bound by a rolling scan that keeps nothing between calls.
+    """finiteness_bound by a rolling scan that keeps nothing between calls:
+    the table index of the bound.
 
     Finds the floor's index by value, multiplies out the tail of
     ``remaining`` primes after it and rolls both products one prime at a
     time: each step divides out the prime it leaves and multiplies in the
     one it reaches.  The table grows when the floor or a tail lies past its
-    end, under the condition finiteness_bound uses, so the two leave the
-    same table behind.
+    end, under the condition PrimeTable.extend_tail uses, so the two leave
+    the same table behind.
     """
     primes = table.primes
     rem = state.remaining
@@ -84,7 +85,7 @@ def rolling_finiteness_bound(state: EquationState, table: PrimeTable, room: int 
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
     while True:
         if alpha * prod_m1 > beta * prod_p + gamma or (room is not None and prod_p > room):
-            return primes[i]
+            return i
         i += 1
         old = primes[i]
         if i + rem + 1 > len(primes):

@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import time
 from itertools import count
 
 import pytest
@@ -228,6 +229,21 @@ def test_search_oversized_limit_is_a_usage_error(capsys):
     assert err.startswith("error: limit ")
     assert "beyond any supported search size" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("search", "--limit", "1e1000000"), ("search", "--limit", "1e100000"), ("check", "1e5000")],
+)
+def test_counts_past_the_digit_cap_are_usage_errors(capsys, args):
+    # refused before the int conversion, whose time is quadratic in the
+    # digits, and before a count too long for str() is printed
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, *args)
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err.endswith(": a count has at most 4300 digits\n"), err
+    assert "Traceback" not in err
 
 
 def test_scan_text_matches_search(capsys):

@@ -50,8 +50,9 @@ def table_100k():
 
 
 def bound(st, table, room=None):
-    """finiteness_bound from st.floor, its table index found by value."""
-    return finiteness_bound(st, index_of(table, st.floor), table, room)
+    """The prime at finiteness_bound's index, scanned from st.floor, whose
+    table index is found by value."""
+    return table.primes[finiteness_bound(st, index_of(table, st.floor), table, room)]
 
 
 def state(prefix, alpha, beta, gamma, remaining):
@@ -318,10 +319,9 @@ def test_opening_windows_are_exact(monkeypatch, config):
 
     def spy(st, i, table, room=None):
         tables[id(table)] = table
-        hi = real(st, i, table, room)
-        m = index_of(table, hi)
+        m = real(st, i, table, room)
         furthest[st.remaining] = max(furthest.get(st.remaining, m), m)
-        return hi
+        return m
 
     monkeypatch.setattr(phi23.search, "finiteness_bound", spy)
     solve(config)

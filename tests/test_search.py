@@ -7,7 +7,6 @@ import json
 import os
 import signal
 import types
-from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -84,6 +83,8 @@ def test_config_validation():
         SearchConfig(limit=-1)
     with pytest.raises(ValueError):
         SearchConfig(limit=10**250)  # beyond any supported search size
+    with pytest.raises(ValueError, match="beyond any supported search size"):
+        SearchConfig(limit=10**5000)  # past the int-string limit, so never printed
     # ks is the k range a run searches: capped by the limit, may be empty
     assert SearchConfig().ks == range(1, 7)
     assert SearchConfig(limit=10**10).ks == range(1, 9)
@@ -278,10 +279,11 @@ def _walk_record(monkeypatch, config):
 
     def bound_spy(state, i, table, room):
         assert table.primes[i] == state.floor, (state, i)
-        hi = real_bound(state, i, table, room)
+        m = real_bound(state, i, table, room)
+        hi = table.primes[m]
         # the walk's primes up to hi come from this table without growing it
         assert hi <= table.limit, (state, hi, table.limit)
-        uncapped = real_bound(state, i, own_table)
+        uncapped = own_table.primes[real_bound(state, i, own_table)]
         if room is None:
             assert hi == uncapped <= table.limit, (state, uncapped, table.limit)
         else:
@@ -293,10 +295,9 @@ def _walk_record(monkeypatch, config):
             assert hi <= min(uncapped, integer_root(room, state.remaining)), (state, room, hi)
         bounds.append((state, uncapped))
         if state.remaining == 3:
-            primes = table.primes
-            for q in primes[bisect_right(primes, state.floor) : bisect_right(primes, hi)]:
+            for q in table.primes[i + 1 : m + 1]:
                 absorbed.append((state, q, real_absorb(state, q)))
-        return hi
+        return m
 
     def absorb_spy(state, q):
         out = real_absorb(state, q)
@@ -500,38 +501,34 @@ def fake_pool(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("walk", ["k1-6", "limit-1e14"])
 def test_walk_looks_up_no_floor_by_value(monkeypatch, fake_pool, walk, threads):
-    # The walk takes every next prime at a known table index and hands each
-    # node its floor's index, so on one worker as on two it looks no floor
-    # and no candidate up by value.  Its one bisection per node finds where
-    # the candidates end: the index of the bound the node just got.  (The
-    # only other bisection, max_k_for_limit's, reads the k cap.)
+    # The walk takes every next prime at a known table index, hands each
+    # node its floor's index and gets the node's bound back as an index, so
+    # on one worker as on two it looks nothing up by value: it makes no
+    # bisection at all.  phi23.search keeps bisect_right for
+    # max_k_for_limit's k cap only.
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     assert not hasattr(phi23.arith.PrimeTable, "index_of")
     for module in (phi23.arith, phi23.equation):
         assert not any(name.startswith("bisect") for name in vars(module)), module
     assert [name for name in vars(phi23.search) if name.startswith("bisect")] == ["bisect_right"]
-    bounds, lookups = [], []
-    real_bound = phi23.search.finiteness_bound
+    lookups, k_caps = [], []
     real_bisect = phi23.search.bisect_right
+    real_max_k = phi23.search.max_k_for_limit
 
-    def bound_spy(state, i, table, room=None):
-        hi = real_bound(state, i, table, room)
-        if hi > state.floor:
-            bounds.append((table.primes, hi, i + 1))
-        return hi
+    def bisect_spy(a, *args, **kwargs):
+        lookups.append(a)
+        return real_bisect(a, *args, **kwargs)
 
-    def bisect_spy(a, x, lo=0, *args, **kwargs):
-        lookups.append((a, x, lo))
-        return real_bisect(a, x, lo, *args, **kwargs)
+    def max_k_spy(limit):
+        k_caps.append(limit)
+        return real_max_k(limit)
 
-    monkeypatch.setattr(phi23.search, "finiteness_bound", bound_spy)
     monkeypatch.setattr(phi23.search, "bisect_right", bisect_spy)
+    monkeypatch.setattr(phi23.search, "max_k_for_limit", max_k_spy)
     counters = SearchCounters()
     assert [s.n for s in solve(dataclasses.replace(WALKS[walk], threads=threads), counters)] == KNOWN_N
-    assert bounds
-    in_table = [lookup for lookup in lookups if lookup[0] is not phi23.search._SMALLEST_N_BY_K]
-    assert len(in_table) == len(bounds)
-    assert all(a is b and x == y and lo == k for (a, x, lo), (b, y, k) in zip(in_table, bounds))
+    assert len(lookups) == len(k_caps)
+    assert all(a is phi23.search._SMALLEST_N_BY_K for a in lookups)
     assert fake_pool == ([2] if threads == 2 else [])
     if walk == "limit-1e14":
         assert counters.nodes_expanded == 10_560
