@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 check verdict negative, 2 usage error (also a
 search whose bounds need primes past the prime table's sieve cap), 3
 factoring gave up (a search is then incomplete, a check reaches no verdict).
-A usage error prints the message of the check that owns the rule:
-SearchConfig for k and threads, the oracle's sieve for the scan limit,
-check_single for check's n.
+A usage error prints one ``error: `` line, the message of the check that
+owns the rule: the parser for the command line's shape and the count
+syntax, SearchConfig for k and threads, the oracle's sieve for the scan
+limit, check_single for check's n.
 Solutions are printed only after a search completes, so an interrupted run
 never emits a partial result.
 """
@@ -36,10 +37,6 @@ _MAX_COUNT_DIGITS = 4300
 def _parse_count(text: str) -> int:
     """Exact integer from plain or scientific notation; 1e14 stays exact."""
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
         value = decimal.Decimal(text)
     except decimal.InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
@@ -64,6 +61,13 @@ def _solution_line(n: int, factors: tuple[int, ...], relevance: bool, fmt: str) 
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports its own refusals as usage errors; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise SystemExit(_usage_error(message))
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -151,7 +155,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use: building it costs
     several times what parsing with it does."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phi23",
         description="Find every n with phi(n) = (2/3)(n+1): "
         "exhaustive pruned search plus a brute-force cross-check.",
@@ -194,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code  # 0 after --help, 2 after a refusal
     try:
         return args.func(args)
     except FactoringError as exc:

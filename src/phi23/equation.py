@@ -315,8 +315,9 @@ def two_prime_solve(
     tried q, though it is the cheaper of the two on large targets.  Most
     endgames of a walk have no scan step at all: no q in [lo, mid] and no
     sum of the class in [s_lo, s_hi].  Such a call returns right after its
-    bounds, without the residue filter or the sort, as does any scan that
-    meets no divisor.
+    bounds, as does any scan that meets no divisor.  The pairs come out by
+    ascending q unsorted: divisors() ascends, and the scan tries [lo, mid]
+    upward, then (mid, hi] by descending sum.
 
     ``counters`` (optional) receives the limit and congruence prunes and
     which source ran; ``trace`` (optional) collects (f1, f2, q, r, verdict)
@@ -388,7 +389,7 @@ def two_prime_solve(
         if counters is not None:
             counters.endgame_scan += 1
         if not divisors:
-            # nothing to filter, trace or sort
+            # nothing to filter or trace
             return []
     elif strategy == "factor":
         divisors = factorize(target).divisors()
@@ -426,7 +427,6 @@ def two_prime_solve(
             trace.append((f1, f2, q, r, verdict))
         if verdict == "accepted":
             out.append((q, r))
-    out.sort()
     return out
 
 

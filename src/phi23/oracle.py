@@ -26,7 +26,7 @@ __all__ = [
     "check_single",
 ]
 
-# One int64 per index; anything bigger belongs to the solver path.
+# The scan peaks at two int64 words per index; anything bigger belongs to the solver path.
 SCAN_LIMIT_CAP = 200_000_000
 
 
@@ -58,9 +58,9 @@ def scan_solutions(limit: int) -> list[int]:
     import numpy as np
 
     phi = totient_sieve(limit)
-    n = np.arange(limit + 1, dtype=np.int64)
-    hits = np.flatnonzero(3 * phi == 2 * (n + 1))
-    return [int(v) for v in hits if v >= 1]
+    phi *= 3
+    phi -= np.arange(2, 2 * limit + 3, 2)
+    return np.flatnonzero(phi == 0).tolist()
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 from itertools import accumulate
 from math import gcd
 from operator import mul
-from typing import Callable
+from typing import Callable, Iterable
 
 from .arith import FactoringError, PrimeTable, build_prime_table, is_prime
 from .equation import (
@@ -189,7 +189,6 @@ class Solution:
             tot *= q - 1
         if 3 * tot != 2 * n + 2:
             raise ValueError(f"factors {factors} do not satisfy the equation")
-        # no n mod 6 test: with distinct primes >= 5 the equation forces n odd and 3 | n + 1
         return cls(n=n, factors=tuple(factors), k=len(factors))
 
 
@@ -347,6 +346,18 @@ def _walk_task(
     return found, counters
 
 
+def _solutions(
+    results: Iterable[tuple[list[tuple[int, ...]], SearchCounters]], counters: SearchCounters | None
+) -> list[Solution]:
+    """The verified solutions of walked (found, counters) results, by n."""
+    out = []
+    for found, walked in results:
+        out.extend(Solution.from_factors(f) for f in found)
+        if counters is not None:
+            counters.merge(walked)
+    return sorted(out, key=lambda s: s.n)
+
+
 # ---------------------------------------------------------------------------
 # Parallel driver
 # ---------------------------------------------------------------------------
@@ -388,12 +399,7 @@ def search_exact_k(
     SearchConfig(k_min=k, k_max=k, limit=limit)  # validates the arguments
     if table is None:
         table = build_prime_table(_INITIAL_TABLE_LIMIT)
-    found, walked = _walk_task((root_state(k), _ROOT_FLOOR_INDEX), limit, table)
-    if counters is not None:
-        counters.merge(walked)
-    solutions = [Solution.from_factors(f) for f in found]
-    solutions.sort(key=lambda s: s.n)
-    return solutions
+    return _solutions([_walk_task((root_state(k), _ROOT_FLOOR_INDEX), limit, table)], counters)
 
 
 def solve(config: SearchConfig, counters: SearchCounters | None = None) -> list[Solution]:
@@ -408,22 +414,17 @@ def solve(config: SearchConfig, counters: SearchCounters | None = None) -> list[
         counters = SearchCounters()
     ks = config.ks
     table = build_prime_table(_INITIAL_TABLE_LIMIT)
-    out: list[Solution] = []
     workers = config.workers
     if workers == 1:
         # Through the module global, so a wrapper around search_exact_k sees every k.
-        for k in ks:
-            out.extend(search_exact_k(k, config.limit, counters, table))
-    else:
-        want = 4 * workers
-        tasks = [s for k in ks for s in _make_tasks(root_state(k), config.limit, table, counters, want)]
-        if tasks:
-            # Imported here: a serial run never loads the driver.
-            from .parallel import run_tasks
+        out = [s for k in ks for s in search_exact_k(k, config.limit, counters, table)]
+        return sorted(out, key=lambda s: s.n)
+    want = 4 * workers
+    tasks = [s for k in ks for s in _make_tasks(root_state(k), config.limit, table, counters, want)]
+    if not tasks:
+        return []
+    # Imported here: a serial run never loads the driver.
+    from .parallel import run_tasks
 
-            walk = functools.partial(_walk_task, limit=config.limit, table=table)
-            for found, walked in run_tasks(tasks, walk, min(workers, len(tasks))):
-                out.extend(Solution.from_factors(f) for f in found)
-                counters.merge(walked)
-    out.sort(key=lambda s: s.n)
-    return out
+    walk = functools.partial(_walk_task, limit=config.limit, table=table)
+    return _solutions(run_tasks(tasks, walk, min(workers, len(tasks))), counters)

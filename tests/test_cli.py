@@ -394,6 +394,35 @@ def test_non_finite_counts_are_usage_errors(capsys, args):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (),
+        ("bogus",),
+        ("search", "--limit", "inf"),
+        ("search", "--limit", "1e1000000"),
+        ("search", "--k", "x"),
+        ("search", "--format", "yaml"),
+        ("check",),
+        ("check", "-1e5"),
+        ("search", "--limit", "-1e5"),
+    ],
+)
+def test_every_refusal_is_one_error_line(capsys, args):
+    # the parser's own refusals too, not only those of the rules' owners
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1_000", 1000), (" 12 ", 12), ("+7", 7), ("1.5e3", 1500), ("5.", 5), ("\u0661\u0662\u0663", 123)],
+)
+def test_count_forms(text, value):
+    assert phi23.cli._parse_count(text) == value
+
+
 def test_factoring_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(phi23.equation, "factorize", give_up)
     # the endgame after (5, 7, 37) takes 1295 scan steps, far above 1678321**(1/4) = 35

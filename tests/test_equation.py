@@ -785,6 +785,14 @@ def test_two_prime_strategy_edges(strategy):
     twin = state((), 2, 1, 97, 2)  # target 99 = 9 * 11
     assert two_prime_solve(*two_prime_args(twin), limit=143, strategy=strategy) == [(11, 13)]
     assert two_prime_solve(*two_prime_args(twin), limit=142, strategy=strategy) == []
+    # two pairs each, by ascending q without a sort (floor 3, prefix product 1):
+    # targets 65 = 1 * 65 = 5 * 13 and 35 = 1 * 35 = 5 * 7, both pairs tried q;
+    # then a tried q and one found by its sum (split (5, 6, 8)), and two found
+    # by their sums (split (20, 28, 38)), which the scan meets by descending sum
+    assert two_prime_solve(9, 7, 1, 3, 1, strategy=strategy) == [(5, 37), (7, 11)]
+    assert two_prime_solve(6, 5, 5, 3, 1, strategy=strategy) == [(7, 41), (11, 13)]
+    assert two_prime_solve(13, 10, 10, 3, 1, strategy=strategy) == [(5, 31), (7, 11)]
+    assert two_prime_solve(97, 92, 116, 3, 1, strategy=strategy) == [(29, 59), (37, 41)]
 
 
 def test_two_prime_rejects_unknown_strategy():

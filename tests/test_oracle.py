@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,19 @@ def test_scan_solutions_known():
     assert scan_solutions(5) == [5]
     assert scan_solutions(4) == []
     assert scan_solutions(1) == []
+
+
+def test_scan_peaks_at_two_words_per_index():
+    # the sieve's int64 phi plus one int64 array to compare it with in place
+    limit = 1_000_000
+    scan_solutions(100)  # numpy's one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        scan_solutions(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * limit, peak / limit
 
 
 def test_scan_results_are_square_free_and_5_mod_6():
