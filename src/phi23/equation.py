@@ -267,15 +267,29 @@ def two_prime_solve(
     of the target and maps admissible ones back to (q, r) = ((f1 + alpha)
     / delta, (f2 + alpha) / delta) with f2 = target / f1.  Negative factor
     pairs of the target need no consideration: delta*q - alpha < 0 forces a
-    negative partner r.  When a limit is given, targets too large for any
-    n <= limit are rejected before anything else, and each surviving pair
-    must keep n <= limit.
+    negative partner r.
+
+    When a limit is given, each pair must keep n = prefix_product*q*r <=
+    limit, and an endgame whose every pair breaks it is closed before its
+    divisors are sought (the limit pre-check).  Since f1*f2 = target with
+    f1, f2 > 0, AM-GM gives f1 + f2 >= 2*sqrt(target), and
+
+        q*r = (target + alpha*(f1 + f2) + alpha**2) / delta**2
+            >= ((sqrt(target) + alpha) / delta)**2
+            >= ((rt + alpha) / delta)**2,   rt = isqrt(target),
+
+    so the endgame is closed when prefix_product*(rt + alpha)**2 >
+    delta**2*limit, and kept at equality.  That also closes every endgame
+    with target*prefix_product >= delta**2*limit, since target < (rt + 1)**2
+    <= (rt + alpha)**2.
 
     The divisors come from one of two sources.  "factor" factors the target
     and walks all its divisors.  "scan" finds every divisor f1 = delta*q -
     alpha with q an integer in lo <= q <= hi, where lo > floor keeps f1 >= 1
-    and hi keeps f1 <= sqrt(target) and, with a limit, q*q <= limit /
-    prefix_product.  It works from both ends of that range, split at mid =
+    and hi = (rt + alpha) // delta keeps f1 <= sqrt(target).  The limit need
+    not cap hi: past the pre-check, hi**2 <= ((rt + alpha) / delta)**2 <=
+    limit / prefix_product, so q*q <= limit / prefix_product already holds.
+    The scan works from both ends of that range, split at mid =
     (isqrt(target // delta) + alpha) // delta clipped to at most hi, then to
     at least lo - 1 (so the range is empty when hi < lo), where f1 is about
     sqrt(target / delta):
@@ -309,15 +323,16 @@ def two_prime_solve(
     target**(1/4), Brent rho's iteration count on a worst-case split, and
     factors the target otherwise.  The count is never negative (mid >= lo -
     1, and S falls on (mid, hi], so s_hi >= s_lo - 1), and for steps >= 0
-    the exact test steps**4 <= target holds exactly when steps <=
-    floor(target**(1/4)).  ``strategy`` forces one source (tests
-    cross-check the two with it).  The rule prices a sieved sum step like a
-    tried q, though it is the cheaper of the two on large targets.  Most
-    endgames of a walk have no scan step at all: no q in [lo, mid] and no
-    sum of the class in [s_lo, s_hi].  Such a call returns right after its
-    bounds, as does any scan that meets no divisor.  The pairs come out by
-    ascending q unsorted: divisors() ascends, and the scan tries [lo, mid]
-    upward, then (mid, hi] by descending sum.
+    the test steps*steps <= rt, on the root the pre-check took, holds exactly
+    when steps**4 <= target, that is when steps <= floor(target**(1/4)).
+    ``strategy`` forces one source (tests cross-check the two with it).  The
+    rule prices a sieved sum step like a tried q, though it is the cheaper
+    of the two on large targets.  Most endgames of a walk past the limit
+    pre-check have no scan step at all: no q in [lo, mid] and no sum of the
+    class in [s_lo, s_hi].  Such a call returns right after its bounds, as
+    does any scan that meets no divisor.  The pairs come out by ascending q
+    unsorted: divisors() ascends, and the scan tries [lo, mid] upward, then
+    (mid, hi] by descending sum.
 
     ``counters`` (optional) receives the limit and congruence prunes and
     which source ran; ``trace`` (optional) collects (f1, f2, q, r, verdict)
@@ -331,23 +346,21 @@ def two_prime_solve(
     delta = alpha - beta
     target = alpha * beta + gamma * delta
     b = prefix_product
-    if limit is not None and target * b >= delta * delta * limit:
-        # No n <= limit can reach this target; skip finding its divisors.
+    rt = isqrt(target)
+    if limit is not None and b * (rt + alpha) ** 2 > delta * delta * limit:
+        # Every pair has b*q*r >= b*((rt + alpha) / delta)**2 > limit (see
+        # above); skip finding the target's divisors.
         if counters is not None:
             counters.prune_limit += 1
         return []
 
-    # f1 >= 1 and q > floor bound q from below; f1 <= sqrt(target) and,
-    # with a limit, b*q*r <= limit with q < r bound it from above.  (Plain
-    # comparisons rather than max/min: most calls end right after these.)
+    # f1 >= 1 and q > floor bound q from below, f1 <= sqrt(target) from
+    # above.  (Plain comparisons rather than max/min: most calls end right
+    # after these.)
     lo = alpha // delta + 1
     if lo <= floor:
         lo = floor + 1
-    hi = (isqrt(target) + alpha) // delta
-    if limit is not None:
-        cap = isqrt(limit // b)
-        if cap < hi:
-            hi = cap
+    hi = (rt + alpha) // delta
     # q in [lo, mid] are tried one by one, q in (mid, hi] found through their
     # sums q + r, which fill [s_lo, s_hi] (see above).
     mid = (isqrt(target // delta) + alpha) // delta
@@ -365,7 +378,7 @@ def two_prime_solve(
         # Brent rho needs about target**(1/4) iterations on a worst-case
         # split, so taking at most that many steps is never dearer.
         steps = (mid - lo + 1) + (s_hi - s_lo) // delta + 1
-        strategy = "scan" if steps**4 <= target else "factor"
+        strategy = "scan" if steps * steps <= rt else "factor"
     if strategy == "scan":
         # Every integer q, not just primes, so a composite q is traced as such.
         divisors = []

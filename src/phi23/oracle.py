@@ -38,7 +38,7 @@ def totient_sieve(limit: int) -> np.ndarray:
         raise ValueError(f"need limit >= 1, got {limit}")
     if limit > SCAN_LIMIT_CAP:
         raise ValueError(
-            f"scan limit capped at {SCAN_LIMIT_CAP} (one word per index); "
+            f"scan limit capped at {SCAN_LIMIT_CAP} (two words per index); "
             "use 'search --limit' beyond that"
         )
     composite = np.zeros(limit + 1, dtype=bool)

@@ -34,7 +34,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import accumulate
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 from typing import Callable, Iterable
 
@@ -91,17 +91,20 @@ class SearchCounters:
     nodes_expanded counts visited states (internal and endgame).  The
     endgames a node with three primes left solves without building their
     states (see _solve_last_level) count too: every counter ticks as if
-    those states were built.  prune_limit ticks when not even the first
-    ``remaining`` consecutive primes past the floor fit under the limit (or
-    an endgame target is out of reach).  prune_corollary counts candidate
-    primes q with p | q - 1 for a prefix prime p, which the gcd test of
-    absorb_prime rejects (the paper's second theorem), and prune_infeasible
-    those whose normalized alpha <= beta; congruence counts divisor pairs
-    discarded by the endgame residue filter, which only factored endgames
-    see.  endgame_scan and endgame_factor count the two-prime endgames past
-    the limit check by how they found their divisors: the two-sided scan
-    (small q tried one by one, the rest found through their sums q + r; see
-    two_prime_solve) or factoring.
+    those states were built.  prune_limit ticks when the limit leaves a node
+    no candidate (not even the first ``remaining`` consecutive primes past
+    the floor fit under it or, with three primes left, no candidate's
+    endgame can reach n <= limit; see _next_primes) and when an endgame's
+    least pair product is out of reach (see two_prime_solve).  Candidates
+    the limit removes from a node that keeps some are not counted.
+    prune_corollary counts candidate primes q with p | q - 1 for a prefix
+    prime p, which the gcd test of absorb_prime rejects (the paper's second
+    theorem), and prune_infeasible those whose normalized alpha <= beta;
+    congruence counts divisor pairs discarded by the endgame residue filter,
+    which only factored endgames see.  endgame_scan and endgame_factor count
+    the two-prime endgames past the limit check by how they found their
+    divisors: the two-sided scan (small q tried one by one, the rest found
+    through their sums q + r; see two_prime_solve) or factoring.
     """
 
     nodes_expanded: int = 0
@@ -219,12 +222,34 @@ def _next_primes(
     state: EquationState, i: int, limit: int | None, table: PrimeTable, counters: SearchCounters
 ) -> range:
     """Count an internal node as expanded and return the table indices of its
-    candidate next primes; i is the index of state.floor in the table."""
+    candidate next primes; i is the index of state.floor in the table.
+
+    With three primes left and a limit, the candidates are also cut where
+    the least n of the child's endgame passes the limit.  With Delta = alpha
+    - beta, b = prefix_product and g the gcd absorb_prime divides out, the
+    child at q has alpha' = alpha*(q - 1) / g, delta' = (Delta*q - alpha) / g
+    and target' = (alpha*beta*q*(q - 1) + gamma*(Delta*q - alpha)) / g**2, so
+    two_prime_solve's least n for it, b*q*((sqrt(target') + alpha') /
+    delta')**2, does not depend on g.  As sqrt(target') >=
+    sqrt(alpha*beta)*(q - 1) and, for a q absorb_prime keeps, 0 < Delta*q -
+    alpha < Delta*q, every n of that child exceeds b*K0**2*(q - 1)**2 /
+    (Delta**2*q), K0 = isqrt(alpha*beta) + alpha, which rises with q.  So the
+    bound's index steps down while that exceeds the limit; a q at equality
+    is kept.
+    """
     counters.nodes_expanded += 1
     m = finiteness_bound(state, i, table, None if limit is None else limit_bound(state, limit))
+    if state.remaining == 3 and limit is not None:
+        alpha, beta = state.alpha, state.beta
+        c = state.prefix_product * (isqrt(alpha * beta) + alpha) ** 2
+        e = (alpha - beta) ** 2 * limit
+        primes = table.primes
+        while m > i and c * (primes[m] - 1) ** 2 > e * primes[m]:
+            m -= 1
     if m == i:
         # Only the limit can close a branch here: the first run of `remaining`
-        # primes past the floor already overflows the budget.  A child's first
+        # primes past the floor already overflows the budget, or, with three
+        # left, no child's endgame can reach n <= limit.  A child's first
         # finiteness test is the one its parent passed at the prime before it,
         # so the uncapped finiteness_bound(state) > i on every state the walk
         # makes.

@@ -360,7 +360,7 @@ def test_usage_error_messages(capsys):
         (("scan", "--limit", "0"), "need limit >= 1, got 0"),
         (
             ("scan", "--limit", "2.5e8"),
-            "scan limit capped at 200000000 (one word per index); use 'search --limit' beyond that",
+            "scan limit capped at 200000000 (two words per index); use 'search --limit' beyond that",
         ),
         (("check", "0"), "need n >= 1, got 0"),
     ],

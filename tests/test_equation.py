@@ -522,8 +522,9 @@ def test_two_prime_default_strategy():
         ((1440, 1309, 1, 17, 1309), (18, 17, 21), True),
         # lo = 104 > mid = 103, and no integer sum lies in (mid, hi] = (103, 109]
         ((3672, 3605, 1, 103, 3605), (104, 103, 109), False),
-        # the limit caps hi at 1150, below lo = 1151
-        ((75613824, 75548095, 1, 307, 75548095), (1151, 1150, 1150), False),
+        # the same kind, kept by the limit pre-check: its least n,
+        # b*((isqrt(target) + alpha) / delta)**2, is 9.44e13
+        ((177420672, 176935115, 1, 719, 176935115), (720, 719, 730), False),
         # not from the walk: the floor puts lo = 101 far past hi = 5, so mid
         # clips to lo - 1 and the step count is 0, not 5 - 101 + 1 = -95,
         # whose fourth power would pass the target 8 and choose factoring
@@ -534,7 +535,7 @@ def test_two_prime_zero_step_endgames(monkeypatch, args, split, sums_in_range):
     # endgames (all but the last of the 1e14 walk) whose scan has no step: no
     # q to try and no sum of the class to step; they return after their bounds
     limit = 10**14
-    assert _scan_split(args, limit) == split
+    assert _scan_split(args) == split
     _assert_strategies_agree(args, limit)
 
     def boom(*_):
@@ -595,6 +596,41 @@ def test_two_prime_limit_cut_skips_factoring(monkeypatch):
     assert counters.prune_limit == 1
 
 
+@pytest.mark.parametrize(
+    "args, limit, closed",
+    [
+        # the root's target 8, rt = isqrt(8) = 2, delta 1: b*(rt + alpha)**2 = 25
+        ((3, 2, 2, 3, 1), 25, False),
+        ((3, 2, 2, 3, 1), 24, True),
+        # target 39, rt = 6, delta 2: 4 * (6 + 7)**2 = 676 = 2**2 * 169
+        ((7, 5, 2, 3, 4), 169, False),
+        ((7, 5, 2, 3, 4), 168, True),
+        # an endgame of the 1e14 walk whose pairs all have n >= 3.99e14 though
+        # target*b < delta**2*limit: the target test alone let it scan
+        ((75613824, 75548095, 1, 307, 75548095), 10**14, True),
+    ],
+)
+def test_two_prime_limit_precheck_boundary(monkeypatch, args, limit, closed):
+    # The pre-check closes an endgame exactly when b*(isqrt(target) + alpha)**2
+    # > delta**2*limit, and then finds no divisor; at equality it runs.
+    alpha, beta, gamma, _, b = args
+    delta = alpha - beta
+    rt = math.isqrt(endgame_params(state((), alpha, beta, gamma, 2)).target)
+    assert (b * (rt + alpha) ** 2 > delta**2 * limit) == closed
+    reference = [(q, r) for q, r in two_prime_solve(*args) if b * q * r <= limit]
+    assert reference == []
+    if closed:
+        def boom(*_):
+            raise AssertionError("a closed endgame sought divisors")
+
+        monkeypatch.setattr(phi23.equation, "factorize", boom)
+        monkeypatch.setattr(phi23.equation, "_square_steps", boom)
+    counters = SearchCounters()
+    assert two_prime_solve(*args, limit, counters) == []
+    assert counters.prune_limit == closed
+    assert counters.endgame_scan + counters.endgame_factor == (not closed)
+
+
 def test_two_prime_requires_two_remaining():
     with pytest.raises(ValueError):
         two_prime_solve(*two_prime_args(root_state(3)))
@@ -613,17 +649,15 @@ def test_two_prime_matches_linear_scan(prime_set_100k, primes_100k):
         assert got == want, (st.prefix, st.alpha, st.beta, st.gamma)
 
 
-def _scan_split(args, limit):
+def _scan_split(args):
     """(lo, mid, hi) of the scan: q in [lo, mid] are tried one by one, q in
-    (mid, hi] through their sum q + r.  hi keeps f1 <= sqrt(target) and
-    q*q <= limit / b, mid keeps f1 <= about sqrt(target / delta)."""
-    alpha, beta, gamma, floor, b = args
+    (mid, hi] through their sum q + r.  hi keeps f1 <= sqrt(target), mid
+    keeps f1 <= about sqrt(target / delta); a limit moves neither."""
+    alpha, beta, gamma, floor, _ = args
     params = endgame_params(state((), alpha, beta, gamma, 2))
     delta, target = params.delta, params.target
     lo = max(floor + 1, alpha // delta + 1)
     hi = (math.isqrt(target) + alpha) // delta
-    if limit is not None:
-        hi = min(hi, math.isqrt(limit // b))
     mid = max(min((math.isqrt(target // delta) + alpha) // delta, hi), lo - 1)
     return lo, mid, hi
 
@@ -641,7 +675,7 @@ def _assert_strategies_agree(args, limit=None):
     where = (args, limit)
     assert scan == factor, where
     assert scan_counters.prune_congruence == 0, where
-    hi = _scan_split(args, limit)[2]
+    hi = _scan_split(args)[2]
     assert scan_trace == [
         t for t in factor_trace if t[4] not in ("congruence", "floor") and t[2] <= hi
     ], where
@@ -649,7 +683,10 @@ def _assert_strategies_agree(args, limit=None):
 
 def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
     # every endgame of the walks, whether the walk solved it from a state or
-    # from the coefficients of a child it did not build
+    # from the coefficients of a child it did not build.  On a limited walk
+    # the limit only drops pairs: the limited call returns the unlimited
+    # call's pairs with b*q*r <= limit, and the unlimited call, which runs no
+    # limit pre-check, is the reference for the closed endgames.
     calls = []
     real = phi23.search.two_prime_solve
 
@@ -660,10 +697,19 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
     monkeypatch.setattr(phi23.search, "two_prime_solve", spy)
     solve(SearchConfig(k_min=1, k_max=6))
     solve(SearchConfig(limit=10**12))
+    solve(SearchConfig(limit=10**13))
     solve(SearchConfig(limit=10**14))
     assert len(calls) > 10_000
+    closed = 0
     for args, limit in calls:
         _assert_strategies_agree(args, limit)
+        if limit is not None:
+            counters = SearchCounters()
+            got = two_prime_solve(*args, limit, counters)
+            assert got == [(q, r) for q, r in two_prime_solve(*args) if args[4] * q * r <= limit], args
+            closed += counters.prune_limit
+    # endgames of the 1e12, 1e13 and 1e14 walks that the pre-check closes
+    assert closed == 4841
     for alpha, beta, gamma in random_endgame_coefficients():
         _assert_strategies_agree((alpha, beta, gamma, 3, 1))
     # the cases of test_two_prime_strategy_edges
@@ -739,13 +785,15 @@ def test_every_primality_argument_is_in_the_proven_range(monkeypatch):
         ((25, 22, 190), None, (9, 14, 19), [9, 10, 11, 13, 15, 19]),
         # square target 121, delta 4: f1 = f2 = 11 at q = hi, found by its sum
         ((13, 9, 1), None, (4, 4, 6), [6]),
-        # the limit caps hi at isqrt(16) = 4, below the uncapped mid 5
-        ((7, 5, 2), 16, (4, 4, 4), [4]),
+        # target 8 and b = 1 at the limit where the pre-check holds with
+        # equality, b*(isqrt(8) + 3)**2 = 25 = delta**2*limit: the endgame is
+        # kept and scans its whole range, whose pairs (4, 11), (5, 7) break it
+        ((3, 2, 2), 25, (4, 5, 5), [4, 5]),
     ],
 )
 def test_two_prime_scan_split_edges(coefficients, limit, split, qs):
     st = state((), *coefficients, 2)
-    assert _scan_split(two_prime_args(st), limit) == split
+    assert _scan_split(two_prime_args(st)) == split
     trace = []
     two_prime_solve(*two_prime_args(st), limit, trace=trace, strategy="scan")
     assert [t[2] for t in trace] == qs

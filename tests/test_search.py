@@ -18,7 +18,16 @@ import phi23.search
 from helpers import WALKS, brute_force_k, index_of, integer_root, simple_sieve, tight_limit_bound
 from phi23.arith import build_prime_table, factorize
 from phi23.cli import main
-from phi23.equation import EquationState, Pruned, root_state
+from phi23.equation import (
+    EquationState,
+    Pruned,
+    absorb_prime,
+    finiteness_bound,
+    limit_bound,
+    root_state,
+    two_prime_args,
+    two_prime_solve,
+)
 from phi23.oracle import scan_solutions
 from phi23.parallel import run_tasks
 from phi23.search import (
@@ -227,20 +236,21 @@ def test_limit_1e14_matches_the_paper_bound():
         assert [s.n for s in sols] == KNOWN_N
         stats = counters.as_dict()
         assert {k: stats[k] for k in ("nodes_expanded", "prune_limit", "prune_corollary", "prune_infeasible")} == {
-            "nodes_expanded": 10560,
-            "prune_limit": 1680,
-            "prune_corollary": 8729,
-            "prune_infeasible": 3438,
+            "nodes_expanded": 10041,
+            "prune_limit": 3364,
+            "prune_corollary": 7299,
+            "prune_infeasible": 1848,
         }
-        # all but 7 endgames take at most target**(1/4) scan steps
-        assert (counters.endgame_scan, counters.endgame_factor) == (7276, 7)
+        # all but 7 endgames past the limit pre-check take at most
+        # target**(1/4) scan steps
+        assert (counters.endgame_scan, counters.endgame_factor) == (5214, 7)
         assert stats == {
-            "nodes_expanded": 10560,
-            "prune_limit": 1680,
-            "prune_corollary": 8729,
+            "nodes_expanded": 10041,
+            "prune_limit": 3364,
+            "prune_corollary": 7299,
             "prune_congruence": 6,
-            "prune_infeasible": 3438,
-            "endgame_scan": 7276,
+            "prune_infeasible": 1848,
+            "endgame_scan": 5214,
             "endgame_factor": 7,
         }
 
@@ -266,15 +276,16 @@ def _walk_record(monkeypatch, config):
 
     Returns the uncapped finiteness bound of every internal node and every
     (state, q, absorb_prime result) the walk tries.  A node with three
-    primes left tests its q without absorb_prime; each of those q is
-    replayed through absorb_prime here, so the record covers that level too
-    (test_fused_last_level_matches_the_unfused_path checks that the replay
-    and the walk agree).
+    primes left tests its q without absorb_prime; each q of its candidate
+    range is replayed through absorb_prime here, so the record covers that
+    level too (test_fused_last_level_matches_the_unfused_path checks that the
+    replay and the walk agree).
     """
     bounds = []
     absorbed = []
     real_bound = phi23.search.finiteness_bound
     real_absorb = phi23.search.absorb_prime
+    real_next = phi23.search._next_primes
     own_table = build_prime_table(1 << 17)
 
     def bound_spy(state, i, table, room):
@@ -294,10 +305,14 @@ def _walk_record(monkeypatch, config):
             assert hi == want, (state, room, hi, want)
             assert hi <= min(uncapped, integer_root(room, state.remaining)), (state, room, hi)
         bounds.append((state, uncapped))
-        if state.remaining == 3:
-            for q in table.primes[i + 1 : m + 1]:
-                absorbed.append((state, q, real_absorb(state, q)))
         return m
+
+    def next_spy(state, i, limit, table, counters):
+        candidates = real_next(state, i, limit, table, counters)
+        if state.remaining == 3:
+            for q in table.primes[candidates.start : candidates.stop]:
+                absorbed.append((state, q, real_absorb(state, q)))
+        return candidates
 
     def absorb_spy(state, q):
         out = real_absorb(state, q)
@@ -305,6 +320,7 @@ def _walk_record(monkeypatch, config):
         return out
 
     monkeypatch.setattr(phi23.search, "finiteness_bound", bound_spy)
+    monkeypatch.setattr(phi23.search, "_next_primes", next_spy)
     monkeypatch.setattr(phi23.search, "absorb_prime", absorb_spy)
     solve(config)
     return bounds, absorbed
@@ -408,6 +424,63 @@ def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
         ], state
         emitted += len(fused)
     assert emitted > 0
+
+
+def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
+    # On every node of the 1e14 walk with three primes left, each candidate
+    # between the cut index and the uncut finiteness index either dies in
+    # absorb_prime or leaves an endgame with no pair under the limit, by the
+    # unlimited endgame, which runs no limit pre-check.
+    nodes = []
+    real_next = phi23.search._next_primes
+
+    def next_spy(state, i, limit, table, counters):
+        candidates = real_next(state, i, limit, table, counters)
+        if state.remaining == 3:
+            nodes.append((state, i, candidates.stop - 1))
+        return candidates
+
+    monkeypatch.setattr(phi23.search, "_next_primes", next_spy)
+    limit = WALKS["limit-1e14"].limit
+    solve(WALKS["limit-1e14"])
+    table = build_prime_table(1 << 17)
+    cut = endgames = 0
+    for state, i, m in nodes:
+        uncut = finiteness_bound(state, i, table, limit_bound(state, limit))
+        assert i <= m <= uncut, state
+        for q in table.primes[m + 1 : uncut + 1]:
+            cut += 1
+            child = absorb_prime(state, q)
+            if isinstance(child, Pruned):
+                continue
+            endgames += 1
+            b = child.prefix_product
+            pairs = two_prime_solve(*two_prime_args(child))
+            assert [(q2, r) for q2, r in pairs if b * q2 * r <= limit] == [], child
+    assert (len(nodes), cut, endgames) == (1078, 3539, 519)
+
+
+@pytest.mark.parametrize(
+    "limit, uncut, candidates, prune_limit",
+    [
+        # b*K0**2*(q - 1)**2 == Delta**2*limit*q at q = 13: 13 is kept
+        (5733, 13, [5, 7, 11, 13], 0),
+        # one less and 13 is cut, though its run 13*17*19 still fits
+        (5732, 13, [5, 7, 11], 0),
+        # the run 5*7*11 fits, but 5 is cut: nothing is left
+        (1000, 5, [], 1),
+    ],
+)
+def test_last_level_cut_boundary(limit, uncut, candidates, prune_limit):
+    # Not a walk state: alpha = 47, beta = 43, so Delta = 4 and K0 =
+    # isqrt(47*43) + 47 = 91 = 7*13, and b = 1.  A candidate q is cut when
+    # 91**2*(q - 1)**2 > 4**2*limit*q.
+    st = EquationState(prefix=(), alpha=47, beta=43, gamma=1, remaining=3)
+    table = build_prime_table(1 << 12)
+    assert table.primes[finiteness_bound(st, 1, table, limit)] == uncut
+    counters = SearchCounters()
+    assert [table.primes[j] for j in phi23.search._next_primes(st, 1, limit, table, counters)] == candidates
+    assert (counters.nodes_expanded, counters.prune_limit) == (1, prune_limit)
 
 
 @pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
@@ -531,7 +604,7 @@ def test_walk_looks_up_no_floor_by_value(monkeypatch, fake_pool, walk, threads):
     assert all(a is phi23.search._SMALLEST_N_BY_K for a in lookups)
     assert fake_pool == ([2] if threads == 2 else [])
     if walk == "limit-1e14":
-        assert counters.nodes_expanded == 10_560
+        assert counters.nodes_expanded == 10_041
 
 
 def test_pool_size_is_capped_by_the_cores(monkeypatch, fake_pool):
