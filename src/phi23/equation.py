@@ -106,12 +106,13 @@ def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
     q must be a prime greater than state.floor (primality itself is the
     caller's obligation; structural constraints are checked here).
 
-    The child is built without re-running EquationState's validation,
-    because each invariant follows from the parent's: alpha > beta is the
-    infeasible test; g divides both beta*q and gamma, so beta and gamma stay
-    >= 1; gcd(alpha, beta) = 1 after dividing by g; the prefix stays
-    ascending since q > state.floor; and a state with one prime left raises
-    ValueError here, as the constructor would, when q does not prune.
+    The child is built without re-running EquationState's validation, because
+    each invariant follows from the parent's: alpha > beta is the infeasible
+    test (false exactly for q <= alpha // (alpha - beta), which the walk never
+    offers); g divides beta*q and gamma, so both stay >= 1; gcd(alpha, beta) =
+    1 after dividing by g; the prefix stays ascending since q > state.floor;
+    and a state with one prime left raises ValueError here, as the constructor
+    would, when q does not prune.
 
     On every state reachable from root_state two facts hold, by induction
     over this function:

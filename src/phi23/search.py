@@ -63,13 +63,13 @@ __all__ = [
 
 
 # Unbounded searches beyond this many prime factors are refused.  k = 7 does
-# finish (about 17 min on one core, nearly all of it two-prime endgames) but
-# has no opt-in yet.  k = 8's finiteness bounds need primes past 2**30: a
-# walk-only run stopped when the table, grown fourfold from 2**12 to 2**30,
-# could not grow again below the 2**32 sieve cap: PrimeTable.grow says the
-# walk "needs a prime table up to 1073741825, but the table grows fourfold,
-# to 4294967296" (2**30 + 1 and 2**32).  Whether k = 8 stays below the cap is
-# unmeasured.
+# finish (327 s on one core of a 2-core VM, 98% of it below the node [5, 7,
+# 37, 1297]) but has no opt-in yet.  k = 8's finiteness bounds need primes
+# past 2**30: a walk-only run stopped when the table, grown fourfold from
+# 2**12 to 2**30, could not grow again below the 2**32 sieve cap:
+# PrimeTable.grow says the walk "needs a prime table up to 1073741825, but the
+# table grows fourfold, to 4294967296" (2**30 + 1 and 2**32).  Whether k = 8
+# stays below the cap is unmeasured.
 MAX_UNBOUNDED_K = 6
 
 # Holds every prime the unbounded k = 1..6 walk and the limited walks up to
@@ -99,19 +99,19 @@ class SearchCounters:
     the limit removes from a node that keeps some are not counted.
     prune_corollary counts candidate primes q with p | q - 1 for a prefix
     prime p, which the gcd test of absorb_prime rejects (the paper's second
-    theorem), and prune_infeasible those whose normalized alpha <= beta;
-    congruence counts divisor pairs discarded by the endgame residue filter,
-    which only factored endgames see.  endgame_scan and endgame_factor count
-    the two-prime endgames past the limit check by how they found their
-    divisors: the two-sided scan (small q tried one by one, the rest found
-    through their sums q + r; see two_prime_solve) or factoring.
+    theorem); no q whose normalized alpha <= beta is tried (see
+    _next_primes).  prune_congruence counts divisor pairs discarded by the endgame residue
+    filter, which only factored endgames see.  endgame_scan and
+    endgame_factor count the two-prime endgames past the limit check by how
+    they found their divisors: the two-sided scan (small q tried one by one,
+    the rest found through their sums q + r; see two_prime_solve) or
+    factoring.
     """
 
     nodes_expanded: int = 0
     prune_limit: int = 0
     prune_corollary: int = 0
     prune_congruence: int = 0
-    prune_infeasible: int = 0
     endgame_scan: int = 0
     endgame_factor: int = 0
 
@@ -224,26 +224,28 @@ def _next_primes(
     """Count an internal node as expanded and return the table indices of its
     candidate next primes; i is the index of state.floor in the table.
 
-    With three primes left and a limit, the candidates are also cut where
-    the least n of the child's endgame passes the limit.  With Delta = alpha
-    - beta, b = prefix_product and g the gcd absorb_prime divides out, the
-    child at q has alpha' = alpha*(q - 1) / g, delta' = (Delta*q - alpha) / g
-    and target' = (alpha*beta*q*(q - 1) + gamma*(Delta*q - alpha)) / g**2, so
-    two_prime_solve's least n for it, b*q*((sqrt(target') + alpha') /
-    delta')**2, does not depend on g.  As sqrt(target') >=
-    sqrt(alpha*beta)*(q - 1) and, for a q absorb_prime keeps, 0 < Delta*q -
-    alpha < Delta*q, every n of that child exceeds b*K0**2*(q - 1)**2 /
-    (Delta**2*q), K0 = isqrt(alpha*beta) + alpha, which rises with q.  So the
-    bound's index steps down while that exceeds the limit; a q at equality
-    is kept.
+    With Delta = alpha - beta, they start past alpha // Delta, skipping exactly
+    the q absorb_prime finds infeasible: for every g, alpha*(q - 1)/g <=
+    beta*q/g <=> Delta*q <= alpha <=> q <= alpha // Delta.  With three primes
+    left and a limit, the candidates are also cut where the least n of the
+    child's endgame passes the limit.  With b = prefix_product and g the gcd
+    absorb_prime divides out, the child at q has alpha' = alpha*(q - 1) / g,
+    delta' = (Delta*q - alpha) / g and target' = (alpha*beta*q*(q - 1) +
+    gamma*(Delta*q - alpha)) / g**2, so two_prime_solve's least n for it,
+    b*q*((sqrt(target') + alpha') / delta')**2, does not depend on g.  As
+    sqrt(target') >= sqrt(alpha*beta)*(q - 1) and, for a q past alpha // Delta,
+    0 < Delta*q - alpha < Delta*q, every n of that child exceeds b*K0**2*(q -
+    1)**2 / (Delta**2*q), K0 = isqrt(alpha*beta) + alpha, which rises with q.
+    So the bound's index steps down while that exceeds the limit; a q at
+    equality is kept.
     """
     counters.nodes_expanded += 1
     m = finiteness_bound(state, i, table, None if limit is None else limit_bound(state, limit))
+    alpha, beta = state.alpha, state.beta
+    primes = table.primes
     if state.remaining == 3 and limit is not None:
-        alpha, beta = state.alpha, state.beta
         c = state.prefix_product * (isqrt(alpha * beta) + alpha) ** 2
         e = (alpha - beta) ** 2 * limit
-        primes = table.primes
         while m > i and c * (primes[m] - 1) ** 2 > e * primes[m]:
             m -= 1
     if m == i:
@@ -254,7 +256,11 @@ def _next_primes(
         # so the uncapped finiteness_bound(state) > i on every state the walk
         # makes.
         counters.prune_limit += 1
-    return range(i + 1, m + 1)
+    lo = i + 1
+    top = alpha // (alpha - beta)
+    while lo <= m and primes[lo] <= top:
+        lo += 1
+    return range(lo, m + 1)
 
 
 def _expand_node(
@@ -267,12 +273,9 @@ def _expand_node(
     for j in _next_primes(state, i, limit, table, counters):
         child = absorb_prime(state, primes[j])
         if isinstance(child, Pruned):
-            # On a reachable state the gcd test fails exactly when p | q - 1
-            # for a prefix prime p (see absorb_prime).
-            if child.reason == "infeasible":
-                counters.prune_infeasible += 1
-            else:
-                counters.prune_corollary += 1
+            # Candidates are feasible (see _next_primes), so on a reachable
+            # state this is the gcd test: p | q - 1 for a prefix prime p.
+            counters.prune_corollary += 1
             continue
         children.append((child, j))
     return children
@@ -307,9 +310,9 @@ def _solve_last_level(
 
     Counts and emits exactly what _expand_node followed by _solve_endgame on
     each child would, but builds no child state: each q runs absorb_prime's
-    gcd and infeasible tests on the raw coefficients, and the normalized
-    coefficients go straight to two_prime_solve, one call per child as
-    _solve_endgame makes.
+    gcd test on the raw coefficients (every candidate is feasible; see
+    _next_primes), and the normalized coefficients go straight to
+    two_prime_solve, one call per child as _solve_endgame makes.
     """
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
     b = state.prefix_product
@@ -319,20 +322,15 @@ def _solve_last_level(
             q = primes[j]
             # absorb_prime's arithmetic; its docstring proves that the gcd
             # test rejects exactly the q with p | q - 1 for a prefix prime p
-            # and that a child passing both tests is a valid state.
+            # and that a child passing it at a feasible q is a valid state.
             a2 = alpha * (q - 1)
             b2 = beta * q
             g = gcd(a2, b2)
             if gamma % g:
                 counters.prune_corollary += 1
                 continue
-            a3 = a2 // g
-            b3 = b2 // g
-            if a3 <= b3:
-                counters.prune_infeasible += 1
-                continue
             counters.nodes_expanded += 1
-            for r1, r2 in two_prime_solve(a3, b3, gamma // g, q, b * q, limit, counters):
+            for r1, r2 in two_prime_solve(a2 // g, b2 // g, gamma // g, q, b * q, limit, counters):
                 emit(state.prefix + (q, r1, r2))
     except FactoringError as exc:
         raise FactoringError(exc.n, state.prefix + (q,)) from exc

@@ -84,7 +84,6 @@ def test_search_stats_json(capsys):
         "prune_limit",
         "prune_corollary",
         "prune_congruence",
-        "prune_infeasible",
         "endgame_scan",
         "endgame_factor",
     }
@@ -113,7 +112,7 @@ def test_search_stats_layout(capsys):
         KNOWN_TEXT_LINES[2],
         "# search k_min=3 k_max=3 limit=None threads=1 solutions=1 wall_time_sec=*",
         "# nodes_expanded=2 prune_limit=0 prune_corollary=0 prune_congruence=0 "
-        "prune_infeasible=0 endgame_scan=0 endgame_factor=1",
+        "endgame_scan=0 endgame_factor=1",
     ]
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
@@ -139,7 +138,6 @@ def test_search_stats_layout(capsys):
             "prune_limit": 0,
             "prune_corollary": 0,
             "prune_congruence": 0,
-            "prune_infeasible": 0,
             "endgame_scan": 0,
             "endgame_factor": 1,
         },

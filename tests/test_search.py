@@ -4,18 +4,28 @@ import contextlib
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import signal
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phi23.arith
 import phi23.equation
 import phi23.parallel
 import phi23.search
-from helpers import WALKS, brute_force_k, index_of, integer_root, simple_sieve, tight_limit_bound
+from helpers import (
+    WALKS,
+    brute_force_k,
+    index_of,
+    integer_root,
+    simple_sieve,
+    tight_limit_bound,
+    trial_is_prime,
+)
 from phi23.arith import build_prime_table, factorize
 from phi23.cli import main
 from phi23.equation import (
@@ -28,7 +38,7 @@ from phi23.equation import (
     two_prime_args,
     two_prime_solve,
 )
-from phi23.oracle import scan_solutions
+from phi23.oracle import scan_solutions, totient_sieve
 from phi23.parallel import run_tasks
 from phi23.search import (
     MAX_UNBOUNDED_K,
@@ -198,14 +208,15 @@ def test_counters_populated():
         "prune_limit",
         "prune_corollary",
         "prune_congruence",
-        "prune_infeasible",
         "endgame_scan",
         "endgame_factor",
     }
     assert stats["nodes_expanded"] > 100
     assert stats["prune_corollary"] > 0
     assert stats["prune_congruence"] > 0
-    assert stats["prune_infeasible"] > 0
+    # candidates start past alpha // (alpha - beta): the walk meets no
+    # infeasible q, so it keeps no counter for them
+    assert not hasattr(counters, "prune_infeasible")
     assert stats["prune_limit"] == 0  # no limit was given
 
 
@@ -219,9 +230,8 @@ def test_unbounded_k1_6_counters_are_pinned(threads):
     assert counters.as_dict() == {
         "nodes_expanded": 460,
         "prune_limit": 0,
-        "prune_corollary": 354,
+        "prune_corollary": 259,
         "prune_congruence": 42,
-        "prune_infeasible": 161,
         "endgame_scan": 394,
         "endgame_factor": 22,
     }
@@ -235,11 +245,10 @@ def test_limit_1e14_matches_the_paper_bound():
         sols = solve(SearchConfig(limit=10**14, threads=threads), counters)
         assert [s.n for s in sols] == KNOWN_N
         stats = counters.as_dict()
-        assert {k: stats[k] for k in ("nodes_expanded", "prune_limit", "prune_corollary", "prune_infeasible")} == {
+        assert {k: stats[k] for k in ("nodes_expanded", "prune_limit", "prune_corollary")} == {
             "nodes_expanded": 10041,
             "prune_limit": 3364,
-            "prune_corollary": 7299,
-            "prune_infeasible": 1848,
+            "prune_corollary": 6044,
         }
         # all but 7 endgames past the limit pre-check take at most
         # target**(1/4) scan steps
@@ -247,9 +256,8 @@ def test_limit_1e14_matches_the_paper_bound():
         assert stats == {
             "nodes_expanded": 10041,
             "prune_limit": 3364,
-            "prune_corollary": 7299,
+            "prune_corollary": 6044,
             "prune_congruence": 6,
-            "prune_infeasible": 1848,
             "endgame_scan": 5214,
             "endgame_factor": 7,
         }
@@ -463,24 +471,129 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
 @pytest.mark.parametrize(
     "limit, uncut, candidates, prune_limit",
     [
-        # b*K0**2*(q - 1)**2 == Delta**2*limit*q at q = 13: 13 is kept
-        (5733, 13, [5, 7, 11, 13], 0),
-        # one less and 13 is cut, though its run 13*17*19 still fits
-        (5732, 13, [5, 7, 11], 0),
-        # the run 5*7*11 fits, but 5 is cut: nothing is left
-        (1000, 5, [], 1),
+        # b*K0**2*(q - 1)**2 == Delta**2*limit*q at q = 23: 23 is kept
+        (269_100, 23, [17, 19, 23], 0),
+        # one less and 23 is cut, though its run 23*29*31 still fits
+        (269_099, 23, [17, 19], 0),
+        # the run 17*19*23 fits, but 17 is cut: nothing is left
+        (100_000, 17, [], 1),
     ],
 )
 def test_last_level_cut_boundary(limit, uncut, candidates, prune_limit):
-    # Not a walk state: alpha = 47, beta = 43, so Delta = 4 and K0 =
-    # isqrt(47*43) + 47 = 91 = 7*13, and b = 1.  A candidate q is cut when
-    # 91**2*(q - 1)**2 > 4**2*limit*q.
-    st = EquationState(prefix=(), alpha=47, beta=43, gamma=1, remaining=3)
+    # Not a walk state: prefix (13,), so b = 13, and alpha = 351, beta = 329,
+    # so Delta = 22 and K0 = isqrt(351*329) + 351 = 690 = 30*23.  A candidate
+    # q is cut when 13*690**2*(q - 1)**2 > 22**2*limit*q; at q = 23, q - 1 =
+    # Delta and the two sides meet at limit 13*690*30.  alpha // Delta = 15
+    # lies below the first candidate, 17, so the lower bracket drops nothing.
+    # (With an empty prefix no state both keeps 5 and meets the cut: K0 /
+    # Delta < 2*alpha / Delta < 10 when alpha // Delta < 5, so the equality
+    # limit at any q is below the run q*q'*q''.)
+    st = EquationState(prefix=(13,), alpha=351, beta=329, gamma=1, remaining=3)
     table = build_prime_table(1 << 12)
-    assert table.primes[finiteness_bound(st, 1, table, limit)] == uncut
+    i = index_of(table, 13)
+    assert st.alpha // (st.alpha - st.beta) < table.primes[i + 1]
+    assert table.primes[finiteness_bound(st, i, table, limit_bound(st, limit))] == uncut
     counters = SearchCounters()
-    assert [table.primes[j] for j in phi23.search._next_primes(st, 1, limit, table, counters)] == candidates
+    assert [table.primes[j] for j in phi23.search._next_primes(st, i, limit, table, counters)] == candidates
     assert (counters.nodes_expanded, counters.prune_limit) == (1, prune_limit)
+
+
+@pytest.mark.parametrize("walk", ["k1-6", "limit-1e14", "k17-1e28"])
+def test_candidates_start_past_the_infeasible_prefix(monkeypatch, walk):
+    # At every internal node the candidates start at the first table prime
+    # past alpha // (alpha - beta): each prime skipped above the floor is at
+    # most that and dies in absorb_prime, and no candidate kept is infeasible.
+    nodes = []
+    real_next = phi23.search._next_primes
+
+    def next_spy(state, i, limit, table, counters):
+        candidates = real_next(state, i, limit, table, counters)
+        primes = table.primes
+        nodes.append((state, primes[i + 1 : candidates.start], primes[candidates.start : candidates.stop]))
+        return candidates
+
+    monkeypatch.setattr(phi23.search, "_next_primes", next_spy)
+    solve(WALKS[walk])
+    assert nodes
+    skipped = 0
+    for state, dropped, kept in nodes:
+        top = state.alpha // (state.alpha - state.beta)
+        for q in dropped:
+            assert q <= top and isinstance(absorb_prime(state, q), Pruned), (state, q)
+        for q in kept:
+            out = absorb_prime(state, q)
+            assert q > top and not (isinstance(out, Pruned) and out.reason == "infeasible"), (state, q)
+        skipped += len(dropped)
+    assert skipped > 0
+
+
+def test_candidates_start_past_alpha_over_delta():
+    # alpha = 13, beta = 12: Delta = 1 and alpha // Delta = 13.  At q = 13,
+    # exactly alpha / Delta, alpha*(q - 1) == beta*q, so 13 is dropped; 17 is
+    # the first candidate.
+    st = EquationState((), 13, 12, 1, 3)
+    table = build_prime_table(1 << 12)
+    assert 13 * (13 - 1) == 12 * 13 and 13 * (17 - 1) > 12 * 17
+    candidates = phi23.search._next_primes(st, 1, None, table, SearchCounters())
+    assert table.primes[candidates.start - 1] == 13
+    assert table.primes[candidates.start] == 17 < table.primes[candidates.stop - 1]
+
+
+def _populated_roots():
+    """(alpha, beta, gamma) of every root with alpha <= 24, beta < alpha
+    coprime to it, and gamma in {1, 2}: the premises of the walk's proofs."""
+    return [
+        (alpha, beta, gamma)
+        for alpha in range(2, 25)
+        for beta in range(1, alpha)
+        if math.gcd(alpha, beta) == 1
+        for gamma in (1, 2)
+    ]
+
+
+def _walk_root(root, limit, table):
+    """The n of every solution the walk finds below ``root`` with n <= limit,
+    each checked against the root's own equation."""
+    alpha, beta, gamma = root
+    found = set()
+    for k in range(1, max_k_for_limit(limit) + 1):
+        task = (EquationState((), alpha, beta, gamma, k), 1)  # index 1: the root floor, 3
+        for factors in phi23.search._walk_task(task, limit, table)[0]:
+            assert len(factors) == k and factors[0] >= 5, (root, factors)
+            assert all(q < r for q, r in zip(factors, factors[1:])), (root, factors)
+            assert all(map(trial_is_prime, factors)), (root, factors)
+            n = math.prod(factors)
+            assert alpha * math.prod(q - 1 for q in factors) == beta * n + gamma, (root, factors)
+            assert n <= limit, (root, factors)
+            found.add(n)
+    return found
+
+
+def test_populated_trees_match_brute_force():
+    # The 2/3 equation has one chain of four solutions; these roots have 55
+    # solutions below 2e6 between them, some off any chain: (9, 7, 1) has 5,
+    # 77, 185, 5369, 41657 and 239945.  The walk finds exactly the brute-force
+    # set of each root, and again with the limit set to each of its
+    # solutions, which catches a bound that prunes too much.
+    bound = 2_000_000
+    phi = totient_sieve(bound)
+    n = np.arange(bound + 1, dtype=np.int64)
+    keep = (n % 2 == 1) & (n % 3 != 0) & (n > 1)
+    for p in simple_sieve(math.isqrt(bound))[2:]:
+        keep[:: p * p] = False
+    n, phi = n[keep], phi[keep]
+    roots = _populated_roots()
+    assert len(roots) == 358
+    table = build_prime_table(1 << 12)
+    total = 0
+    for root in roots:
+        alpha, beta, gamma = root
+        want = set(n[alpha * phi == beta * n + gamma].tolist())
+        assert _walk_root(root, bound, table) == want, root
+        for limit in want:
+            assert _walk_root(root, limit, table) == {m for m in want if m <= limit}, (root, limit)
+        total += len(want)
+    assert total == 55
 
 
 @pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
