@@ -255,8 +255,9 @@ def is_prime(n: int) -> bool:
     Proven exact for all n below 3.3e24 (about 2**81.4) via the
     Miller-Rabin witness ladder, which covers the full 64-bit range.  The
     unbounded search to k = 6 and the search to 1e14 test no value past
-    42 bits, but factoring a larger endgame target can test a cofactor
-    past the ladder (an 86-bit one among the sampled k = 7 endgames).
+    42 bits, and the search to 1e21 none past 54 bits, but factoring a
+    larger endgame target can test a cofactor past the ladder (an 86-bit
+    one among the sampled k = 7 endgames).
     Beyond it the 13-prime witness set is combined with a strong Lucas
     test; no composite passing that combination is known.
     """

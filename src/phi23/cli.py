@@ -8,7 +8,10 @@ owns the rule: the parser for the command line's shape and the count
 syntax, SearchConfig for k and threads, the oracle's sieve for the scan
 limit, check_single for check's n.
 Solutions are printed only after a search completes, so an interrupted run
-never emits a partial result.
+never emits a partial result.  ``search --stats`` reports ``threads=`` as
+SearchConfig.workers, the workers the run may start (``--threads`` capped at
+the cores); a run with fewer subtree tasks than that starts one process per
+task.
 """
 
 from __future__ import annotations

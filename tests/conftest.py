@@ -34,3 +34,18 @@ def only_walker(monkeypatch):
         monkeypatch.setattr(phi23.parallel, "_walk_tasks", walk)
 
     return restrict
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Run every multi-worker run's tasks in this process alone, so a test
+    starts no process; returns the process count each run asked for."""
+    runs = []
+    real = phi23.parallel.run_tasks
+
+    def in_process(tasks, walk, processes):
+        runs.append(processes)
+        return real(tasks, walk, 1)
+
+    monkeypatch.setattr(phi23.parallel, "run_tasks", in_process)
+    return runs

@@ -446,6 +446,17 @@ def test_factoring_failure_at_the_k2_root(capsys, monkeypatch, ks, threads):
     )
 
 
+def test_stats_threads_is_the_worker_cap_not_the_processes_started(capsys, monkeypatch, fake_pool):
+    # --stats threads= reports SearchConfig.workers, --threads capped at the
+    # cores.  solve starts at most one process per task, so this run, whose
+    # k = 1 and k = 2 roots are one task each, starts 2 and still reports 64.
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    code, out, err = run_cli(capsys, "search", "--limit", "100", "--threads", "64", "--stats")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2].startswith("# search k_min=1 k_max=2 limit=100 threads=64 solutions=2 ")
+    assert fake_pool == [2]
+
+
 def test_check_factoring_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(phi23.oracle, "factorize", give_up)
     code, out, err = run_cli(capsys, "check", "1295")

@@ -699,6 +699,7 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
     solve(SearchConfig(limit=10**12))
     solve(SearchConfig(limit=10**13))
     solve(SearchConfig(limit=10**14))
+    solve(SearchConfig(limit=10**15))
     assert len(calls) > 10_000
     closed = 0
     for args, limit in calls:
@@ -708,8 +709,10 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
             got = two_prime_solve(*args, limit, counters)
             assert got == [(q, r) for q, r in two_prime_solve(*args) if args[4] * q * r <= limit], args
             closed += counters.prune_limit
-    # endgames of the 1e12, 1e13 and 1e14 walks that the pre-check closes
-    assert closed == 4841
+    # endgames of the 1e12 to 1e15 walks that the pre-check closes; the lower
+    # cut of search._next_primes drops the others before they are built (see
+    # test_last_level_cut_drops_only_children_without_pairs)
+    assert closed == 24
     for alpha, beta, gamma in random_endgame_coefficients():
         _assert_strategies_agree((alpha, beta, gamma, 3, 1))
     # the cases of test_two_prime_strategy_edges

@@ -246,17 +246,17 @@ def test_limit_1e14_matches_the_paper_bound():
         assert [s.n for s in sols] == KNOWN_N
         stats = counters.as_dict()
         assert {k: stats[k] for k in ("nodes_expanded", "prune_limit", "prune_corollary")} == {
-            "nodes_expanded": 10041,
-            "prune_limit": 3364,
-            "prune_corollary": 6044,
+            "nodes_expanded": 6825,
+            "prune_limit": 148,
+            "prune_corollary": 4119,
         }
         # all but 7 endgames past the limit pre-check take at most
         # target**(1/4) scan steps
         assert (counters.endgame_scan, counters.endgame_factor) == (5214, 7)
         assert stats == {
-            "nodes_expanded": 10041,
-            "prune_limit": 3364,
-            "prune_corollary": 6044,
+            "nodes_expanded": 6825,
+            "prune_limit": 148,
+            "prune_corollary": 4119,
             "prune_congruence": 6,
             "endgame_scan": 5214,
             "endgame_factor": 7,
@@ -436,73 +436,121 @@ def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
 
 def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
     # On every node of the 1e14 walk with three primes left, each candidate
-    # between the cut index and the uncut finiteness index either dies in
-    # absorb_prime or leaves an endgame with no pair under the limit, by the
-    # unlimited endgame, which runs no limit pre-check.
+    # the limit cuts, past alpha // Delta and below the first one kept (the
+    # lower cut) or between the last one kept and the uncut finiteness index
+    # (the top cut), either dies in absorb_prime or leaves an endgame with no
+    # pair under the limit, by the unlimited endgame, which runs no limit
+    # pre-check.  The limited endgame's pre-check would close every endgame of
+    # the lower cut, so the cut moves no endgame_scan or endgame_factor.
     nodes = []
     real_next = phi23.search._next_primes
 
     def next_spy(state, i, limit, table, counters):
         candidates = real_next(state, i, limit, table, counters)
         if state.remaining == 3:
-            nodes.append((state, i, candidates.stop - 1))
+            nodes.append((state, i, candidates))
         return candidates
 
     monkeypatch.setattr(phi23.search, "_next_primes", next_spy)
     limit = WALKS["limit-1e14"].limit
     solve(WALKS["limit-1e14"])
     table = build_prime_table(1 << 17)
-    cut = endgames = 0
-    for state, i, m in nodes:
+    primes = table.primes
+    cut = {"lower": 0, "top": 0}
+    endgames = {"lower": 0, "top": 0}
+    for state, i, candidates in nodes:
+        m = candidates.stop - 1
         uncut = finiteness_bound(state, i, table, limit_bound(state, limit))
         assert i <= m <= uncut, state
-        for q in table.primes[m + 1 : uncut + 1]:
-            cut += 1
-            child = absorb_prime(state, q)
-            if isinstance(child, Pruned):
-                continue
-            endgames += 1
-            b = child.prefix_product
-            pairs = two_prime_solve(*two_prime_args(child))
-            assert [(q2, r) for q2, r in pairs if b * q2 * r <= limit] == [], child
-    assert (len(nodes), cut, endgames) == (1078, 3539, 519)
+        top = state.alpha // (state.alpha - state.beta)
+        lower = [q for q in primes[i + 1 : candidates.start] if q > top]
+        for side, qs in (("lower", lower), ("top", primes[m + 1 : uncut + 1])):
+            for q in qs:
+                cut[side] += 1
+                child = absorb_prime(state, q)
+                if isinstance(child, Pruned):
+                    continue
+                endgames[side] += 1
+                b = child.prefix_product
+                pairs = two_prime_solve(*two_prime_args(child))
+                assert [(q2, r) for q2, r in pairs if b * q2 * r <= limit] == [], child
+                if side == "lower":
+                    counters = SearchCounters()
+                    assert two_prime_solve(*two_prime_args(child), limit, counters) == [], child
+                    assert counters == SearchCounters(prune_limit=1), child
+    assert len(nodes) == 1078
+    # the lower cut's 3,216 endgames are all ones the pre-check closed: they
+    # are what it took off nodes_expanded (10,041 -> 6,825) and prune_limit
+    # (3,364 -> 148)
+    assert cut == {"lower": 5141, "top": 3539}
+    assert endgames == {"lower": 3216, "top": 519}
 
 
 @pytest.mark.parametrize(
-    "limit, uncut, candidates, prune_limit",
+    "prefix, alpha, beta, limit, uncut, top, candidates, prune_limit",
     [
-        # b*K0**2*(q - 1)**2 == Delta**2*limit*q at q = 23: 23 is kept
-        (269_100, 23, [17, 19, 23], 0),
-        # one less and 23 is cut, though its run 23*29*31 still fits
-        (269_099, 23, [17, 19], 0),
-        # the run 17*19*23 fits, but 17 is cut: nothing is left
-        (100_000, 17, [], 1),
+        # b = 13, alpha = 351, beta = 329: Delta = 22 and K0 = isqrt(351*329)
+        # + 351 = 690 = 30*23.  The top cut drops q while 13*690**2*(q - 1)**2
+        # > 22**2*limit*q; at q = 23, q - 1 = Delta and the two sides meet at
+        # limit 13*690*30: 23 is kept as the top.  The lower cut then drops
+        # 17, 19 and 23, so nothing is left, and no prune_limit ticks.
+        ((13,), 351, 329, 269_100, 23, 23, [], 0),
+        # one less and the top cut drops 23, though its run 23*29*31 still fits
+        ((13,), 351, 329, 269_099, 23, 19, [], 0),
+        # the run 17*19*23 fits, but the top cut drops 17: prune_limit ticks
+        ((13,), 351, 329, 100_000, 17, 13, [], 1),
+        # b = 5, alpha = 11, beta = 10: Delta = 1, K0 = 10 + 11 = 21 and
+        # alpha // Delta = 11.  At q = 7 the top cut's sides meet at limit
+        # 5*21**2*6**2 / 7 = 11340: 7 is kept as the top, and the infeasible
+        # prefix holds every candidate
+        ((5,), 11, 10, 11_340, 7, 7, [], 0),
+        # one less and the top cut leaves nothing: prune_limit ticks
+        ((5,), 11, 10, 11_339, 7, 5, [], 1),
+        # the lower cut drops q while 5*21**2*q*(q - 1)**2 > limit*(q - 11)**2;
+        # here it drops 13, 17 and 19, every candidate the top cut keeps, and
+        # no prune_limit ticks
+        ((5,), 11, 10, 100_000, 19, 19, [], 0),
+        # at q = 17 its sides meet at limit 5*21**2*17*16**2 / 6**2 = 266560:
+        # 13 is dropped and 17 kept
+        ((5,), 11, 10, 266_560, 23, 23, [17, 19, 23], 0),
+        # one less and 17 is dropped too, though its run 17*19*23 still fits
+        ((5,), 11, 10, 266_559, 23, 23, [19, 23], 0),
+    ],
+    ids=[
+        "269100-23-candidates0-0",
+        "269099-23-candidates1-0",
+        "100000-17-candidates2-1",
+        "top-11340",
+        "top-11339",
+        "lower-100000",
+        "lower-266560",
+        "lower-266559",
     ],
 )
-def test_last_level_cut_boundary(limit, uncut, candidates, prune_limit):
-    # Not a walk state: prefix (13,), so b = 13, and alpha = 351, beta = 329,
-    # so Delta = 22 and K0 = isqrt(351*329) + 351 = 690 = 30*23.  A candidate
-    # q is cut when 13*690**2*(q - 1)**2 > 22**2*limit*q; at q = 23, q - 1 =
-    # Delta and the two sides meet at limit 13*690*30.  alpha // Delta = 15
-    # lies below the first candidate, 17, so the lower bracket drops nothing.
-    # (With an empty prefix no state both keeps 5 and meets the cut: K0 /
+def test_last_level_cut_boundary(prefix, alpha, beta, limit, uncut, top, candidates, prune_limit):
+    # Not walk states.  Each cut keeps a q at equality.  ``top`` is the
+    # table prime at the range's stop - 1, the last index the top cut keeps.
+    # (With an empty prefix no state both keeps 5 and meets the top cut: K0 /
     # Delta < 2*alpha / Delta < 10 when alpha // Delta < 5, so the equality
     # limit at any q is below the run q*q'*q''.)
-    st = EquationState(prefix=(13,), alpha=351, beta=329, gamma=1, remaining=3)
+    st = EquationState(prefix=prefix, alpha=alpha, beta=beta, gamma=1, remaining=3)
     table = build_prime_table(1 << 12)
-    i = index_of(table, 13)
-    assert st.alpha // (st.alpha - st.beta) < table.primes[i + 1]
+    i = index_of(table, prefix[-1])
     assert table.primes[finiteness_bound(st, i, table, limit_bound(st, limit))] == uncut
     counters = SearchCounters()
-    assert [table.primes[j] for j in phi23.search._next_primes(st, i, limit, table, counters)] == candidates
+    got = phi23.search._next_primes(st, i, limit, table, counters)
+    assert table.primes[got.stop - 1] == top
+    assert [table.primes[j] for j in got] == candidates
     assert (counters.nodes_expanded, counters.prune_limit) == (1, prune_limit)
 
 
 @pytest.mark.parametrize("walk", ["k1-6", "limit-1e14", "k17-1e28"])
 def test_candidates_start_past_the_infeasible_prefix(monkeypatch, walk):
-    # At every internal node the candidates start at the first table prime
-    # past alpha // (alpha - beta): each prime skipped above the floor is at
-    # most that and dies in absorb_prime, and no candidate kept is infeasible.
+    # At every internal node the candidates start past alpha // (alpha -
+    # beta): each prime skipped above the floor up to that dies in
+    # absorb_prime, and no candidate kept is infeasible.  Only a node with
+    # three primes left and a limit skips primes past it too (its lower cut;
+    # test_last_level_cut_drops_only_children_without_pairs checks those).
     nodes = []
     real_next = phi23.search._next_primes
 
@@ -518,12 +566,16 @@ def test_candidates_start_past_the_infeasible_prefix(monkeypatch, walk):
     skipped = 0
     for state, dropped, kept in nodes:
         top = state.alpha // (state.alpha - state.beta)
+        lower_cut = state.remaining == 3 and WALKS[walk].limit is not None
         for q in dropped:
-            assert q <= top and isinstance(absorb_prime(state, q), Pruned), (state, q)
+            if q > top:
+                assert lower_cut, (state, q)
+                continue
+            assert isinstance(absorb_prime(state, q), Pruned), (state, q)
         for q in kept:
             out = absorb_prime(state, q)
             assert q > top and not (isinstance(out, Pruned) and out.reason == "infeasible"), (state, q)
-        skipped += len(dropped)
+        skipped += sum(q <= top for q in dropped)
     assert skipped > 0
 
 
@@ -669,21 +721,6 @@ def test_one_pool_per_run(monkeypatch, only_walker, walker):
     assert [s.n for s in serial] == KNOWN_N
 
 
-@pytest.fixture
-def fake_pool(monkeypatch):
-    """Run every multi-worker run's tasks in this process alone, so a test
-    starts no process; returns the process count each run asked for."""
-    runs = []
-    real = phi23.parallel.run_tasks
-
-    def in_process(tasks, walk, processes):
-        runs.append(processes)
-        return real(tasks, walk, 1)
-
-    monkeypatch.setattr(phi23.parallel, "run_tasks", in_process)
-    return runs
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("walk", ["k1-6", "limit-1e14"])
 def test_walk_looks_up_no_floor_by_value(monkeypatch, fake_pool, walk, threads):
@@ -717,7 +754,7 @@ def test_walk_looks_up_no_floor_by_value(monkeypatch, fake_pool, walk, threads):
     assert all(a is phi23.search._SMALLEST_N_BY_K for a in lookups)
     assert fake_pool == ([2] if threads == 2 else [])
     if walk == "limit-1e14":
-        assert counters.nodes_expanded == 10_041
+        assert counters.nodes_expanded == 6_825
 
 
 def test_pool_size_is_capped_by_the_cores(monkeypatch, fake_pool):
