@@ -91,14 +91,12 @@ class SearchCounters:
     nodes_expanded counts visited states (internal and endgame).  The
     endgames a node with three primes left solves without building their
     states (see _solve_last_level) count too: every counter ticks as if
-    those states were built.  prune_limit ticks when the limit's bound on a
-    node's largest candidate leaves it none (not even the first
-    ``remaining`` consecutive primes past the floor fit under it or, with
-    three primes left, the top cut drops every candidate; see _next_primes)
-    and when an endgame's least pair product is out of reach (see
-    two_prime_solve).  Candidates the limit removes from a node that keeps
-    some are not counted, nor is a node that only the lower cut of a node
-    with three primes left empties.  prune_corollary counts candidate primes
+    those states were built.  prune_limit counts the branches the limit
+    closes: a node whose bound on its largest candidate leaves it none (not
+    even the first ``remaining`` consecutive primes past the floor fit under
+    it), each candidate the lower cut of a node with three primes left drops
+    (see _next_primes), and each endgame whose least pair product is out of
+    reach (see two_prime_solve).  prune_corollary counts candidate primes
     q with p | q - 1 for a prefix prime p, which the gcd test of
     absorb_prime rejects (the paper's second theorem); no q whose normalized
     alpha <= beta is tried, and no q the lower cut drops (see _next_primes).
@@ -229,21 +227,18 @@ def _next_primes(
     With Delta = alpha - beta, they start past alpha // Delta, skipping exactly
     the q absorb_prime finds infeasible: for every g, alpha*(q - 1)/g <=
     beta*q/g <=> Delta*q <= alpha <=> q <= alpha // Delta.  With three primes
-    left and a limit, the candidates are also cut at both ends where the least
-    n of the child's endgame passes the limit.  With b = prefix_product and g
+    left and a limit, the low end also steps up past each q whose child's
+    endgame has its least n above the limit.  With b = prefix_product and g
     the gcd absorb_prime divides out, the child at q has alpha' = alpha*(q -
     1)/g, delta' = (Delta*q - alpha)/g and target' = (alpha*beta*q*(q - 1) +
     gamma*(Delta*q - alpha))/g**2, so in two_prime_solve's least n for it,
     b*q*((sqrt(target') + alpha')/delta')**2, g cancels.  As sqrt(target') >=
     sqrt(alpha*beta)*(q - 1), every n of that child is at least
     L(q) = b*K0**2*q*(q - 1)**2 / (Delta*q - alpha)**2, K0 = isqrt(alpha*beta) +
-    alpha.  The low end steps up while L(q) exceeds the limit: each q skipped
-    is dead on its own, so the cut needs no monotonicity, and as L(q) blows up
-    when q falls toward alpha/Delta the run it skips is short.  For a q past
-    alpha // Delta, 0 < Delta*q - alpha < Delta*q, so L(q) exceeds U(q) =
-    b*K0**2*(q - 1)**2 / (Delta**2*q), which rises with q: the bound's index
-    steps down while U(q) exceeds the limit.  Either cut keeps a q at
-    equality.
+    alpha.  The low end steps up while L(q) exceeds the limit, keeping a q at
+    equality: each q skipped is dead on its own, so the cut needs no
+    monotonicity, and as L(q) blows up when q falls toward alpha/Delta the run
+    it skips is short.  Each q it skips counts as a prune_limit.
     """
     counters.nodes_expanded += 1
     m = finiteness_bound(state, i, table, None if limit is None else limit_bound(state, limit))
@@ -256,18 +251,16 @@ def _next_primes(
         lo += 1
     if state.remaining == 3 and limit is not None:
         c = state.prefix_product * (isqrt(alpha * beta) + alpha) ** 2
-        e = delta**2 * limit
-        while m > i and c * (primes[m] - 1) ** 2 > e * primes[m]:
-            m -= 1
+        start = lo
         while lo <= m:
             q = primes[lo]
             if c * q * (q - 1) ** 2 <= limit * (delta * q - alpha) ** 2:
                 break
             lo += 1
+        counters.prune_limit += lo - start
     if m == i:
         # Only the limit can close a branch here: the first run of `remaining`
-        # primes past the floor already overflows the budget, or, with three
-        # left, the top cut drops every candidate.  A child's first
+        # primes past the floor already overflows the budget.  A child's first
         # finiteness test is the one its parent passed at the prime before it,
         # so the uncapped finiteness_bound(state) > i on every state the walk
         # makes.

@@ -5,8 +5,10 @@ is plain trial division, the sieve is a separate odd-only implementation,
 and the pair oracles test the raw residual equation directly.
 rolling_finiteness_bound is a finiteness scan that keeps no tail lists; it
 uses the package's prime table, which it grows under PrimeTable.extend_tail's
-condition.  The state helpers at the end (absorb_chain and the one after
-it) drive the package's own state transition to build test inputs.
+condition.  The state helpers (absorb_chain and the one after it) drive
+the package's own state transition to build test inputs.  The populated-tree
+check at the end walks roots other than the 2/3 equation's against a brute
+force over the oracle's totient sieve.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ from bisect import bisect_left
 from itertools import combinations
 from typing import NamedTuple
 
-from phi23.arith import PrimeTable
+import numpy as np
+
+from phi23.arith import PrimeTable, build_prime_table
 from phi23.equation import EquationState, Pruned, absorb_prime, root_state
-from phi23.search import SearchConfig
+from phi23.oracle import totient_sieve
+from phi23.search import SearchConfig, _walk_task, max_k_for_limit
 
 # Walks whose every state the walk-layer tests check, by test id: the
 # paper's unbounded k = 1..6, the 1e12 and 1e14 searches, and a deep slice.
@@ -309,3 +314,66 @@ def reachable_endgame_states(
 
     rec((), 1, 0)
     return out
+
+
+def populated_roots() -> list[tuple[int, int, int]]:
+    """(alpha, beta, gamma) of every root with alpha <= 24, beta < alpha
+    coprime to it, and gamma in {1, 2}: the premises of the walk's proofs."""
+    return [
+        (alpha, beta, gamma)
+        for alpha in range(2, 25)
+        for beta in range(1, alpha)
+        if math.gcd(alpha, beta) == 1
+        for gamma in (1, 2)
+    ]
+
+
+def walk_root(root: tuple[int, int, int], limit: int, table: PrimeTable) -> set[int]:
+    """The n of every solution the walk finds below ``root`` with n <= limit,
+    each checked against the root's own equation."""
+    alpha, beta, gamma = root
+    found = set()
+    for k in range(1, max_k_for_limit(limit) + 1):
+        task = (EquationState((), alpha, beta, gamma, k), 1)  # index 1: the root floor, 3
+        for factors in _walk_task(task, limit, table)[0]:
+            assert len(factors) == k and factors[0] >= 5, (root, factors)
+            assert all(q < r for q, r in zip(factors, factors[1:])), (root, factors)
+            assert all(map(trial_is_prime, factors)), (root, factors)
+            n = math.prod(factors)
+            assert alpha * math.prod(q - 1 for q in factors) == beta * n + gamma, (root, factors)
+            assert n <= limit, (root, factors)
+            found.add(n)
+    return found
+
+
+def check_populated_trees(bound: int) -> tuple[int, int]:
+    """Walk every populated root to ``bound`` and check that the walk finds
+    exactly the square-free n <= bound coprime to 6 with alpha*phi(n) =
+    beta*n + gamma, and again with the limit set to each of those n, which
+    catches a bound that prunes too much; returns the number of roots and
+    of solutions.
+
+    Run it as ``cd tests && python -c "from helpers import
+    check_populated_trees; print(check_populated_trees(200_000_000))"``.
+    The brute force holds the sieve's int64 totients, then about a third of
+    them with their n.
+    """
+    phi = totient_sieve(bound)
+    keep = np.ones(bound + 1, dtype=bool)
+    keep[:2] = keep[::2] = keep[::3] = False
+    for p in simple_sieve(math.isqrt(bound))[2:]:
+        keep[:: p * p] = False
+    n = np.flatnonzero(keep)
+    del keep
+    phi = phi[n]
+    roots = populated_roots()
+    table = build_prime_table(1 << 12)
+    total = 0
+    for root in roots:
+        alpha, beta, gamma = root
+        want = set(n[alpha * phi == beta * n + gamma].tolist())
+        assert walk_root(root, bound, table) == want, root
+        for limit in want:
+            assert walk_root(root, limit, table) == {m for m in want if m <= limit}, (root, limit)
+        total += len(want)
+    return len(roots), total

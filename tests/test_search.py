@@ -10,7 +10,6 @@ import signal
 import types
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import phi23.arith
@@ -20,11 +19,11 @@ import phi23.search
 from helpers import (
     WALKS,
     brute_force_k,
+    check_populated_trees,
     index_of,
     integer_root,
     simple_sieve,
     tight_limit_bound,
-    trial_is_prime,
 )
 from phi23.arith import build_prime_table, factorize
 from phi23.cli import main
@@ -38,7 +37,7 @@ from phi23.equation import (
     two_prime_args,
     two_prime_solve,
 )
-from phi23.oracle import scan_solutions, totient_sieve
+from phi23.oracle import scan_solutions
 from phi23.parallel import run_tasks
 from phi23.search import (
     MAX_UNBOUNDED_K,
@@ -247,7 +246,7 @@ def test_limit_1e14_matches_the_paper_bound():
         stats = counters.as_dict()
         assert {k: stats[k] for k in ("nodes_expanded", "prune_limit", "prune_corollary")} == {
             "nodes_expanded": 6825,
-            "prune_limit": 148,
+            "prune_limit": 6040,
             "prune_corollary": 4119,
         }
         # all but 7 endgames past the limit pre-check take at most
@@ -255,7 +254,7 @@ def test_limit_1e14_matches_the_paper_bound():
         assert (counters.endgame_scan, counters.endgame_factor) == (5214, 7)
         assert stats == {
             "nodes_expanded": 6825,
-            "prune_limit": 148,
+            "prune_limit": 6040,
             "prune_corollary": 4119,
             "prune_congruence": 6,
             "endgame_scan": 5214,
@@ -435,15 +434,21 @@ def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
 
 
 def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
-    # On every node of the 1e14 walk with three primes left, each candidate
-    # the limit cuts, past alpha // Delta and below the first one kept (the
-    # lower cut) or between the last one kept and the uncut finiteness index
-    # (the top cut), either dies in absorb_prime or leaves an endgame with no
-    # pair under the limit, by the unlimited endgame, which runs no limit
-    # pre-check.  The limited endgame's pre-check would close every endgame of
-    # the lower cut, so the cut moves no endgame_scan or endgame_factor.
+    # On every node of the 1e14 walk with three primes left, the candidates
+    # run up to the limit-capped finiteness index, and each one the limit
+    # cuts, past alpha // Delta and below the first one kept (the lower cut),
+    # either dies in absorb_prime or leaves an endgame with no pair under the
+    # limit, by the unlimited endgame, which runs no limit pre-check.  The
+    # limited endgame's pre-check would close every endgame the cut drops, so
+    # the cut moves no endgame_scan or endgame_factor.  prune_limit counts the
+    # branches the limit closes: it is recounted here from the walk's nodes
+    # and endgames and matches the counter on one worker and on two.
     nodes = []
+    closed = {"nodes": 0, "lower": 0, "precheck": 0}
+    limit = WALKS["limit-1e14"].limit
+    table = build_prime_table(1 << 17)
     real_next = phi23.search._next_primes
+    real_solve = phi23.search.two_prime_solve
 
     def next_spy(state, i, limit, table, counters):
         candidates = real_next(state, i, limit, table, counters)
@@ -451,95 +456,110 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
             nodes.append((state, i, candidates))
         return candidates
 
+    def solve_spy(alpha, beta, gamma, floor, b, limit, counters):
+        delta = alpha - beta
+        if b * (math.isqrt(alpha * beta + gamma * delta) + alpha) ** 2 > delta**2 * limit:
+            closed["precheck"] += 1
+        return real_solve(alpha, beta, gamma, floor, b, limit, counters)
+
+    def bound_spy(state, i, table, room):
+        m = finiteness_bound(state, i, table, room)
+        closed["nodes"] += m == i
+        return m
+
     monkeypatch.setattr(phi23.search, "_next_primes", next_spy)
-    limit = WALKS["limit-1e14"].limit
-    solve(WALKS["limit-1e14"])
-    table = build_prime_table(1 << 17)
+    monkeypatch.setattr(phi23.search, "two_prime_solve", solve_spy)
+    monkeypatch.setattr(phi23.search, "finiteness_bound", bound_spy)
+    counters = SearchCounters()
+    solve(WALKS["limit-1e14"], counters)
     primes = table.primes
-    cut = {"lower": 0, "top": 0}
-    endgames = {"lower": 0, "top": 0}
+    endgames = 0
     for state, i, candidates in nodes:
-        m = candidates.stop - 1
         uncut = finiteness_bound(state, i, table, limit_bound(state, limit))
-        assert i <= m <= uncut, state
+        assert candidates.stop - 1 == uncut, state
         top = state.alpha // (state.alpha - state.beta)
-        lower = [q for q in primes[i + 1 : candidates.start] if q > top]
-        for side, qs in (("lower", lower), ("top", primes[m + 1 : uncut + 1])):
-            for q in qs:
-                cut[side] += 1
-                child = absorb_prime(state, q)
-                if isinstance(child, Pruned):
-                    continue
-                endgames[side] += 1
-                b = child.prefix_product
-                pairs = two_prime_solve(*two_prime_args(child))
-                assert [(q2, r) for q2, r in pairs if b * q2 * r <= limit] == [], child
-                if side == "lower":
-                    counters = SearchCounters()
-                    assert two_prime_solve(*two_prime_args(child), limit, counters) == [], child
-                    assert counters == SearchCounters(prune_limit=1), child
+        for q in primes[i + 1 : candidates.start]:
+            if q <= top:
+                continue
+            closed["lower"] += 1
+            child = absorb_prime(state, q)
+            if isinstance(child, Pruned):
+                continue
+            endgames += 1
+            b = child.prefix_product
+            pairs = two_prime_solve(*two_prime_args(child))
+            assert [(q2, r) for q2, r in pairs if b * q2 * r <= limit] == [], child
+            child_counters = SearchCounters()
+            assert two_prime_solve(*two_prime_args(child), limit, child_counters) == [], child
+            assert child_counters == SearchCounters(prune_limit=1), child
     assert len(nodes) == 1078
-    # the lower cut's 3,216 endgames are all ones the pre-check closed: they
-    # are what it took off nodes_expanded (10,041 -> 6,825) and prune_limit
-    # (3,364 -> 148)
-    assert cut == {"lower": 5141, "top": 3539}
-    assert endgames == {"lower": 3216, "top": 519}
+    assert endgames == 3735
+    assert closed == {"nodes": 0, "lower": 6033, "precheck": 7}
+    recount = sum(closed.values())
+    assert counters.prune_limit == recount == 6040
+    monkeypatch.undo()
+    for threads in (1, 2):
+        counters = SearchCounters()
+        solve(dataclasses.replace(WALKS["limit-1e14"], threads=threads), counters)
+        assert counters.prune_limit == recount, threads
 
 
 @pytest.mark.parametrize(
-    "prefix, alpha, beta, limit, uncut, top, candidates, prune_limit",
+    "prefix, alpha, beta, limit, uncut, candidates, prune_limit",
     [
         # b = 13, alpha = 351, beta = 329: Delta = 22 and K0 = isqrt(351*329)
-        # + 351 = 690 = 30*23.  The top cut drops q while 13*690**2*(q - 1)**2
-        # > 22**2*limit*q; at q = 23, q - 1 = Delta and the two sides meet at
-        # limit 13*690*30: 23 is kept as the top.  The lower cut then drops
-        # 17, 19 and 23, so nothing is left, and no prune_limit ticks.
-        ((13,), 351, 329, 269_100, 23, 23, [], 0),
-        # one less and the top cut drops 23, though its run 23*29*31 still fits
-        ((13,), 351, 329, 269_099, 23, 19, [], 0),
-        # the run 17*19*23 fits, but the top cut drops 17: prune_limit ticks
-        ((13,), 351, 329, 100_000, 17, 13, [], 1),
+        # + 351 = 690, alpha // Delta = 15.  The range runs up to the capped
+        # finiteness index, 23 at limits 269,100 and 269,099 alike, and the
+        # lower cut drops 17, 19 and 23: three prune_limit ticks.
+        ((13,), 351, 329, 269_100, 23, [], 3),
+        ((13,), 351, 329, 269_099, 23, [], 3),
+        # the run 17*19*23 fits; the lower cut drops 17: one tick
+        ((13,), 351, 329, 100_000, 17, [], 1),
         # b = 5, alpha = 11, beta = 10: Delta = 1, K0 = 10 + 11 = 21 and
-        # alpha // Delta = 11.  At q = 7 the top cut's sides meet at limit
-        # 5*21**2*6**2 / 7 = 11340: 7 is kept as the top, and the infeasible
-        # prefix holds every candidate
-        ((5,), 11, 10, 11_340, 7, 7, [], 0),
-        # one less and the top cut leaves nothing: prune_limit ticks
-        ((5,), 11, 10, 11_339, 7, 5, [], 1),
+        # alpha // Delta = 11.  The infeasible prefix holds every candidate,
+        # and skipping it ticks no prune_limit.
+        ((5,), 11, 10, 11_340, 7, [], 0),
+        ((5,), 11, 10, 11_339, 7, [], 0),
+        # the run 7*11*13 fits under 5005 / 5 and the infeasible prefix
+        # holds 7 and 11; one less and the capped bound leaves the node no
+        # candidate: one tick
+        ((5,), 11, 10, 5_005, 7, [], 0),
+        ((5,), 11, 10, 5_004, 5, [], 1),
         # the lower cut drops q while 5*21**2*q*(q - 1)**2 > limit*(q - 11)**2;
-        # here it drops 13, 17 and 19, every candidate the top cut keeps, and
-        # no prune_limit ticks
-        ((5,), 11, 10, 100_000, 19, 19, [], 0),
+        # here it drops 13, 17 and 19, every candidate: three ticks
+        ((5,), 11, 10, 100_000, 19, [], 3),
         # at q = 17 its sides meet at limit 5*21**2*17*16**2 / 6**2 = 266560:
         # 13 is dropped and 17 kept
-        ((5,), 11, 10, 266_560, 23, 23, [17, 19, 23], 0),
+        ((5,), 11, 10, 266_560, 23, [17, 19, 23], 1),
         # one less and 17 is dropped too, though its run 17*19*23 still fits
-        ((5,), 11, 10, 266_559, 23, 23, [19, 23], 0),
+        ((5,), 11, 10, 266_559, 23, [19, 23], 2),
     ],
+    # The first five ids were named for a top cut the range no longer has;
+    # each row keeps its id.
     ids=[
         "269100-23-candidates0-0",
         "269099-23-candidates1-0",
         "100000-17-candidates2-1",
         "top-11340",
         "top-11339",
+        "node-5005",
+        "node-5004",
         "lower-100000",
         "lower-266560",
         "lower-266559",
     ],
 )
-def test_last_level_cut_boundary(prefix, alpha, beta, limit, uncut, top, candidates, prune_limit):
-    # Not walk states.  Each cut keeps a q at equality.  ``top`` is the
-    # table prime at the range's stop - 1, the last index the top cut keeps.
-    # (With an empty prefix no state both keeps 5 and meets the top cut: K0 /
-    # Delta < 2*alpha / Delta < 10 when alpha // Delta < 5, so the equality
-    # limit at any q is below the run q*q'*q''.)
+def test_last_level_cut_boundary(prefix, alpha, beta, limit, uncut, candidates, prune_limit):
+    # Not walk states.  The lower cut keeps a q at equality, and the range
+    # stops at the limit-capped finiteness index ``uncut``.
     st = EquationState(prefix=prefix, alpha=alpha, beta=beta, gamma=1, remaining=3)
     table = build_prime_table(1 << 12)
     i = index_of(table, prefix[-1])
-    assert table.primes[finiteness_bound(st, i, table, limit_bound(st, limit))] == uncut
+    m = finiteness_bound(st, i, table, limit_bound(st, limit))
+    assert table.primes[m] == uncut
     counters = SearchCounters()
     got = phi23.search._next_primes(st, i, limit, table, counters)
-    assert table.primes[got.stop - 1] == top
+    assert got.stop - 1 == m
     assert [table.primes[j] for j in got] == candidates
     assert (counters.nodes_expanded, counters.prune_limit) == (1, prune_limit)
 
@@ -591,61 +611,14 @@ def test_candidates_start_past_alpha_over_delta():
     assert table.primes[candidates.start] == 17 < table.primes[candidates.stop - 1]
 
 
-def _populated_roots():
-    """(alpha, beta, gamma) of every root with alpha <= 24, beta < alpha
-    coprime to it, and gamma in {1, 2}: the premises of the walk's proofs."""
-    return [
-        (alpha, beta, gamma)
-        for alpha in range(2, 25)
-        for beta in range(1, alpha)
-        if math.gcd(alpha, beta) == 1
-        for gamma in (1, 2)
-    ]
-
-
-def _walk_root(root, limit, table):
-    """The n of every solution the walk finds below ``root`` with n <= limit,
-    each checked against the root's own equation."""
-    alpha, beta, gamma = root
-    found = set()
-    for k in range(1, max_k_for_limit(limit) + 1):
-        task = (EquationState((), alpha, beta, gamma, k), 1)  # index 1: the root floor, 3
-        for factors in phi23.search._walk_task(task, limit, table)[0]:
-            assert len(factors) == k and factors[0] >= 5, (root, factors)
-            assert all(q < r for q, r in zip(factors, factors[1:])), (root, factors)
-            assert all(map(trial_is_prime, factors)), (root, factors)
-            n = math.prod(factors)
-            assert alpha * math.prod(q - 1 for q in factors) == beta * n + gamma, (root, factors)
-            assert n <= limit, (root, factors)
-            found.add(n)
-    return found
-
-
 def test_populated_trees_match_brute_force():
-    # The 2/3 equation has one chain of four solutions; these roots have 55
-    # solutions below 2e6 between them, some off any chain: (9, 7, 1) has 5,
-    # 77, 185, 5369, 41657 and 239945.  The walk finds exactly the brute-force
-    # set of each root, and again with the limit set to each of its
-    # solutions, which catches a bound that prunes too much.
-    bound = 2_000_000
-    phi = totient_sieve(bound)
-    n = np.arange(bound + 1, dtype=np.int64)
-    keep = (n % 2 == 1) & (n % 3 != 0) & (n > 1)
-    for p in simple_sieve(math.isqrt(bound))[2:]:
-        keep[:: p * p] = False
-    n, phi = n[keep], phi[keep]
-    roots = _populated_roots()
-    assert len(roots) == 358
-    table = build_prime_table(1 << 12)
-    total = 0
-    for root in roots:
-        alpha, beta, gamma = root
-        want = set(n[alpha * phi == beta * n + gamma].tolist())
-        assert _walk_root(root, bound, table) == want, root
-        for limit in want:
-            assert _walk_root(root, limit, table) == {m for m in want if m <= limit}, (root, limit)
-        total += len(want)
-    assert total == 55
+    # The 2/3 equation has one chain of four solutions; the 358 roots of
+    # helpers.populated_roots have 55 solutions below 2e6 between them, some
+    # off any chain: (9, 7, 1) has 5, 77, 185, 5369, 41657 and 239945.  The
+    # walk finds exactly the brute-force set of each root, and again with the
+    # limit set to each of its solutions, which catches a bound that prunes
+    # too much.  A manual workflow runs the same check to 2e8.
+    assert check_populated_trees(2_000_000) == (358, 55)
 
 
 @pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
