@@ -362,9 +362,10 @@ def _rho_brent(n: int, attempt: int) -> int:
 
 
 def _split(m: int, out: dict[int, int]) -> bool:
-    """Add the prime factors of m to out; False when rho gave up on a part."""
-    if m == 1:
-        return True
+    """Add the prime factors of m to out; False when rho gave up on a part.
+
+    Needs m > 1, which factorize (m >= 10**6) and rho (1 < d < m) keep.
+    """
     if is_prime(m):
         out[m] = out.get(m, 0) + 1
         return True

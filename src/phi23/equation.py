@@ -291,9 +291,9 @@ def two_prime_solve(
     not cap hi: past the pre-check, hi**2 <= ((rt + alpha) / delta)**2 <=
     limit / prefix_product, so q*q <= limit / prefix_product already holds.
     The scan works from both ends of that range, split at mid =
-    (isqrt(target // delta) + alpha) // delta clipped to at most hi, then to
-    at least lo - 1 (so the range is empty when hi < lo), where f1 is about
-    sqrt(target / delta):
+    (isqrt(target // delta) + alpha) // delta, which is at most hi as delta
+    >= 1, raised to at least lo - 1 (so the range is empty when hi < lo),
+    where f1 is about sqrt(target / delta):
 
       - each q in [lo, mid] is tried: does f1 divide the target?
       - each q in (mid, hi] is found through its sum s = q + r.  The
@@ -365,8 +365,6 @@ def two_prime_solve(
     # q in [lo, mid] are tried one by one, q in (mid, hi] found through their
     # sums q + r, which fill [s_lo, s_hi] (see above).
     mid = (isqrt(target // delta) + alpha) // delta
-    if mid > hi:
-        mid = hi
     if mid < lo:
         mid = lo - 1
     s_lo, s_hi = 1, 0

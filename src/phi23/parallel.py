@@ -63,7 +63,8 @@ def _run_child(
 
 def run_tasks(tasks: Sequence[T], walk: Callable[[T], R], processes: int) -> list[R]:
     """``[walk(t) for t in tasks]``, computed on ``processes`` processes, this
-    one included.
+    one included.  ``processes`` must be at least 1: with 0 the pipe starts
+    with no token, and this process's first claim blocks forever.
 
     The other processes are forked here and inherit ``walk`` and ``tasks``
     as they are at the fork.  Tasks are claimed through one pipe of 8-byte

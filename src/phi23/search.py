@@ -92,12 +92,10 @@ class SearchCounters:
     endgames a node with three primes left solves without building their
     states (see _solve_last_level) count too: every counter ticks as if
     those states were built.  prune_limit counts the branches the limit
-    closes: a node whose bound on its largest candidate leaves it none (not
-    even the first ``remaining`` consecutive primes past the floor fit under
-    it), each candidate the lower cut of a node with three primes left drops
-    (see _next_primes), and each endgame whose least pair product is out of
-    reach (see two_prime_solve).  prune_corollary counts candidate primes
-    q with p | q - 1 for a prefix prime p, which the gcd test of
+    closes: each candidate the lower cut of a node with three primes left
+    drops (see _next_primes), and each endgame whose least pair product is
+    out of reach (see two_prime_solve).  prune_corollary counts candidate
+    primes q with p | q - 1 for a prefix prime p, which the gcd test of
     absorb_prime rejects (the paper's second theorem); no q whose normalized
     alpha <= beta is tried, and no q the lower cut drops (see _next_primes).
     prune_congruence counts divisor pairs discarded by the endgame residue
@@ -239,6 +237,11 @@ def _next_primes(
     equality: each q skipped is dead on its own, so the cut needs no
     monotonicity, and as L(q) blows up when q falls toward alpha/Delta the run
     it skips is short.  Each q it skips counts as a prune_limit.
+
+    The capped bound lies past i on every state the walk builds, so the
+    range is never cut off at the floor: a root's first run of primes fits
+    under the limit (max_k_for_limit) and passes the finiteness test, and a
+    child's two tests at its floor are its parent's at the prime before q.
     """
     counters.nodes_expanded += 1
     m = finiteness_bound(state, i, table, None if limit is None else limit_bound(state, limit))
@@ -258,13 +261,6 @@ def _next_primes(
                 break
             lo += 1
         counters.prune_limit += lo - start
-    if m == i:
-        # Only the limit can close a branch here: the first run of `remaining`
-        # primes past the floor already overflows the budget.  A child's first
-        # finiteness test is the one its parent passed at the prime before it,
-        # so the uncapped finiteness_bound(state) > i on every state the walk
-        # makes.
-        counters.prune_limit += 1
     return range(lo, m + 1)
 
 
@@ -450,7 +446,7 @@ def solve(config: SearchConfig, counters: SearchCounters | None = None) -> list[
     want = 4 * workers
     tasks = [s for k in ks for s in _make_tasks(root_state(k), config.limit, table, counters, want)]
     if not tasks:
-        return []
+        return []  # run_tasks needs at least one process
     # Imported here: a serial run never loads the driver.
     from .parallel import run_tasks
 

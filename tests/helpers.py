@@ -8,13 +8,16 @@ uses the package's prime table, which it grows under PrimeTable.extend_tail's
 condition.  The state helpers (absorb_chain and the one after it) drive
 the package's own state transition to build test inputs.  The populated-tree
 check at the end walks roots other than the 2/3 equation's against a brute
-force over the oracle's totient sieve.
+force over the oracle's totient sieve.  deadline guards a test that could
+hang.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import signal
 from bisect import bisect_left
 from itertools import combinations
 from typing import NamedTuple
@@ -377,3 +380,20 @@ def check_populated_trees(bound: int) -> tuple[int, int]:
             assert walk_root(root, limit, table) == {m for m in want if m <= limit}, (root, limit)
         total += len(want)
     return len(roots), total
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this process if the block is still running after
+    ``seconds``, so a hung driver fails its test (and kills its children)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

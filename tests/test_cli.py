@@ -13,6 +13,7 @@ import phi23.cli
 import phi23.equation
 import phi23.oracle
 import phi23.search
+from helpers import deadline
 from phi23.arith import FactoringError, SieveCapError, is_prime
 from phi23.cli import main
 
@@ -166,13 +167,14 @@ def test_search_huge_limit_small_k(capsys):
     assert out.splitlines() == [KNOWN_TEXT_LINES[2]]
 
 
-def test_search_empty_result(capsys):
-    code, out, _ = run_cli(capsys, "search", "--k", "5", "--threads", "1")
-    assert code == 0
-    assert out == ""
-    code, out, _ = run_cli(capsys, "search", "--limit", "4", "--threads", "1")
-    assert code == 0
-    assert out == ""
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_search_empty_result(capsys, monkeypatch, threads):
+    # --limit 4 admits no k, so a two-worker run has no task to hand out
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    with deadline(60):
+        for args in (("--k", "5"), ("--limit", "4")):
+            code, out, _ = run_cli(capsys, "search", *args, "--threads", threads)
+            assert (code, out) == (0, ""), args
 
 
 def test_search_threads_do_not_change_output(capsys):
@@ -195,11 +197,15 @@ def test_search_bounded_beyond_k6(capsys):
     assert out == ""
 
 
-def test_search_k_min_above_limit_cap(capsys):
-    # 1e10 admits at most k = 8, so k >= 9 has nothing to report
-    code, out, err = run_cli(
-        capsys, "search", "--k-min", "9", "--limit", "1e10", "--threads", "1"
-    )
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_search_k_min_above_limit_cap(capsys, monkeypatch, threads):
+    # 1e10 admits at most k = 8, so k >= 9 has nothing to report, and a
+    # two-worker run has no task to hand out
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    with deadline(60):
+        code, out, err = run_cli(
+            capsys, "search", "--k-min", "9", "--limit", "1e10", "--threads", threads
+        )
     assert (code, out, err) == (0, "", "")
 
 

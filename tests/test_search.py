@@ -1,6 +1,5 @@
 """End-to-end tests for the pruned solver and its parallel driver."""
 
-import contextlib
 import dataclasses
 import importlib.util
 import json
@@ -20,6 +19,7 @@ from helpers import (
     WALKS,
     brute_force_k,
     check_populated_trees,
+    deadline,
     index_of,
     integer_root,
     simple_sieve,
@@ -298,6 +298,8 @@ def _walk_record(monkeypatch, config):
     def bound_spy(state, i, table, room):
         assert table.primes[i] == state.floor, (state, i)
         m = real_bound(state, i, table, room)
+        # the capped bound leaves every walk node a candidate range (see _next_primes)
+        assert room is None or m > i, (state, room)
         hi = table.primes[m]
         # the walk's primes up to hi come from this table without growing it
         assert hi <= table.limit, (state, hi, table.limit)
@@ -441,10 +443,10 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
     # limit, by the unlimited endgame, which runs no limit pre-check.  The
     # limited endgame's pre-check would close every endgame the cut drops, so
     # the cut moves no endgame_scan or endgame_factor.  prune_limit counts the
-    # branches the limit closes: it is recounted here from the walk's nodes
-    # and endgames and matches the counter on one worker and on two.
+    # branches the limit closes: it is recounted here from the lower cuts
+    # and the pre-checks and matches the counter on one worker and on two.
     nodes = []
-    closed = {"nodes": 0, "lower": 0, "precheck": 0}
+    closed = {"lower": 0, "precheck": 0}
     limit = WALKS["limit-1e14"].limit
     table = build_prime_table(1 << 17)
     real_next = phi23.search._next_primes
@@ -462,14 +464,8 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
             closed["precheck"] += 1
         return real_solve(alpha, beta, gamma, floor, b, limit, counters)
 
-    def bound_spy(state, i, table, room):
-        m = finiteness_bound(state, i, table, room)
-        closed["nodes"] += m == i
-        return m
-
     monkeypatch.setattr(phi23.search, "_next_primes", next_spy)
     monkeypatch.setattr(phi23.search, "two_prime_solve", solve_spy)
-    monkeypatch.setattr(phi23.search, "finiteness_bound", bound_spy)
     counters = SearchCounters()
     solve(WALKS["limit-1e14"], counters)
     primes = table.primes
@@ -494,7 +490,7 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
             assert child_counters == SearchCounters(prune_limit=1), child
     assert len(nodes) == 1078
     assert endgames == 3735
-    assert closed == {"nodes": 0, "lower": 6033, "precheck": 7}
+    assert closed == {"lower": 6033, "precheck": 7}
     recount = sum(closed.values())
     assert counters.prune_limit == recount == 6040
     monkeypatch.undo()
@@ -521,10 +517,11 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
         ((5,), 11, 10, 11_340, 7, [], 0),
         ((5,), 11, 10, 11_339, 7, [], 0),
         # the run 7*11*13 fits under 5005 / 5 and the infeasible prefix
-        # holds 7 and 11; one less and the capped bound leaves the node no
-        # candidate: one tick
+        # holds 7 and 11; one less and the capped bound stops at the floor,
+        # as on no walk state (see _next_primes): the range is empty and
+        # ticks nothing
         ((5,), 11, 10, 5_005, 7, [], 0),
-        ((5,), 11, 10, 5_004, 5, [], 1),
+        ((5,), 11, 10, 5_004, 5, [], 0),
         # the lower cut drops q while 5*21**2*q*(q - 1)**2 > limit*(q - 11)**2;
         # here it drops 13, 17 and 19, every candidate: three ticks
         ((5,), 11, 10, 100_000, 19, [], 3),
@@ -825,23 +822,6 @@ def test_every_tree_level_takes_one_path_on_two_workers(monkeypatch, fake_pool):
         assert expanded and min(s.remaining for s in expanded) >= 4
         assert [s.prefix for s in endgames] == [(), ()]
     assert fake_pool == [2, 2]
-
-
-@contextlib.contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in this process if the block is still running after
-    ``seconds``, so a hung driver fails its test (and kills its children)."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_no_children():
