@@ -396,8 +396,8 @@ def factorize(n: int) -> Factorization:
             out[p] = out.get(p, 0) + 1
             m //= p
     if m > 1:
-        # m has no factor <= min(1000, sqrt(m)).
-        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
+        # m has no factor <= min(1000, sqrt(m)); _split tests a larger m.
+        if m < _TRIAL_LIMIT * _TRIAL_LIMIT:
             out[m] = out.get(m, 0) + 1
         elif not _split(m, out):
             raise FactoringError(n)

@@ -272,8 +272,15 @@ def two_prime_solve(
 
     When a limit is given, each pair must keep n = prefix_product*q*r <=
     limit, and an endgame whose every pair breaks it is closed before its
-    divisors are sought (the limit pre-check).  Since f1*f2 = target with
-    f1, f2 > 0, AM-GM gives f1 + f2 >= 2*sqrt(target), and
+    divisors are sought, by either of two lower bounds on q*r (the limit
+    pre-check).  The first is a residue class.  Modulo alpha the equation
+    reads beta*q*r + gamma = 0, and beta is invertible there as gcd(alpha,
+    beta) = 1, so every pair, prime or not, has q*r = c = -gamma/beta (mod
+    alpha); floor < q < r gives q*r > floor**2.  So no pair fits when the
+    least integer >= floor**2 congruent to c, times prefix_product, exceeds
+    the limit.  (This is the sum-side class below read on the product: s is
+    an integer exactly when q*r lies in c's class.)  The second is AM-GM.
+    Since f1*f2 = target with f1, f2 > 0, f1 + f2 >= 2*sqrt(target), and
 
         q*r = (target + alpha*(f1 + f2) + alpha**2) / delta**2
             >= ((sqrt(target) + alpha) / delta)**2
@@ -288,7 +295,7 @@ def two_prime_solve(
     and walks all its divisors.  "scan" finds every divisor f1 = delta*q -
     alpha with q an integer in lo <= q <= hi, where lo > floor keeps f1 >= 1
     and hi = (rt + alpha) // delta keeps f1 <= sqrt(target).  The limit need
-    not cap hi: past the pre-check, hi**2 <= ((rt + alpha) / delta)**2 <=
+    not cap hi: past the AM-GM bound, hi**2 <= ((rt + alpha) / delta)**2 <=
     limit / prefix_product, so q*q <= limit / prefix_product already holds.
     The scan works from both ends of that range, split at mid =
     (isqrt(target // delta) + alpha) // delta, which is at most hi as delta
@@ -324,14 +331,15 @@ def two_prime_solve(
     target**(1/4), Brent rho's iteration count on a worst-case split, and
     factors the target otherwise.  The count is never negative (mid >= lo -
     1, and S falls on (mid, hi], so s_hi >= s_lo - 1), and for steps >= 0
-    the test steps*steps <= rt, on the root the pre-check took, holds exactly
+    the test steps*steps <= rt, on the root the AM-GM bound took, holds exactly
     when steps**4 <= target, that is when steps <= floor(target**(1/4)).
     ``strategy`` forces one source (tests cross-check the two with it).  The
     rule prices a sieved sum step like a tried q, though it is the cheaper
-    of the two on large targets.  Most endgames of a walk past the limit
-    pre-check have no scan step at all: no q in [lo, mid] and no sum of the
-    class in [s_lo, s_hi].  Such a call returns right after its bounds, as
-    does any scan that meets no divisor.  The pairs come out by ascending q
+    of the two on large targets.  An endgame with no scan step at all (no q
+    in [lo, mid] and no sum of the class in [s_lo, s_hi]) returns right
+    after its bounds, as does any scan that meets no divisor; on a limited
+    walk the residue bound closes most such endgames before their bounds.
+    The pairs come out by ascending q
     unsorted: divisors() ascends, and the scan tries [lo, mid] upward, then
     (mid, hi] by descending sum.
 
@@ -348,12 +356,16 @@ def two_prime_solve(
     target = alpha * beta + gamma * delta
     b = prefix_product
     rt = isqrt(target)
-    if limit is not None and b * (rt + alpha) ** 2 > delta * delta * limit:
-        # Every pair has b*q*r >= b*((rt + alpha) / delta)**2 > limit (see
-        # above); skip finding the target's divisors.
-        if counters is not None:
-            counters.prune_limit += 1
-        return []
+    if limit is not None:
+        # Two lower bounds on q*r (see above): the least product from
+        # floor**2 up in the class of -gamma/beta modulo alpha, and AM-GM.
+        # Past either, every pair breaks the limit; skip finding divisors.
+        least = floor * floor
+        least += (-gamma * pow(beta, -1, alpha) - least) % alpha
+        if b * least > limit or b * (rt + alpha) ** 2 > delta * delta * limit:
+            if counters is not None:
+                counters.prune_limit += 1
+            return []
 
     # f1 >= 1 and q > floor bound q from below, f1 <= sqrt(target) from
     # above.  (Plain comparisons rather than max/min: most calls end right

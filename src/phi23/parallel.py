@@ -63,8 +63,8 @@ def _run_child(
 
 def run_tasks(tasks: Sequence[T], walk: Callable[[T], R], processes: int) -> list[R]:
     """``[walk(t) for t in tasks]``, computed on ``processes`` processes, this
-    one included.  ``processes`` must be at least 1: with 0 the pipe starts
-    with no token, and this process's first claim blocks forever.
+    one included; ``processes`` below 1 raises ValueError, as the pipe would
+    start with no token and this process's first claim would block forever.
 
     The other processes are forked here and inherit ``walk`` and ``tasks``
     as they are at the fork.  Tasks are claimed through one pipe of 8-byte
@@ -85,6 +85,8 @@ def run_tasks(tasks: Sequence[T], walk: Callable[[T], R], processes: int) -> lis
     makes this raise.  On every path each child is killed if still running
     and reaped.
     """
+    if processes < 1:
+        raise ValueError(f"need processes >= 1, got {processes}")
     import pickle
     import signal
 

@@ -93,8 +93,9 @@ class SearchCounters:
     states (see _solve_last_level) count too: every counter ticks as if
     those states were built.  prune_limit counts the branches the limit
     closes: each candidate the lower cut of a node with three primes left
-    drops (see _next_primes), and each endgame whose least pair product is
-    out of reach (see two_prime_solve).  prune_corollary counts candidate
+    drops (see _next_primes), and each endgame whose least pair product,
+    bounded by AM-GM or by its residue class modulo alpha, is out of reach
+    (see two_prime_solve).  prune_corollary counts candidate
     primes q with p | q - 1 for a prefix prime p, which the gcd test of
     absorb_prime rejects (the paper's second theorem); no q whose normalized
     alpha <= beta is tried, and no q the lower cut drops (see _next_primes).

@@ -173,6 +173,27 @@ def test_factorize_gives_up_without_rho(monkeypatch):
         assert info.value.branch == ()
 
 
+def test_factorize_tests_each_cofactor_once(monkeypatch):
+    # after trial division, each cofactor past 10**6 is tested for primality
+    # once: the composite left over, then the two primes rho splits it into
+    seen = []
+    real = phi23.arith.is_prime
+
+    def spy(n):
+        seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr(phi23.arith, "is_prime", spy)
+    n = 1_000_003 * 10_000_019
+    assert factorize(6 * n).factors == ((2, 1), (3, 1), (1_000_003, 1), (10_000_019, 1))
+    assert sorted(seen) == [1_000_003, 10_000_019, n]
+    seen.clear()
+    # a prime cofactor past 10**6 is tested once, a smaller one not at all
+    assert factorize(6 * 10_000_019).factors == ((2, 1), (3, 1), (10_000_019, 1))
+    assert factorize(6 * 1_009).factors == ((2, 1), (3, 1), (1_009, 1))
+    assert seen == [10_000_019]
+
+
 @pytest.mark.parametrize(
     "error, text",
     [

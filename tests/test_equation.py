@@ -515,39 +515,63 @@ def test_two_prime_default_strategy():
 
 
 @pytest.mark.parametrize(
-    "args, split, sums_in_range",
+    "args, split, sums_in_range, kept",
     [
         # lo = 18 > mid = 17, and neither sum 43, 44 lies in the class of
-        # (alpha - gamma) / alpha modulo delta = 131; most endgames are this kind
-        ((1440, 1309, 1, 17, 1309), (18, 17, 21), True),
+        # (alpha - gamma) / alpha modulo delta = 131
+        ((1440, 1309, 1, 17, 1309), (18, 17, 21), True, 10**14),
         # lo = 104 > mid = 103, and no integer sum lies in (mid, hi] = (103, 109]
-        ((3672, 3605, 1, 103, 3605), (104, 103, 109), False),
-        # the same kind, kept by the limit pre-check: its least n,
-        # b*((isqrt(target) + alpha) / delta)**2, is 9.44e13
-        ((177420672, 176935115, 1, 719, 176935115), (720, 719, 730), False),
+        ((3672, 3605, 1, 103, 3605), (104, 103, 109), False, 10**14),
+        # the same kind, kept by the AM-GM bound, whose least n is 9.44e13,
+        # but closed at 1e14 by the residue bound: the least q*r from 719**2
+        # up in the class of -gamma/beta modulo alpha is 122,314,909, so the
+        # least n is b*122,314,909 = 2.16e16, the limit it is kept at
+        ((177420672, 176935115, 1, 719, 176935115), (720, 719, 730), False, 176935115 * 122314909),
         # not from the walk: the floor puts lo = 101 far past hi = 5, so mid
         # clips to lo - 1 and the step count is 0, not 5 - 101 + 1 = -95,
         # whose fourth power would pass the target 8 and choose factoring
-        ((3, 2, 2, 100, 1), (101, 100, 5), False),
+        ((3, 2, 2, 100, 1), (101, 100, 5), False, 10**14),
     ],
+    ids=["args0-split0-True", "args1-split1-False", "args2-split2-False", "args3-split3-False"],
 )
-def test_two_prime_zero_step_endgames(monkeypatch, args, split, sums_in_range):
-    # endgames (all but the last of the 1e14 walk) whose scan has no step: no
-    # q to try and no sum of the class to step; they return after their bounds
-    limit = 10**14
+def test_two_prime_zero_step_endgames(monkeypatch, args, split, sums_in_range, kept):
+    # endgames of the 1e14 walk (but the last) whose scan has no step: no q
+    # to try and no sum of the class to step.  At a limit the pre-check lets
+    # through (``kept``) they return right after their bounds; the residue
+    # bound closes the third at 1e14.
     assert _scan_split(args) == split
-    _assert_strategies_agree(args, limit)
+    for limit in (10**14, kept, kept - 1):
+        _assert_strategies_agree(args, limit)
+    closed = SearchCounters()
+    assert two_prime_solve(*args, 10**14, closed) == []
+    assert closed.as_dict() == {
+        **SearchCounters().as_dict(), "endgame_scan" if kept == 10**14 else "prune_limit": 1
+    }
+    if kept != 10**14:
+        # a limit one below closes it, and the AM-GM bound alone would not
+        alpha, beta, gamma, _, b = args
+        rt = math.isqrt(alpha * beta + gamma * (alpha - beta))
+        assert b * (rt + alpha) ** 2 <= (alpha - beta) ** 2 * (kept - 1)
+        closed = SearchCounters()
+        assert two_prime_solve(*args, kept - 1, closed) == []
+        assert closed == SearchCounters(prune_limit=1)
 
     def boom(*_):
         raise AssertionError("a scan with no step reached its steps")
 
+    def pow_spy(base, exp, mod):
+        # the residue bound takes the inverse of beta modulo alpha; the scan
+        # takes none modulo delta with no sum to place in its class
+        if mod == args[0] - args[1]:
+            boom()
+        return pow(base, exp, mod)
+
     monkeypatch.setattr(phi23.equation, "_square_steps", boom)
     if not sums_in_range:
-        # no sum to place in its class, so no inverse modulo delta is taken
-        monkeypatch.setattr(phi23.equation, "pow", boom, raising=False)
+        monkeypatch.setattr(phi23.equation, "pow", pow_spy, raising=False)
     counters = SearchCounters()
     trace = []
-    assert two_prime_solve(*args, limit, counters, trace) == []
+    assert two_prime_solve(*args, kept, counters, trace) == []
     assert trace == []
     assert counters.as_dict() == {**SearchCounters().as_dict(), "endgame_scan": 1}
 
@@ -611,8 +635,9 @@ def test_two_prime_limit_cut_skips_factoring(monkeypatch):
     ],
 )
 def test_two_prime_limit_precheck_boundary(monkeypatch, args, limit, closed):
-    # The pre-check closes an endgame exactly when b*(isqrt(target) + alpha)**2
-    # > delta**2*limit, and then finds no divisor; at equality it runs.
+    # The AM-GM bound closes an endgame exactly when b*(isqrt(target) +
+    # alpha)**2 > delta**2*limit, and then finds no divisor; at equality it
+    # runs, as the residue bound keeps these endgames.
     alpha, beta, gamma, _, b = args
     delta = alpha - beta
     rt = math.isqrt(endgame_params(state((), alpha, beta, gamma, 2)).target)
@@ -629,6 +654,53 @@ def test_two_prime_limit_precheck_boundary(monkeypatch, args, limit, closed):
     assert two_prime_solve(*args, limit, counters) == []
     assert counters.prune_limit == closed
     assert counters.endgame_scan + counters.endgame_factor == (not closed)
+
+
+def _integer_pairs(alpha, beta, gamma, floor):
+    """Every integer pair floor < q < r with alpha(q-1)(r-1) = beta*q*r + gamma:
+    each q from floor + 1 up, with r = (gamma + alpha*(q-1)) / (delta*q - alpha)
+    where that is an integer, until r <= q (r falls as q grows)."""
+    delta = alpha - beta
+    pairs = []
+    q = floor + 1
+    while True:
+        num, den = gamma + alpha * (q - 1), delta * q - alpha
+        if den > 0:
+            if num <= q * den:
+                return pairs
+            if not num % den:
+                pairs.append((q, num // den))
+        q += 1
+
+
+def test_two_prime_limit_precheck_keeps_every_pair_at_tight_limits():
+    # On random small coefficients, at the limits b*q*r and b*q*r - 1 of every
+    # integer pair, the pairs the endgame sees under the limit (its trace,
+    # primes or not) are exactly the brute-force pairs under it: neither
+    # bound of the pre-check closes an endgame with a pair at its limit.  The
+    # residue bound needs a window below alpha, so the floor is also put just
+    # under each pair's q.
+    rng = random.Random(30)
+    under = ("accepted", "q_composite", "r_composite")
+    checks = 0
+    while checks < 3000:
+        alpha = rng.randrange(2, 200)
+        beta = rng.randrange(1, alpha)
+        if math.gcd(alpha, beta) != 1:
+            continue
+        gamma = rng.choice((1, 2))
+        everything = _integer_pairs(alpha, beta, gamma, 1)
+        for floor in {1, rng.randrange(1, 20)} | {q - 1 for q, _ in everything if q > 1}:
+            pairs = [(q, r) for q, r in everything if q > floor]
+            b = rng.choice((1, 5, 35))
+            for q, r in pairs:
+                for limit in (b * q * r, b * q * r - 1):
+                    trace = []
+                    two_prime_solve(alpha, beta, gamma, floor, b, limit, trace=trace)
+                    seen = {(t[2], t[3]) for t in trace if t[4] in under}
+                    assert seen == {p for p in pairs if b * p[0] * p[1] <= limit}, (
+                        alpha, beta, gamma, floor, b, limit)
+                    checks += 1
 
 
 def test_two_prime_requires_two_remaining():
@@ -701,7 +773,7 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
     solve(SearchConfig(limit=10**14))
     solve(SearchConfig(limit=10**15))
     assert len(calls) > 10_000
-    closed = 0
+    closed = amgm = 0
     for args, limit in calls:
         _assert_strategies_agree(args, limit)
         if limit is not None:
@@ -709,10 +781,15 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
             got = two_prime_solve(*args, limit, counters)
             assert got == [(q, r) for q, r in two_prime_solve(*args) if args[4] * q * r <= limit], args
             closed += counters.prune_limit
-    # endgames of the 1e12 to 1e15 walks that the pre-check closes; the lower
-    # cut of search._next_primes drops the others before they are built (see
+            alpha, beta, gamma, _, b = args
+            delta = alpha - beta
+            amgm += b * (math.isqrt(alpha * beta + gamma * delta) + alpha) ** 2 > delta**2 * limit
+    # endgames of the 1e12 to 1e15 walks that the pre-check closes, and those
+    # of them the AM-GM bound closes; the residue bound closes the rest.  The
+    # lower cut of search._next_primes drops the endgames the AM-GM bound
+    # would close before they are built (see
     # test_last_level_cut_drops_only_children_without_pairs)
-    assert closed == 24
+    assert (closed, amgm) == (16074, 24)
     for alpha, beta, gamma in random_endgame_coefficients():
         _assert_strategies_agree((alpha, beta, gamma, 3, 1))
     # the cases of test_two_prime_strategy_edges

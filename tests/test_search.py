@@ -246,18 +246,18 @@ def test_limit_1e14_matches_the_paper_bound():
         stats = counters.as_dict()
         assert {k: stats[k] for k in ("nodes_expanded", "prune_limit", "prune_corollary")} == {
             "nodes_expanded": 6825,
-            "prune_limit": 6040,
+            "prune_limit": 10638,
             "prune_corollary": 4119,
         }
         # all but 7 endgames past the limit pre-check take at most
         # target**(1/4) scan steps
-        assert (counters.endgame_scan, counters.endgame_factor) == (5214, 7)
+        assert (counters.endgame_scan, counters.endgame_factor) == (616, 7)
         assert stats == {
             "nodes_expanded": 6825,
-            "prune_limit": 6040,
+            "prune_limit": 10638,
             "prune_corollary": 4119,
             "prune_congruence": 6,
-            "endgame_scan": 5214,
+            "endgame_scan": 616,
             "endgame_factor": 7,
         }
 
@@ -444,9 +444,10 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
     # limited endgame's pre-check would close every endgame the cut drops, so
     # the cut moves no endgame_scan or endgame_factor.  prune_limit counts the
     # branches the limit closes: it is recounted here from the lower cuts
-    # and the pre-checks and matches the counter on one worker and on two.
+    # and the pre-check's two bounds (AM-GM, else the residue class of q*r)
+    # and matches the counter on one worker and on two.
     nodes = []
-    closed = {"lower": 0, "precheck": 0}
+    closed = {"lower": 0, "amgm": 0, "residue": 0}
     limit = WALKS["limit-1e14"].limit
     table = build_prime_table(1 << 17)
     real_next = phi23.search._next_primes
@@ -461,7 +462,12 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
     def solve_spy(alpha, beta, gamma, floor, b, limit, counters):
         delta = alpha - beta
         if b * (math.isqrt(alpha * beta + gamma * delta) + alpha) ** 2 > delta**2 * limit:
-            closed["precheck"] += 1
+            closed["amgm"] += 1
+        else:
+            # q*r = -gamma/beta (mod alpha) and q*r > floor**2
+            c = -gamma * pow(beta, -1, alpha) % alpha
+            if b * (floor * floor + (c - floor * floor) % alpha) > limit:
+                closed["residue"] += 1
         return real_solve(alpha, beta, gamma, floor, b, limit, counters)
 
     monkeypatch.setattr(phi23.search, "_next_primes", next_spy)
@@ -490,9 +496,9 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
             assert child_counters == SearchCounters(prune_limit=1), child
     assert len(nodes) == 1078
     assert endgames == 3735
-    assert closed == {"lower": 6033, "precheck": 7}
+    assert closed == {"lower": 6033, "amgm": 7, "residue": 4598}
     recount = sum(closed.values())
-    assert counters.prune_limit == recount == 6040
+    assert counters.prune_limit == recount == 10638
     monkeypatch.undo()
     for threads in (1, 2):
         counters = SearchCounters()
@@ -838,6 +844,20 @@ def test_driver_returns_many_tasks_in_task_order():
         results = run_tasks(range(20_000), walk, 2)
     assert [found for found, _ in results] == [[(i,)] for i in range(20_000)]
     assert all(counters == SearchCounters(nodes_expanded=1) for _, counters in results)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("processes", [0, -1])
+def test_driver_refuses_fewer_than_one_process(monkeypatch, processes):
+    # with no process the token pipe would start empty and the first claim
+    # would block forever: refused before any pipe or child is made
+    def boom(*_):
+        raise AssertionError("the driver made a pipe or forked")
+
+    monkeypatch.setattr(os, "pipe", boom)
+    monkeypatch.setattr(os, "fork", boom)
+    with deadline(60), pytest.raises(ValueError, match="need processes >= 1"):
+        run_tasks(range(3), lambda t: t, processes)
     assert_no_children()
 
 
