@@ -30,6 +30,7 @@ __all__ = [
     "finiteness_bound",
     "limit_bound",
     "one_prime_solve",
+    "residue_closes",
     "two_prime_args",
     "two_prime_solve",
 ]
@@ -179,14 +180,45 @@ def finiteness_bound(state: EquationState, i: int, table: PrimeTable, room: int 
 
     The tail products come from ``table.tails``, whose entry m for
     ``remaining`` primes covers the tail after primes[m], so a scan opens at
-    entry i without looking the floor up and a step is two multiplications
-    and a comparison.  Past the end of the lists the scan asks
-    ``table.extend_tail`` for the next entry.
+    entry i without looking the floor up and a probe is two multiplications
+    and a comparison.  As the combined test is monotone in m, a scan inside
+    the stored entries gallops (the unbounded search of Bentley and Yao,
+    1976): it probes i, i + 1, i + 2 and i + 3 one by one, where most scans
+    stop, then i + 4, i + 6, i + 10, i + 18, ..., the step doubling but
+    never past the last stored entry, and bisects between the last entry
+    that passed and the first that failed.  When every stored entry from i
+    passes, the scan goes on linearly past the end of the lists, asking
+    ``table.extend_tail`` for each next entry, so the lists reach exactly as
+    far as the furthest bound of the run.
     """
     rem = state.remaining
     m1s, ps = table.tails[rem]
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
+    n = len(ps)
     m = i
+    end = i + 4 if i + 4 < n else n
+    while m < end:
+        if alpha * m1s[m] > beta * ps[m] + gamma or (room is not None and ps[m] > room):
+            return m
+        m += 1
+    if m < n:
+        # Entry m - 1 passed: gallop, then bisect (live, m] once m fails.
+        live, step = m - 1, 1
+        while m < n:
+            if alpha * m1s[m] > beta * ps[m] + gamma or (room is not None and ps[m] > room):
+                while m - live > 1:
+                    mid = (live + m) >> 1
+                    if alpha * m1s[mid] > beta * ps[mid] + gamma or (room is not None and ps[mid] > room):
+                        m = mid
+                    else:
+                        live = mid
+                return m
+            live = m
+            step += step
+            m += step
+            if m >= n > live + 1:
+                m = n - 1
+        m = n
     while True:
         if m >= len(ps):
             table.extend_tail(rem)
@@ -238,6 +270,26 @@ def two_prime_args(state: EquationState) -> tuple[int, int, int, int, int]:
     return state.alpha, state.beta, state.gamma, state.floor, state.prefix_product
 
 
+def residue_closes(alpha: int, beta: int, gamma: int, floor: int, prefix_product: int, limit: int) -> bool:
+    """Whether the residue bound puts every pair of a two-prime endgame over
+    the limit: two_prime_solve's coefficients, floor and prefix product.
+
+    Modulo alpha the equation alpha(q-1)(r-1) = beta*q*r + gamma reads
+    beta*q*r + gamma = 0, and beta is invertible there as gcd(alpha, beta)
+    = 1, so every pair, prime or not, has q*r = c = -gamma/beta (mod alpha);
+    floor < q < r gives q*r > floor**2.  So no pair keeps n = prefix_product
+    * q*r <= limit when the least integer >= floor**2 congruent to c, times
+    prefix_product, exceeds the limit.  (This is two_prime_solve's sum-side
+    class read on the product: s is an integer exactly when q*r lies in c's
+    class.)  The limited walk asks this before it counts a child with two
+    primes left as a node; two_prime_solve asks it again in its limit
+    pre-check.
+    """
+    least = floor * floor
+    least += (-gamma * pow(beta, -1, alpha) - least) % alpha
+    return prefix_product * least > limit
+
+
 def two_prime_solve(
     alpha: int,
     beta: int,
@@ -273,13 +325,8 @@ def two_prime_solve(
     When a limit is given, each pair must keep n = prefix_product*q*r <=
     limit, and an endgame whose every pair breaks it is closed before its
     divisors are sought, by either of two lower bounds on q*r (the limit
-    pre-check).  The first is a residue class.  Modulo alpha the equation
-    reads beta*q*r + gamma = 0, and beta is invertible there as gcd(alpha,
-    beta) = 1, so every pair, prime or not, has q*r = c = -gamma/beta (mod
-    alpha); floor < q < r gives q*r > floor**2.  So no pair fits when the
-    least integer >= floor**2 congruent to c, times prefix_product, exceeds
-    the limit.  (This is the sum-side class below read on the product: s is
-    an integer exactly when q*r lies in c's class.)  The second is AM-GM.
+    pre-check).  The first is the residue class of q*r modulo alpha (see
+    residue_closes).  The second is AM-GM.
     Since f1*f2 = target with f1, f2 > 0, f1 + f2 >= 2*sqrt(target), and
 
         q*r = (target + alpha*(f1 + f2) + alpha**2) / delta**2
@@ -357,12 +404,11 @@ def two_prime_solve(
     b = prefix_product
     rt = isqrt(target)
     if limit is not None:
-        # Two lower bounds on q*r (see above): the least product from
-        # floor**2 up in the class of -gamma/beta modulo alpha, and AM-GM.
+        # Two lower bounds on q*r (see above): its residue class and AM-GM.
         # Past either, every pair breaks the limit; skip finding divisors.
-        least = floor * floor
-        least += (-gamma * pow(beta, -1, alpha) - least) % alpha
-        if b * least > limit or b * (rt + alpha) ** 2 > delta * delta * limit:
+        if residue_closes(alpha, beta, gamma, floor, b, limit) or (
+            b * (rt + alpha) ** 2 > delta * delta * limit
+        ):
             if counters is not None:
                 counters.prune_limit += 1
             return []

@@ -46,6 +46,7 @@ from .equation import (
     finiteness_bound,
     limit_bound,
     one_prime_solve,
+    residue_closes,
     root_state,
     two_prime_args,
     two_prime_solve,
@@ -93,9 +94,10 @@ class SearchCounters:
     states (see _solve_last_level) count too: every counter ticks as if
     those states were built.  prune_limit counts the branches the limit
     closes: each candidate the lower cut of a node with three primes left
-    drops (see _next_primes), and each endgame whose least pair product,
-    bounded by AM-GM or by its residue class modulo alpha, is out of reach
-    (see two_prime_solve).  prune_corollary counts candidate
+    drops (see _next_primes), each state with two primes left whose least
+    pair product in its residue class modulo alpha is out of reach (see
+    residue_closes), which is then not a node, and each endgame the AM-GM
+    bound of two_prime_solve closes.  prune_corollary counts candidate
     primes q with p | q - 1 for a prefix prime p, which the gcd test of
     absorb_prime rejects (the paper's second theorem); no q whose normalized
     alpha <= beta is tried, and no q the lower cut drops (see _next_primes).
@@ -290,14 +292,21 @@ def _solve_endgame(
     emit: Callable[[tuple[int, ...]], None],
 ) -> None:
     # Only the k <= 2 roots get here; their prefix is empty, so a
-    # FactoringError needs no branch.
-    counters.nodes_expanded += 1
+    # FactoringError needs no branch.  A state with two primes left that the
+    # residue bound closes counts as a prune_limit, not a node, as in
+    # _solve_last_level.
     if state.remaining == 1:
+        counters.nodes_expanded += 1
         for q in one_prime_solve(state, limit):
             emit(state.prefix + (q,))
-    else:
-        for q, r in two_prime_solve(*two_prime_args(state), limit, counters):
-            emit(state.prefix + (q, r))
+        return
+    args = two_prime_args(state)
+    if limit is not None and residue_closes(*args, limit):
+        counters.prune_limit += 1
+        return
+    counters.nodes_expanded += 1
+    for q, r in two_prime_solve(*args, limit, counters):
+        emit(state.prefix + (q, r))
 
 
 def _solve_last_level(
@@ -310,11 +319,12 @@ def _solve_last_level(
 ) -> None:
     """Expand a node with three primes left and solve every child's endgame.
 
-    Counts and emits exactly what _expand_node followed by _solve_endgame on
-    each child would, but builds no child state: each q runs absorb_prime's
-    gcd test on the raw coefficients (every candidate is feasible; see
-    _next_primes), and the normalized coefficients go straight to
-    two_prime_solve, one call per child as _solve_endgame makes.
+    Builds no child state: each q runs absorb_prime's gcd test on the raw
+    coefficients (every candidate is feasible; see _next_primes), and the
+    normalized coefficients go straight to the endgame.  A child on the limit
+    whose residue bound closes it (see residue_closes) counts as a
+    prune_limit and is not a node; every other child is a node and gets one
+    two_prime_solve call.  _solve_endgame counts a built child the same way.
     """
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
     b = state.prefix_product
@@ -331,8 +341,15 @@ def _solve_last_level(
             if gamma % g:
                 counters.prune_corollary += 1
                 continue
+            a3 = a2 // g
+            b3 = b2 // g
+            g3 = gamma // g
+            bq = b * q
+            if limit is not None and residue_closes(a3, b3, g3, q, bq, limit):
+                counters.prune_limit += 1
+                continue
             counters.nodes_expanded += 1
-            for r1, r2 in two_prime_solve(a2 // g, b2 // g, gamma // g, q, b * q, limit, counters):
+            for r1, r2 in two_prime_solve(a3, b3, g3, q, bq, limit, counters):
                 emit(state.prefix + (q, r1, r2))
     except FactoringError as exc:
         raise FactoringError(exc.n, state.prefix + (q,)) from exc

@@ -5,11 +5,12 @@ is plain trial division, the sieve is a separate odd-only implementation,
 and the pair oracles test the raw residual equation directly.
 rolling_finiteness_bound is a finiteness scan that keeps no tail lists; it
 uses the package's prime table, which it grows under PrimeTable.extend_tail's
-condition.  The state helpers (absorb_chain and the one after it) drive
-the package's own state transition to build test inputs.  The populated-tree
-check at the end walks roots other than the 2/3 equation's against a brute
-force over the oracle's totient sieve.  deadline guards a test that could
-hang.
+condition.  linear_finiteness_bound steps through the table's tail lists
+one entry at a time, the reference for the package's galloping scan.  The
+state helpers (absorb_chain and the one after it) drive the package's own
+state transition to build test inputs.  The populated-tree check at the end
+walks roots other than the 2/3 equation's against a brute force over the
+oracle's totient sieve.  deadline guards a test that could hang.
 """
 
 from __future__ import annotations
@@ -101,6 +102,26 @@ def rolling_finiteness_bound(state: EquationState, table: PrimeTable, room: int 
         new = primes[i + rem]
         prod_m1 = prod_m1 // (old - 1) * (new - 1)
         prod_p = prod_p // old * new
+
+
+def linear_finiteness_bound(state: EquationState, i: int, table: PrimeTable, room: int | None = None) -> int:
+    """finiteness_bound by a linear scan of the table's tail lists from entry
+    i: the first entry m that fails either test is the bound.
+
+    It asks PrimeTable.extend_tail for each entry past the end of the lists,
+    so they reach exactly the bound it returns when that lies past them.
+    """
+    rem = state.remaining
+    m1s, ps = table.tails[rem]
+    m = i
+    while True:
+        while m >= len(ps):
+            table.extend_tail(rem)
+        if state.alpha * m1s[m] > state.beta * ps[m] + state.gamma:
+            return m
+        if room is not None and ps[m] > room:
+            return m
+        m += 1
 
 
 def tight_limit_bound(state: EquationState, limit: int) -> int:

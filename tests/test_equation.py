@@ -16,6 +16,7 @@ from helpers import (
     endgame_params,
     index_of,
     integer_root,
+    linear_finiteness_bound,
     literal_pairs,
     pair_scan,
     reachable_endgame_states,
@@ -300,6 +301,91 @@ def test_finiteness_bound_matches_the_rolling_scan(monkeypatch, config):
         assert lists.limit == rolling.limit, st
     assert lists.limit > 20
     assert list(lists.primes) == list(rolling.primes)
+
+
+@pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
+def test_gallop_matches_the_linear_scan(monkeypatch, config):
+    # every bound of the walk, which the galloping scan took, replayed in
+    # walk order through the linear reference scan on a fresh table: the
+    # same bound every time, and after the walk the same tail lists
+    calls = []
+    tables = {}
+    real = phi23.search.finiteness_bound
+
+    def spy(st, i, table, room=None):
+        tables[id(table)] = table
+        m = real(st, i, table, room)
+        calls.append((st, i, room, m))
+        return m
+
+    monkeypatch.setattr(phi23.search, "finiteness_bound", spy)
+    solve(config)
+    (walk_table,) = tables.values()
+    reference = build_prime_table(walk_table.limit)
+    for st, i, room, m in calls:
+        assert linear_finiteness_bound(st, i, reference, room) == m, (st, room)
+    assert reference.tails.keys() == walk_table.tails.keys()
+    for rem, (_, ps) in reference.tails.items():
+        assert len(walk_table.tails[rem][1]) == len(ps), rem
+
+
+def _stored(rem, n):
+    """A fresh table whose tail lists for ``rem`` primes hold n entries."""
+    table = build_prime_table(1 << 12)
+    for _ in range(n):
+        table.extend_tail(rem)
+    return table
+
+
+def _gallop_agrees(st, room, n):
+    """finiteness_bound, with n tail entries stored, equals the linear scan
+    and leaves the lists as long as it does; returns the bound's prime."""
+    i = index_of(_stored(1, 0), st.floor)
+    table, reference = _stored(st.remaining, n), _stored(st.remaining, n)
+    m = finiteness_bound(st, i, table, room)
+    assert m == linear_finiteness_bound(st, i, reference, room), (st, room, n)
+    assert len(table.tails[st.remaining][1]) == len(reference.tails[st.remaining][1]) == max(n, m + 1)
+    return table.primes[m]
+
+
+# (prefix, alpha, beta, gamma, remaining), room, the bound's prime: [5, 7,
+# 37] has one prime left, floor 37 (index 11) and uncapped bound 1297
+# (index 210), so its scans gallop; a room of 40 stops them at 37 and one of
+# 1296 at 1291.  (100, 3, 1) after 5 fails the finiteness test at its floor.
+GALLOP_EDGES = {
+    "finiteness-floor": (((5,), 100, 3, 1, 1), None, 5),
+    "finiteness-far": (((5, 7, 37), 1296, 1295, 1, 1), None, 1297),
+    "room-floor": (((5, 7, 37), 1296, 1295, 1, 1), 40, 37),
+    "room-far": (((5, 7, 37), 1296, 1295, 1, 1), 1296, 1291),
+}
+
+
+@pytest.mark.parametrize("stored", ["past", "to-bound", "to-before-bound"])
+@pytest.mark.parametrize("edge", GALLOP_EDGES.values(), ids=GALLOP_EDGES)
+def test_gallop_edges(edge, stored):
+    # A scan that stops at its floor's entry i or far from it, with the
+    # finiteness test binding or the room, against lists stored well past
+    # the bound, up to it (the bound is the last stored entry) and up to
+    # the entry before it (the bound is one past them).
+    coefficients, room, want = edge
+    m = index_of(build_prime_table(1 << 12), want)
+    n = {"past": m + 20, "to-bound": m + 1, "to-before-bound": m}[stored]
+    assert _gallop_agrees(state(*coefficients), room, n) == want
+
+
+def test_gallop_matches_the_linear_scan_at_every_stop():
+    # every bound position between the floor and the uncapped bound, by the
+    # room, against lists that end well before it, just before, at, just
+    # past and well past it
+    st537 = absorb_chain((5, 7, 37), extra=1)
+    table = build_prime_table(1 << 12)
+    i, top = index_of(table, 37), index_of(table, 1297)
+    for m in range(i, top + 1):
+        room = table.primes[m]
+        for n in {0, i, m - 3, m - 1, m, m + 1, m + 2, m + 9, top + 1}:
+            assert _gallop_agrees(st537, room, n) == room
+    for n in range(top + 3):
+        assert _gallop_agrees(st537, None, n) == 1297
 
 
 # Entries per tail list, by remaining count, after the 1e14 walk: each list
@@ -758,7 +844,9 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
     # from the coefficients of a child it did not build.  On a limited walk
     # the limit only drops pairs: the limited call returns the unlimited
     # call's pairs with b*q*r <= limit, and the unlimited call, which runs no
-    # limit pre-check, is the reference for the closed endgames.
+    # limit pre-check, is the reference for the closed endgames.  The walk
+    # closes the children the residue bound rules out before they become
+    # endgame calls (see test_last_level_cut_drops_only_children_without_pairs).
     calls = []
     real = phi23.search.two_prime_solve
 
@@ -772,7 +860,6 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
     solve(SearchConfig(limit=10**13))
     solve(SearchConfig(limit=10**14))
     solve(SearchConfig(limit=10**15))
-    assert len(calls) > 10_000
     closed = amgm = 0
     for args, limit in calls:
         _assert_strategies_agree(args, limit)
@@ -784,12 +871,14 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
             alpha, beta, gamma, _, b = args
             delta = alpha - beta
             amgm += b * (math.isqrt(alpha * beta + gamma * delta) + alpha) ** 2 > delta**2 * limit
+    # the endgames that reach a divisor source; the walk's own residue test
+    # closes none of them
+    assert len(calls) - closed == 2703
     # endgames of the 1e12 to 1e15 walks that the pre-check closes, and those
-    # of them the AM-GM bound closes; the residue bound closes the rest.  The
-    # lower cut of search._next_primes drops the endgames the AM-GM bound
-    # would close before they are built (see
-    # test_last_level_cut_drops_only_children_without_pairs)
-    assert (closed, amgm) == (16074, 24)
+    # of them the AM-GM bound closes.  The lower cut of search._next_primes
+    # drops the endgames the AM-GM bound would close before they are built
+    # (see test_last_level_cut_drops_only_children_without_pairs)
+    assert (closed, amgm) == (1, 1)
     for alpha, beta, gamma in random_endgame_coefficients():
         _assert_strategies_agree((alpha, beta, gamma, 3, 1))
     # the cases of test_two_prime_strategy_edges

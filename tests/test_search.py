@@ -33,6 +33,7 @@ from phi23.equation import (
     absorb_prime,
     finiteness_bound,
     limit_bound,
+    residue_closes,
     root_state,
     two_prime_args,
     two_prime_solve,
@@ -245,7 +246,7 @@ def test_limit_1e14_matches_the_paper_bound():
         assert [s.n for s in sols] == KNOWN_N
         stats = counters.as_dict()
         assert {k: stats[k] for k in ("nodes_expanded", "prune_limit", "prune_corollary")} == {
-            "nodes_expanded": 6825,
+            "nodes_expanded": 2220,
             "prune_limit": 10638,
             "prune_corollary": 4119,
         }
@@ -253,7 +254,7 @@ def test_limit_1e14_matches_the_paper_bound():
         # target**(1/4) scan steps
         assert (counters.endgame_scan, counters.endgame_factor) == (616, 7)
         assert stats == {
-            "nodes_expanded": 6825,
+            "nodes_expanded": 2220,
             "prune_limit": 10638,
             "prune_corollary": 4119,
             "prune_congruence": 6,
@@ -384,7 +385,8 @@ def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
     # Every node with three primes left, solved once by the fused loop and
     # once through _expand_node (absorb_prime per q) and _solve_endgame
     # (two_prime_solve per child): the same tuples in the same order, the
-    # same counters, and the same two_prime_solve calls, one per child.
+    # same counters, and the same two_prime_solve calls, one per child the
+    # residue bound keeps.
     nodes = []
     real_level = phi23.search._solve_last_level
     real_two = phi23.search.two_prime_solve
@@ -428,8 +430,12 @@ def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
 
         assert fused == unfused, state
         assert fused_counters == counters, state
+        kept = [
+            c for c in children
+            if config.limit is None or not residue_closes(*two_prime_args(c), config.limit)
+        ]
         assert fused_endgames == endgames == [
-            (c.alpha, c.beta, c.gamma, c.floor, c.prefix_product, config.limit) for c in children
+            (c.alpha, c.beta, c.gamma, c.floor, c.prefix_product, config.limit) for c in kept
         ], state
         emitted += len(fused)
     assert emitted > 0
@@ -442,15 +448,20 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
     # either dies in absorb_prime or leaves an endgame with no pair under the
     # limit, by the unlimited endgame, which runs no limit pre-check.  The
     # limited endgame's pre-check would close every endgame the cut drops, so
-    # the cut moves no endgame_scan or endgame_factor.  prune_limit counts the
-    # branches the limit closes: it is recounted here from the lower cuts
-    # and the pre-check's two bounds (AM-GM, else the residue class of q*r)
-    # and matches the counter on one worker and on two.
+    # the cut moves no endgame_scan or endgame_factor.  Each child the
+    # residue bound closes in the fused loop has no pair under the limit
+    # either, by the unlimited endgame on both strategies, and the bound
+    # holds by a recomputation here.  prune_limit counts the branches the
+    # limit closes: it is recounted here from the lower cuts, the residue
+    # bound's closures and the endgame pre-check's AM-GM closures, and
+    # matches the counter on one worker and on two.
     nodes = []
-    closed = {"lower": 0, "amgm": 0, "residue": 0}
+    closed_children = []
+    closed = {"lower": 0, "residue": 0, "amgm": 0}
     limit = WALKS["limit-1e14"].limit
     table = build_prime_table(1 << 17)
     real_next = phi23.search._next_primes
+    real_residue = phi23.search.residue_closes
     real_solve = phi23.search.two_prime_solve
 
     def next_spy(state, i, limit, table, counters):
@@ -459,21 +470,26 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
             nodes.append((state, i, candidates))
         return candidates
 
+    def residue_spy(alpha, beta, gamma, floor, b, limit):
+        shut = real_residue(alpha, beta, gamma, floor, b, limit)
+        if shut:
+            closed_children.append((alpha, beta, gamma, floor, b))
+        return shut
+
     def solve_spy(alpha, beta, gamma, floor, b, limit, counters):
+        # the walk hands over only the children the residue bound keeps
+        assert not real_residue(alpha, beta, gamma, floor, b, limit)
         delta = alpha - beta
         if b * (math.isqrt(alpha * beta + gamma * delta) + alpha) ** 2 > delta**2 * limit:
             closed["amgm"] += 1
-        else:
-            # q*r = -gamma/beta (mod alpha) and q*r > floor**2
-            c = -gamma * pow(beta, -1, alpha) % alpha
-            if b * (floor * floor + (c - floor * floor) % alpha) > limit:
-                closed["residue"] += 1
         return real_solve(alpha, beta, gamma, floor, b, limit, counters)
 
     monkeypatch.setattr(phi23.search, "_next_primes", next_spy)
+    monkeypatch.setattr(phi23.search, "residue_closes", residue_spy)
     monkeypatch.setattr(phi23.search, "two_prime_solve", solve_spy)
     counters = SearchCounters()
     solve(WALKS["limit-1e14"], counters)
+    monkeypatch.undo()
     primes = table.primes
     endgames = 0
     for state, i, candidates in nodes:
@@ -494,12 +510,20 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
             child_counters = SearchCounters()
             assert two_prime_solve(*two_prime_args(child), limit, child_counters) == [], child
             assert child_counters == SearchCounters(prune_limit=1), child
+    for args in closed_children:
+        alpha, beta, gamma, floor, b = args
+        # q*r = -gamma/beta (mod alpha) and q*r > floor**2
+        c = -gamma * pow(beta, -1, alpha) % alpha
+        assert b * (floor * floor + (c - floor * floor) % alpha) > limit, args
+        for strategy in ("scan", "factor"):
+            pairs = two_prime_solve(*args, strategy=strategy)
+            assert [(q, r) for q, r in pairs if b * q * r <= limit] == [], (args, strategy)
+    closed["residue"] = len(closed_children)
     assert len(nodes) == 1078
     assert endgames == 3735
-    assert closed == {"lower": 6033, "amgm": 7, "residue": 4598}
+    assert closed == {"lower": 6033, "residue": 4605, "amgm": 0}
     recount = sum(closed.values())
     assert counters.prune_limit == recount == 10638
-    monkeypatch.undo()
     for threads in (1, 2):
         counters = SearchCounters()
         solve(dataclasses.replace(WALKS["limit-1e14"], threads=threads), counters)
@@ -730,7 +754,7 @@ def test_walk_looks_up_no_floor_by_value(monkeypatch, fake_pool, walk, threads):
     assert all(a is phi23.search._SMALLEST_N_BY_K for a in lookups)
     assert fake_pool == ([2] if threads == 2 else [])
     if walk == "limit-1e14":
-        assert counters.nodes_expanded == 6_825
+        assert counters.nodes_expanded == 2_220
 
 
 def test_pool_size_is_capped_by_the_cores(monkeypatch, fake_pool):
