@@ -1,10 +1,12 @@
 """Integer arithmetic substrate: prime tables, primality, factoring.
 
 Everything here works on plain Python integers, so intermediate products
-never overflow regardless of operand size.  Primality is deterministic
-Miller-Rabin over fixed witness sets with proven coverage far beyond the
-64-bit range; factoring is trial division followed by Brent's variant of
-Pollard rho with deterministic, seeded restarts.
+never overflow regardless of operand size.  Primality verdicts are proven
+below about 3.3e24 (Miller-Rabin over fixed witness sets, covering the
+64-bit range and beyond) and probable above (Miller-Rabin plus a strong
+Lucas test); factoring is trial division followed by Brent's variant of
+Pollard rho with deterministic, seeded restarts.  factorize trusts those
+verdicts: a cofactor wrongly called prime would hide its divisors.
 """
 
 from __future__ import annotations
@@ -250,16 +252,18 @@ def _strong_lucas(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test.
+    """Primality test: proven below 3.3e24, probable above.
 
     Proven exact for all n below 3.3e24 (about 2**81.4) via the
     Miller-Rabin witness ladder, which covers the full 64-bit range.  The
     unbounded search to k = 6 and the search to 1e14 test no value past
     42 bits, and the search to 1e21 none past 54 bits, but factoring a
-    larger endgame target can test a cofactor past the ladder (an 86-bit
-    one among the sampled k = 7 endgames).
-    Beyond it the 13-prime witness set is combined with a strong Lucas
-    test; no composite passing that combination is known.
+    larger endgame target can test a cofactor past the ladder: forcing
+    strategy="factor" on the sampled k = 7 endgames tests an 86-bit one.
+    Beyond the ladder the verdict is probable: the 13-prime witness set is
+    combined with a strong Lucas test, and no composite passing that
+    combination is known.  factorize's _split stops at a cofactor this
+    calls prime, so a wrong "prime" there would hide its divisors.
     """
     if n < 2:
         return False

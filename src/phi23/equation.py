@@ -281,9 +281,10 @@ def residue_closes(alpha: int, beta: int, gamma: int, floor: int, prefix_product
     * q*r <= limit when the least integer >= floor**2 congruent to c, times
     prefix_product, exceeds the limit.  (This is two_prime_solve's sum-side
     class read on the product: s is an integer exactly when q*r lies in c's
-    class.)  The limited walk asks this before it counts a child with two
-    primes left as a node; two_prime_solve asks it again in its limit
-    pre-check.
+    class.)  This is the one place a child with two primes left closes on
+    the limit: the limited walk asks it before it counts the child as a
+    node, and a child it closes makes no two_prime_solve call (see
+    search._solve_last_level).
     """
     least = floor * floor
     least += (-gamma * pow(beta, -1, alpha) - least) % alpha
@@ -323,31 +324,19 @@ def two_prime_solve(
     negative partner r.
 
     When a limit is given, each pair must keep n = prefix_product*q*r <=
-    limit, and an endgame whose every pair breaks it is closed before its
-    divisors are sought, by either of two lower bounds on q*r (the limit
-    pre-check).  The first is the residue class of q*r modulo alpha (see
-    residue_closes).  The second is AM-GM.
-    Since f1*f2 = target with f1, f2 > 0, f1 + f2 >= 2*sqrt(target), and
-
-        q*r = (target + alpha*(f1 + f2) + alpha**2) / delta**2
-            >= ((sqrt(target) + alpha) / delta)**2
-            >= ((rt + alpha) / delta)**2,   rt = isqrt(target),
-
-    so the endgame is closed when prefix_product*(rt + alpha)**2 >
-    delta**2*limit, and kept at equality.  That also closes every endgame
-    with target*prefix_product >= delta**2*limit, since target < (rt + 1)**2
-    <= (rt + alpha)**2.
+    limit; the limit only drops pairs (the "limit" verdict below) and closes
+    no endgame before its divisors are sought.  The limited walk closes a
+    child on the limit before it becomes an endgame call (see
+    residue_closes).
 
     The divisors come from one of two sources.  "factor" factors the target
     and walks all its divisors.  "scan" finds every divisor f1 = delta*q -
     alpha with q an integer in lo <= q <= hi, where lo > floor keeps f1 >= 1
-    and hi = (rt + alpha) // delta keeps f1 <= sqrt(target).  The limit need
-    not cap hi: past the AM-GM bound, hi**2 <= ((rt + alpha) / delta)**2 <=
-    limit / prefix_product, so q*q <= limit / prefix_product already holds.
-    The scan works from both ends of that range, split at mid =
-    (isqrt(target // delta) + alpha) // delta, which is at most hi as delta
-    >= 1, raised to at least lo - 1 (so the range is empty when hi < lo),
-    where f1 is about sqrt(target / delta):
+    and hi = (rt + alpha) // delta, rt = isqrt(target), keeps f1 <=
+    sqrt(target).  The scan works from both ends of that range, split at
+    mid = (isqrt(target // delta) + alpha) // delta, which is at most hi as
+    delta >= 1, raised to at least lo - 1 (so the range is empty when hi <
+    lo), where f1 is about sqrt(target / delta):
 
       - each q in [lo, mid] is tried: does f1 divide the target?
       - each q in (mid, hi] is found through its sum s = q + r.  The
@@ -378,8 +367,8 @@ def two_prime_solve(
     target**(1/4), Brent rho's iteration count on a worst-case split, and
     factors the target otherwise.  The count is never negative (mid >= lo -
     1, and S falls on (mid, hi], so s_hi >= s_lo - 1), and for steps >= 0
-    the test steps*steps <= rt, on the root the AM-GM bound took, holds exactly
-    when steps**4 <= target, that is when steps <= floor(target**(1/4)).
+    the test steps*steps <= rt holds exactly when steps**4 <= target, that
+    is when steps <= floor(target**(1/4)).
     ``strategy`` forces one source (tests cross-check the two with it).  The
     rule prices a sieved sum step like a tried q, though it is the cheaper
     of the two on large targets.  An endgame with no scan step at all (no q
@@ -390,9 +379,9 @@ def two_prime_solve(
     unsorted: divisors() ascends, and the scan tries [lo, mid] upward, then
     (mid, hi] by descending sum.
 
-    ``counters`` (optional) receives the limit and congruence prunes and
-    which source ran; ``trace`` (optional) collects (f1, f2, q, r, verdict)
-    tuples for every divisor pair seen.  Verdicts: "congruence" (f1 outside
+    ``counters`` (optional) receives the congruence prunes and which source
+    ran; ``trace`` (optional) collects (f1, f2, q, r, verdict) tuples for
+    every divisor pair seen.  Verdicts: "congruence" (f1 outside
     the residue class), "floor" (q <= floor), "ordering" (q >= r), "limit",
     "q_composite", "r_composite" and "accepted".  A scan sees only divisors
     in the residue class with q in range, so its trace is the factor trace
@@ -403,16 +392,6 @@ def two_prime_solve(
     target = alpha * beta + gamma * delta
     b = prefix_product
     rt = isqrt(target)
-    if limit is not None:
-        # Two lower bounds on q*r (see above): its residue class and AM-GM.
-        # Past either, every pair breaks the limit; skip finding divisors.
-        if residue_closes(alpha, beta, gamma, floor, b, limit) or (
-            b * (rt + alpha) ** 2 > delta * delta * limit
-        ):
-            if counters is not None:
-                counters.prune_limit += 1
-            return []
-
     # f1 >= 1 and q > floor bound q from below, f1 <= sqrt(target) from
     # above.  (Plain comparisons rather than max/min: most calls end right
     # after these.)

@@ -64,10 +64,11 @@ __all__ = [
 
 
 # Unbounded searches beyond this many prime factors are refused.  k = 7 does
-# finish (327 s on one core of a 2-core VM, 98% of it below the node [5, 7,
-# 37, 1297]) but has no opt-in yet.  k = 8's finiteness bounds need primes
-# past 2**30: a walk-only run stopped when the table, grown fourfold from
-# 2**12 to 2**30, could not grow again below the 2**32 sieve cap:
+# finish but has no opt-in yet: about 98% of it is the node [5, 7, 37, 1297],
+# whose 136,241 endgames took 253.6 s when walked one by one on one core of a
+# 2-core VM (Python 3.11.7, at commit 1790909).  k = 8's finiteness bounds
+# need primes past 2**30: a walk-only run stopped when the table, grown
+# fourfold from 2**12 to 2**30, could not grow again below the 2**32 sieve cap:
 # PrimeTable.grow says the walk "needs a prime table up to 1073741825, but the
 # table grows fourfold, to 4294967296" (2**30 + 1 and 2**32).  Whether k = 8
 # stays below the cap is unmeasured.
@@ -94,19 +95,19 @@ class SearchCounters:
     states (see _solve_last_level) count too: every counter ticks as if
     those states were built.  prune_limit counts the branches the limit
     closes: each candidate the lower cut of a node with three primes left
-    drops (see _next_primes), each state with two primes left whose least
-    pair product in its residue class modulo alpha is out of reach (see
-    residue_closes), which is then not a node, and each endgame the AM-GM
-    bound of two_prime_solve closes.  prune_corollary counts candidate
-    primes q with p | q - 1 for a prefix prime p, which the gcd test of
-    absorb_prime rejects (the paper's second theorem); no q whose normalized
-    alpha <= beta is tried, and no q the lower cut drops (see _next_primes).
-    prune_congruence counts divisor pairs discarded by the endgame residue
-    filter, which only factored endgames see.  endgame_scan and
-    endgame_factor count the two-prime endgames past the limit check by how
-    they found their divisors: the two-sided scan (small q tried one by one,
-    the rest found through their sums q + r; see two_prime_solve) or
-    factoring.
+    drops (see _next_primes) and each child with two primes left of such a
+    node whose least pair product in its residue class modulo alpha is out
+    of reach (see residue_closes), which is then not a node.  Both sources
+    are in this module: the endgames close nothing on the limit, they only
+    drop pairs over it.  prune_corollary counts candidate primes q with p |
+    q - 1 for a prefix prime p, which the gcd test of absorb_prime rejects
+    (the paper's second theorem); no q whose normalized alpha <= beta is
+    tried, and no q the lower cut drops (see _next_primes).  prune_congruence
+    counts divisor pairs discarded by the endgame residue filter, which only
+    factored endgames see.  endgame_scan and endgame_factor count the
+    two-prime endgames by how they found their divisors: the two-sided scan
+    (small q tried one by one, the rest found through their sums q + r; see
+    two_prime_solve) or factoring.
     """
 
     nodes_expanded: int = 0
@@ -228,12 +229,18 @@ def _next_primes(
     With Delta = alpha - beta, they start past alpha // Delta, skipping exactly
     the q absorb_prime finds infeasible: for every g, alpha*(q - 1)/g <=
     beta*q/g <=> Delta*q <= alpha <=> q <= alpha // Delta.  With three primes
-    left and a limit, the low end also steps up past each q whose child's
-    endgame has its least n above the limit.  With b = prefix_product and g
-    the gcd absorb_prime divides out, the child at q has alpha' = alpha*(q -
-    1)/g, delta' = (Delta*q - alpha)/g and target' = (alpha*beta*q*(q - 1) +
-    gamma*(Delta*q - alpha))/g**2, so in two_prime_solve's least n for it,
-    b*q*((sqrt(target') + alpha')/delta')**2, g cancels.  As sqrt(target') >=
+    left and a limit, the low end also steps up past each q whose child has
+    no pair under the limit, by AM-GM.  A pair (r1, r2) of the child's
+    endgame gives divisors f1*f2 = target' with f1, f2 > 0 (see
+    two_prime_solve), so f1 + f2 >= 2*sqrt(target') and
+
+        r1*r2 = (target' + alpha'*(f1 + f2) + alpha'**2) / delta'**2
+              >= ((sqrt(target') + alpha') / delta')**2.
+
+    With b = prefix_product and g the gcd absorb_prime divides out, the child
+    at q has alpha' = alpha*(q - 1)/g, delta' = (Delta*q - alpha)/g and
+    target' = (alpha*beta*q*(q - 1) + gamma*(Delta*q - alpha))/g**2, so in
+    that bound on n = b*q*r1*r2, g cancels.  As sqrt(target') >=
     sqrt(alpha*beta)*(q - 1), every n of that child is at least
     L(q) = b*K0**2*q*(q - 1)**2 / (Delta*q - alpha)**2, K0 = isqrt(alpha*beta) +
     alpha.  The low end steps up while L(q) exceeds the limit, keeping a q at
@@ -292,20 +299,15 @@ def _solve_endgame(
     emit: Callable[[tuple[int, ...]], None],
 ) -> None:
     # Only the k <= 2 roots get here; their prefix is empty, so a
-    # FactoringError needs no branch.  A state with two primes left that the
-    # residue bound closes counts as a prune_limit, not a node, as in
-    # _solve_last_level.
+    # FactoringError needs no branch.  Nothing closes on the limit here: a
+    # run admits the k = 2 root, whose least n is 5*7 = 35, only when the
+    # limit is at least 35 (max_k_for_limit).
+    counters.nodes_expanded += 1
     if state.remaining == 1:
-        counters.nodes_expanded += 1
         for q in one_prime_solve(state, limit):
             emit(state.prefix + (q,))
         return
-    args = two_prime_args(state)
-    if limit is not None and residue_closes(*args, limit):
-        counters.prune_limit += 1
-        return
-    counters.nodes_expanded += 1
-    for q, r in two_prime_solve(*args, limit, counters):
+    for q, r in two_prime_solve(*two_prime_args(state), limit, counters):
         emit(state.prefix + (q, r))
 
 
@@ -324,7 +326,8 @@ def _solve_last_level(
     normalized coefficients go straight to the endgame.  A child on the limit
     whose residue bound closes it (see residue_closes) counts as a
     prune_limit and is not a node; every other child is a node and gets one
-    two_prime_solve call.  _solve_endgame counts a built child the same way.
+    two_prime_solve call.  This gate is the only place a two-prime child
+    closes on the limit.
     """
     alpha, beta, gamma = state.alpha, state.beta, state.gamma
     b = state.prefix_product
@@ -433,15 +436,17 @@ def search_exact_k(
     """All solutions with exactly k prime factors (and n <= limit if given).
 
     A serial walk; ``solve`` spreads a run over worker processes.  Unbounded
-    runs are refused for k > ``MAX_UNBOUNDED_K``.  ``counters``, when
-    supplied, is updated in place; ``table`` is the prime table to walk with
-    (a fresh one when not supplied), and it grows in place when the walk
-    needs more primes.
+    runs are refused for k > ``MAX_UNBOUNDED_K``, and a limit below the
+    smallest n with k prime factors walks nothing, as ``solve`` would not
+    walk that k (``SearchConfig.ks``).  ``counters``, when supplied, is
+    updated in place; ``table`` is the prime table to walk with (a fresh one
+    when not supplied), and it grows in place when the walk needs more
+    primes.
     """
-    SearchConfig(k_min=k, k_max=k, limit=limit)  # validates the arguments
+    ks = SearchConfig(k_min=k, k_max=k, limit=limit).ks  # validates the arguments
     if table is None:
         table = build_prime_table(_INITIAL_TABLE_LIMIT)
-    return _solutions([_walk_task((root_state(k), _ROOT_FLOOR_INDEX), limit, table)], counters)
+    return _solutions([_walk_task((root_state(k), _ROOT_FLOOR_INDEX), limit, table) for k in ks], counters)
 
 
 def solve(config: SearchConfig, counters: SearchCounters | None = None) -> list[Solution]:

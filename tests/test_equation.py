@@ -10,6 +10,7 @@ import pytest
 
 import phi23.arith
 import phi23.equation
+import phi23.search
 from helpers import (
     WALKS,
     absorb_chain,
@@ -37,6 +38,7 @@ from phi23.equation import (
     finiteness_bound,
     limit_bound,
     one_prime_solve,
+    residue_closes,
     root_state,
     two_prime_args,
     two_prime_solve,
@@ -608,10 +610,10 @@ def test_two_prime_default_strategy():
         ((1440, 1309, 1, 17, 1309), (18, 17, 21), True, 10**14),
         # lo = 104 > mid = 103, and no integer sum lies in (mid, hi] = (103, 109]
         ((3672, 3605, 1, 103, 3605), (104, 103, 109), False, 10**14),
-        # the same kind, kept by the AM-GM bound, whose least n is 9.44e13,
-        # but closed at 1e14 by the residue bound: the least q*r from 719**2
-        # up in the class of -gamma/beta modulo alpha is 122,314,909, so the
-        # least n is b*122,314,909 = 2.16e16, the limit it is kept at
+        # the same kind, closed at 1e14 by the walk's residue gate: the least
+        # q*r from 719**2 up in the class of -gamma/beta modulo alpha is
+        # 122,314,909, so the least n is b*122,314,909 = 2.16e16, the limit
+        # it is kept at
         ((177420672, 176935115, 1, 719, 176935115), (720, 719, 730), False, 176935115 * 122314909),
         # not from the walk: the floor puts lo = 101 far past hi = 5, so mid
         # clips to lo - 1 and the step count is 0, not 5 - 101 + 1 = -95,
@@ -622,32 +624,22 @@ def test_two_prime_default_strategy():
 )
 def test_two_prime_zero_step_endgames(monkeypatch, args, split, sums_in_range, kept):
     # endgames of the 1e14 walk (but the last) whose scan has no step: no q
-    # to try and no sum of the class to step.  At a limit the pre-check lets
-    # through (``kept``) they return right after their bounds; the residue
-    # bound closes the third at 1e14.
+    # to try and no sum of the class to step.  At any limit they return
+    # right after their bounds.  The walk's residue gate keeps each at
+    # ``kept`` and closes the third at 1e14 and one below ``kept``, before
+    # it becomes an endgame call.
     assert _scan_split(args) == split
     for limit in (10**14, kept, kept - 1):
         _assert_strategies_agree(args, limit)
-    closed = SearchCounters()
-    assert two_prime_solve(*args, 10**14, closed) == []
-    assert closed.as_dict() == {
-        **SearchCounters().as_dict(), "endgame_scan" if kept == 10**14 else "prune_limit": 1
-    }
-    if kept != 10**14:
-        # a limit one below closes it, and the AM-GM bound alone would not
-        alpha, beta, gamma, _, b = args
-        rt = math.isqrt(alpha * beta + gamma * (alpha - beta))
-        assert b * (rt + alpha) ** 2 <= (alpha - beta) ** 2 * (kept - 1)
-        closed = SearchCounters()
-        assert two_prime_solve(*args, kept - 1, closed) == []
-        assert closed == SearchCounters(prune_limit=1)
+    assert not residue_closes(*args, kept)
+    assert residue_closes(*args, 10**14) == residue_closes(*args, kept - 1) == (kept != 10**14)
 
     def boom(*_):
         raise AssertionError("a scan with no step reached its steps")
 
     def pow_spy(base, exp, mod):
-        # the residue bound takes the inverse of beta modulo alpha; the scan
-        # takes none modulo delta with no sum to place in its class
+        # the scan takes no inverse modulo delta with no sum to place in its
+        # class
         if mod == args[0] - args[1]:
             boom()
         return pow(base, exp, mod)
@@ -655,11 +647,12 @@ def test_two_prime_zero_step_endgames(monkeypatch, args, split, sums_in_range, k
     monkeypatch.setattr(phi23.equation, "_square_steps", boom)
     if not sums_in_range:
         monkeypatch.setattr(phi23.equation, "pow", pow_spy, raising=False)
-    counters = SearchCounters()
-    trace = []
-    assert two_prime_solve(*args, kept, counters, trace) == []
-    assert trace == []
-    assert counters.as_dict() == {**SearchCounters().as_dict(), "endgame_scan": 1}
+    for limit in (10**14, kept):
+        counters = SearchCounters()
+        trace = []
+        assert two_prime_solve(*args, limit, counters, trace) == []
+        assert trace == []
+        assert counters == SearchCounters(endgame_scan=1)
 
 
 def test_two_prime_golden_after_5_7():
@@ -696,18 +689,41 @@ def test_two_prime_limit_boundary():
 
 
 def test_two_prime_limit_cut_skips_factoring(monkeypatch):
-    def boom(n):
-        raise AssertionError("factorize must not run when the cut applies")
-
-    monkeypatch.setattr(phi23.equation, "factorize", boom)
-    st = absorb_chain((5, 7))  # target 1261, prefix product 35
+    # The limit closes a two-prime child only at the walk's residue gate,
+    # before any divisor is sought.  After (5, 7) (target 1261, prefix
+    # product 35, alpha 36) the least q*r above 7**2 in the class of
+    # -gamma/beta modulo 36 is 73: the gate closes the endgame below 35*73.
+    args = two_prime_args(absorb_chain((5, 7)))
+    assert residue_closes(*args, 1_000)
+    assert residue_closes(*args, 2_554)
+    assert not residue_closes(*args, 2_555)
+    # The endgame itself closes nothing on the limit: it factors the target
+    # and drops its one pair by the limit verdict.
     counters = SearchCounters()
-    assert two_prime_solve(*two_prime_args(st), limit=1_000, counters=counters) == []
-    assert counters.prune_limit == 1
+    trace = []
+    assert two_prime_solve(*args, 1_000, counters, trace) == []
+    assert counters == SearchCounters(endgame_factor=1)
+    assert (1, 1261, 37, 1297, "limit") in trace
+
+    def boom(*_):
+        raise AssertionError("a child the gate closes sought divisors")
+
+    # The node (7, 11) of the 1e6 walk, three primes left: its candidates 13
+    # and 17 both leave children the gate closes, so neither becomes an
+    # endgame call.
+    monkeypatch.setattr(phi23.search, "two_prime_solve", boom)
+    monkeypatch.setattr(phi23.equation, "factorize", boom)
+    node = state((7, 11), 90, 77, 1, 3)
+    table = build_prime_table(1 << 12)
+    counters = SearchCounters()
+    found = []
+    phi23.search._solve_last_level(node, index_of(table, 11), 10**6, table, counters, found.append)
+    assert found == []
+    assert counters == SearchCounters(nodes_expanded=1, prune_limit=2)
 
 
 @pytest.mark.parametrize(
-    "args, limit, closed",
+    "args, limit, past_amgm",
     [
         # the root's target 8, rt = isqrt(8) = 2, delta 1: b*(rt + alpha)**2 = 25
         ((3, 2, 2, 3, 1), 25, False),
@@ -716,30 +732,27 @@ def test_two_prime_limit_cut_skips_factoring(monkeypatch):
         ((7, 5, 2, 3, 4), 169, False),
         ((7, 5, 2, 3, 4), 168, True),
         # an endgame of the 1e14 walk whose pairs all have n >= 3.99e14 though
-        # target*b < delta**2*limit: the target test alone let it scan
+        # target*b < delta**2*limit
         ((75613824, 75548095, 1, 307, 75548095), 10**14, True),
     ],
 )
-def test_two_prime_limit_precheck_boundary(monkeypatch, args, limit, closed):
-    # The AM-GM bound closes an endgame exactly when b*(isqrt(target) +
-    # alpha)**2 > delta**2*limit, and then finds no divisor; at equality it
-    # runs, as the residue bound keeps these endgames.
+def test_two_prime_limit_precheck_boundary(args, limit, past_amgm):
+    # Endgames with no pair under the limit.  ``past_amgm`` marks those past
+    # the AM-GM bound, b*(isqrt(target) + alpha)**2 > delta**2*limit, which
+    # the endgame does not test: it closes nothing on the limit, so every
+    # row seeks its divisors and drops its pairs by the limit verdict.  Of
+    # these only the walk's row is closed by the walk's residue gate.
     alpha, beta, gamma, _, b = args
     delta = alpha - beta
     rt = math.isqrt(endgame_params(state((), alpha, beta, gamma, 2)).target)
-    assert (b * (rt + alpha) ** 2 > delta**2 * limit) == closed
+    assert (b * (rt + alpha) ** 2 > delta**2 * limit) == past_amgm
     reference = [(q, r) for q, r in two_prime_solve(*args) if b * q * r <= limit]
     assert reference == []
-    if closed:
-        def boom(*_):
-            raise AssertionError("a closed endgame sought divisors")
-
-        monkeypatch.setattr(phi23.equation, "factorize", boom)
-        monkeypatch.setattr(phi23.equation, "_square_steps", boom)
+    assert residue_closes(*args, limit) == (limit == 10**14)
     counters = SearchCounters()
     assert two_prime_solve(*args, limit, counters) == []
-    assert counters.prune_limit == closed
-    assert counters.endgame_scan + counters.endgame_factor == (not closed)
+    assert counters.prune_limit == 0
+    assert counters.endgame_scan + counters.endgame_factor == 1
 
 
 def _integer_pairs(alpha, beta, gamma, floor):
@@ -761,11 +774,11 @@ def _integer_pairs(alpha, beta, gamma, floor):
 
 def test_two_prime_limit_precheck_keeps_every_pair_at_tight_limits():
     # On random small coefficients, at the limits b*q*r and b*q*r - 1 of every
-    # integer pair, the pairs the endgame sees under the limit (its trace,
-    # primes or not) are exactly the brute-force pairs under it: neither
-    # bound of the pre-check closes an endgame with a pair at its limit.  The
-    # residue bound needs a window below alpha, so the floor is also put just
-    # under each pair's q.
+    # integer pair, the pairs the walk sees under the limit (none when its
+    # residue gate closes the endgame, else the endgame's trace, primes or
+    # not) are exactly the brute-force pairs under it: the gate closes no
+    # endgame with a pair at its limit.  The residue bound needs a window
+    # below alpha, so the floor is also put just under each pair's q.
     rng = random.Random(30)
     under = ("accepted", "q_composite", "r_composite")
     checks = 0
@@ -782,7 +795,8 @@ def test_two_prime_limit_precheck_keeps_every_pair_at_tight_limits():
             for q, r in pairs:
                 for limit in (b * q * r, b * q * r - 1):
                     trace = []
-                    two_prime_solve(alpha, beta, gamma, floor, b, limit, trace=trace)
+                    if not residue_closes(alpha, beta, gamma, floor, b, limit):
+                        two_prime_solve(alpha, beta, gamma, floor, b, limit, trace=trace)
                     seen = {(t[2], t[3]) for t in trace if t[4] in under}
                     assert seen == {p for p in pairs if b * p[0] * p[1] <= limit}, (
                         alpha, beta, gamma, floor, b, limit)
@@ -827,7 +841,8 @@ def _assert_strategies_agree(args, limit=None):
         counters = SearchCounters()
         trace = []
         got = two_prime_solve(*args, limit, counters, trace, strategy=strategy)
-        assert getattr(counters, f"endgame_{strategy}") + counters.prune_limit == 1
+        assert getattr(counters, f"endgame_{strategy}") == 1
+        assert counters.prune_limit == 0
         runs[strategy] = got, counters, trace
     (scan, scan_counters, scan_trace), (factor, factor_counters, factor_trace) = runs.values()
     where = (args, limit)
@@ -843,10 +858,10 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
     # every endgame of the walks, whether the walk solved it from a state or
     # from the coefficients of a child it did not build.  On a limited walk
     # the limit only drops pairs: the limited call returns the unlimited
-    # call's pairs with b*q*r <= limit, and the unlimited call, which runs no
-    # limit pre-check, is the reference for the closed endgames.  The walk
-    # closes the children the residue bound rules out before they become
-    # endgame calls (see test_last_level_cut_drops_only_children_without_pairs).
+    # call's pairs with b*q*r <= limit, ticks no prune_limit and reaches a
+    # divisor source.  The walk closes the children the residue bound rules
+    # out before they become endgame calls (see
+    # test_last_level_cut_drops_only_children_without_pairs).
     calls = []
     real = phi23.search.two_prime_solve
 
@@ -860,25 +875,17 @@ def test_two_prime_strategies_agree_on_walk_states(monkeypatch):
     solve(SearchConfig(limit=10**13))
     solve(SearchConfig(limit=10**14))
     solve(SearchConfig(limit=10**15))
-    closed = amgm = 0
     for args, limit in calls:
         _assert_strategies_agree(args, limit)
         if limit is not None:
             counters = SearchCounters()
             got = two_prime_solve(*args, limit, counters)
             assert got == [(q, r) for q, r in two_prime_solve(*args) if args[4] * q * r <= limit], args
-            closed += counters.prune_limit
-            alpha, beta, gamma, _, b = args
-            delta = alpha - beta
-            amgm += b * (math.isqrt(alpha * beta + gamma * delta) + alpha) ** 2 > delta**2 * limit
-    # the endgames that reach a divisor source; the walk's own residue test
-    # closes none of them
-    assert len(calls) - closed == 2703
-    # endgames of the 1e12 to 1e15 walks that the pre-check closes, and those
-    # of them the AM-GM bound closes.  The lower cut of search._next_primes
-    # drops the endgames the AM-GM bound would close before they are built
-    # (see test_last_level_cut_drops_only_children_without_pairs)
-    assert (closed, amgm) == (1, 1)
+            assert counters.prune_limit == 0, args
+            assert counters.endgame_scan + counters.endgame_factor == 1, args
+    # every endgame call of the walks, the 1e12 to 1e15 ones included,
+    # reaches a divisor source
+    assert len(calls) == 2704
     for alpha, beta, gamma in random_endgame_coefficients():
         _assert_strategies_agree((alpha, beta, gamma, 3, 1))
     # the cases of test_two_prime_strategy_edges
@@ -954,9 +961,8 @@ def test_every_primality_argument_is_in_the_proven_range(monkeypatch):
         ((25, 22, 190), None, (9, 14, 19), [9, 10, 11, 13, 15, 19]),
         # square target 121, delta 4: f1 = f2 = 11 at q = hi, found by its sum
         ((13, 9, 1), None, (4, 4, 6), [6]),
-        # target 8 and b = 1 at the limit where the pre-check holds with
-        # equality, b*(isqrt(8) + 3)**2 = 25 = delta**2*limit: the endgame is
-        # kept and scans its whole range, whose pairs (4, 11), (5, 7) break it
+        # target 8 and b = 1 at limit 25: the endgame scans its whole range,
+        # whose pairs (4, 11), (5, 7) break the limit
         ((3, 2, 2), 25, (4, 5, 5), [4, 5]),
     ],
 )

@@ -3,7 +3,6 @@
 import dataclasses
 import importlib.util
 import json
-import math
 import os
 import signal
 import types
@@ -161,6 +160,20 @@ def test_exact_k_with_limit():
     assert search_exact_k(3, limit=1294) == []
 
 
+@pytest.mark.parametrize("limit", [4, 5, 10, 20, 34, 35, 1294, 1295, 10**9])
+def test_exact_k_walks_what_solve_walks(limit):
+    # The library entry walks a k only when solve's range for it does: the
+    # same solutions and every counter the same, also where the limit lies
+    # below the smallest n with k prime factors (5, 35, 385, ...), so that
+    # neither walks that k and no endgame closes on the limit.
+    for k in range(1, 11):
+        exact = SearchCounters()
+        ranged = SearchCounters()
+        got = search_exact_k(k, limit, exact)
+        assert got == solve(SearchConfig(k_min=k, k_max=k, limit=limit), ranged), (k, limit)
+        assert exact == ranged, (k, limit)
+
+
 def test_search_matches_scan():
     for bound in (10_000, 1_000_000, 2_000_000):
         sols = solve(SearchConfig(k_max=12, limit=bound))
@@ -250,8 +263,7 @@ def test_limit_1e14_matches_the_paper_bound():
             "prune_limit": 10638,
             "prune_corollary": 4119,
         }
-        # all but 7 endgames past the limit pre-check take at most
-        # target**(1/4) scan steps
+        # all but 7 endgame calls take at most target**(1/4) scan steps
         assert (counters.endgame_scan, counters.endgame_factor) == (616, 7)
         assert stats == {
             "nodes_expanded": 2220,
@@ -383,10 +395,10 @@ def test_walk_states_replay_through_the_checked_constructor(monkeypatch, config)
 @pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
 def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
     # Every node with three primes left, solved once by the fused loop and
-    # once through _expand_node (absorb_prime per q) and _solve_endgame
-    # (two_prime_solve per child): the same tuples in the same order, the
-    # same counters, and the same two_prime_solve calls, one per child the
-    # residue bound keeps.
+    # once through _expand_node (absorb_prime per q), the residue gate and
+    # _solve_endgame (two_prime_solve per child the gate keeps): the same
+    # tuples in the same order, the same counters, and the same
+    # two_prime_solve calls.
     nodes = []
     real_level = phi23.search._solve_last_level
     real_two = phi23.search.two_prime_solve
@@ -425,15 +437,16 @@ def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
         counters = SearchCounters()
         unfused: list[tuple[int, ...]] = []
         children = [child for child, _ in _expand_node(state, i, config.limit, table, counters)]
-        for child in children:
-            _solve_endgame(child, config.limit, counters, unfused.append)
-
-        assert fused == unfused, state
-        assert fused_counters == counters, state
         kept = [
             c for c in children
             if config.limit is None or not residue_closes(*two_prime_args(c), config.limit)
         ]
+        counters.prune_limit += len(children) - len(kept)
+        for child in kept:
+            _solve_endgame(child, config.limit, counters, unfused.append)
+
+        assert fused == unfused, state
+        assert fused_counters == counters, state
         assert fused_endgames == endgames == [
             (c.alpha, c.beta, c.gamma, c.floor, c.prefix_product, config.limit) for c in kept
         ], state
@@ -446,18 +459,15 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
     # run up to the limit-capped finiteness index, and each one the limit
     # cuts, past alpha // Delta and below the first one kept (the lower cut),
     # either dies in absorb_prime or leaves an endgame with no pair under the
-    # limit, by the unlimited endgame, which runs no limit pre-check.  The
-    # limited endgame's pre-check would close every endgame the cut drops, so
-    # the cut moves no endgame_scan or endgame_factor.  Each child the
-    # residue bound closes in the fused loop has no pair under the limit
-    # either, by the unlimited endgame on both strategies, and the bound
-    # holds by a recomputation here.  prune_limit counts the branches the
-    # limit closes: it is recounted here from the lower cuts, the residue
-    # bound's closures and the endgame pre-check's AM-GM closures, and
-    # matches the counter on one worker and on two.
+    # limit, by the unlimited endgame.  Each child the residue gate closes in
+    # the fused loop has no pair under the limit either, by the unlimited
+    # endgame on both strategies, and the bound holds by a recomputation
+    # here.  prune_limit counts the branches the limit closes, and these are
+    # its only two sources: it is recounted here from the lower cuts and the
+    # gate's closures, and matches the counter on one worker and on two.
     nodes = []
     closed_children = []
-    closed = {"lower": 0, "residue": 0, "amgm": 0}
+    closed = {"lower": 0, "residue": 0}
     limit = WALKS["limit-1e14"].limit
     table = build_prime_table(1 << 17)
     real_next = phi23.search._next_primes
@@ -477,11 +487,8 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
         return shut
 
     def solve_spy(alpha, beta, gamma, floor, b, limit, counters):
-        # the walk hands over only the children the residue bound keeps
+        # the walk hands over only the children the residue gate keeps
         assert not real_residue(alpha, beta, gamma, floor, b, limit)
-        delta = alpha - beta
-        if b * (math.isqrt(alpha * beta + gamma * delta) + alpha) ** 2 > delta**2 * limit:
-            closed["amgm"] += 1
         return real_solve(alpha, beta, gamma, floor, b, limit, counters)
 
     monkeypatch.setattr(phi23.search, "_next_primes", next_spy)
@@ -507,9 +514,6 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
             b = child.prefix_product
             pairs = two_prime_solve(*two_prime_args(child))
             assert [(q2, r) for q2, r in pairs if b * q2 * r <= limit] == [], child
-            child_counters = SearchCounters()
-            assert two_prime_solve(*two_prime_args(child), limit, child_counters) == [], child
-            assert child_counters == SearchCounters(prune_limit=1), child
     for args in closed_children:
         alpha, beta, gamma, floor, b = args
         # q*r = -gamma/beta (mod alpha) and q*r > floor**2
@@ -521,7 +525,7 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
     closed["residue"] = len(closed_children)
     assert len(nodes) == 1078
     assert endgames == 3735
-    assert closed == {"lower": 6033, "residue": 4605, "amgm": 0}
+    assert closed == {"lower": 6033, "residue": 4605}
     recount = sum(closed.values())
     assert counters.prune_limit == recount == 10638
     for threads in (1, 2):
