@@ -79,17 +79,15 @@ class EquationState:
 
 
 class Pruned(NamedTuple):
-    """Evidence that absorbing ``prime`` kills the branch.
+    """Evidence that absorbing ``prime`` kills the branch: ``gcd`` does not
+    divide gamma.
 
     ``alpha``/``beta`` are the pre-normalization candidates and ``gcd`` their
-    common divisor, so a gcd prune is fully reconstructible from the record.
-    Reasons: 'gcd' (gcd does not divide gamma), 'infeasible' (normalized
-    alpha <= beta, so the residual equation has no solution at all).  A
+    common divisor, so a prune is fully reconstructible from the record.  A
     tuple, so the walk builds one per pruned candidate cheaply (through
     ``_make``, which skips the generated ``__new__``).
     """
 
-    reason: str
     prime: int
     alpha: int
     beta: int
@@ -102,18 +100,19 @@ def root_state(k: int) -> EquationState:
 
 
 def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
-    """Extend the prefix by q, renormalizing, or report why that prunes.
+    """Extend the prefix by q, renormalizing.  Returns Pruned exactly when
+    the gcd test rejects q, and raises ValueError when the child would not be
+    a valid state: no prime left, or a normalized alpha <= beta, which holds
+    exactly for q <= alpha // (alpha - beta), a q the walk never offers (see
+    search._next_primes).
 
     q must be a prime greater than state.floor (primality itself is the
     caller's obligation; structural constraints are checked here).
 
     The child is built without re-running EquationState's validation, because
-    each invariant follows from the parent's: alpha > beta is the infeasible
-    test (false exactly for q <= alpha // (alpha - beta), which the walk never
-    offers); g divides beta*q and gamma, so both stay >= 1; gcd(alpha, beta) =
-    1 after dividing by g; the prefix stays ascending since q > state.floor;
-    and a state with one prime left raises ValueError here, as the constructor
-    would, when q does not prune.
+    every other invariant follows from the parent's: g divides beta*q and
+    gamma, so both stay >= 1; gcd(alpha, beta) = 1 after dividing by g; and
+    the prefix stays ascending since q > state.floor.
 
     On every state reachable from root_state two facts hold, by induction
     over this function:
@@ -134,13 +133,10 @@ def absorb_prime(state: EquationState, q: int) -> EquationState | Pruned:
     b2 = state.beta * q
     g = gcd(a2, b2)
     if state.gamma % g:
-        return Pruned._make(("gcd", q, a2, b2, g))
+        return Pruned._make((q, a2, b2, g))
     a3, b3, g3 = a2 // g, b2 // g, state.gamma // g
-    if a3 <= b3:
-        # prod(q-1) < prod(q) forces LHS < RHS forever: dead branch.
-        return Pruned._make(("infeasible", q, a2, b2, g))
-    if state.remaining == 1:
-        raise ValueError("need remaining >= 1, got 0")
+    if a3 <= b3 or state.remaining == 1:
+        raise ValueError(f"no valid child: alpha={a3}, beta={b3}, remaining={state.remaining - 1}")
     child = object.__new__(EquationState)  # valid by construction: skip __post_init__
     child.__dict__.update(
         prefix=state.prefix + (q,),

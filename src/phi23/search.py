@@ -99,12 +99,12 @@ class SearchCounters:
     node whose least pair product in its residue class modulo alpha is out
     of reach (see residue_closes), which is then not a node.  Both sources
     are in this module: the endgames close nothing on the limit, they only
-    drop pairs over it.  prune_corollary counts candidate primes q with p |
-    q - 1 for a prefix prime p, which the gcd test of absorb_prime rejects
-    (the paper's second theorem); no q whose normalized alpha <= beta is
-    tried, and no q the lower cut drops (see _next_primes).  prune_congruence
-    counts divisor pairs discarded by the endgame residue filter, which only
-    factored endgames see.  endgame_scan and endgame_factor count the
+    drop pairs over it.  prune_corollary counts the candidate primes q that
+    the gcd test, absorb_prime's only prune, rejects: those with p | q - 1
+    for a prefix prime p (the paper's second theorem); a q the lower cut
+    drops is not tried (see _next_primes).  prune_congruence counts divisor
+    pairs discarded by the endgame residue filter, which only factored
+    endgames see.  endgame_scan and endgame_factor count the
     two-prime endgames by how they found their divisors: the two-sided scan
     (small q tried one by one, the rest found through their sums q + r; see
     two_prime_solve) or factoring.
@@ -227,8 +227,8 @@ def _next_primes(
     candidate next primes; i is the index of state.floor in the table.
 
     With Delta = alpha - beta, they start past alpha // Delta, skipping exactly
-    the q absorb_prime finds infeasible: for every g, alpha*(q - 1)/g <=
-    beta*q/g <=> Delta*q <= alpha <=> q <= alpha // Delta.  With three primes
+    the infeasible q (absorb_prime refuses them): for every g, alpha*(q - 1)/g
+    <= beta*q/g <=> Delta*q <= alpha <=> q <= alpha // Delta.  With three primes
     left and a limit, the low end also steps up past each q whose child has
     no pair under the limit, by AM-GM.  A pair (r1, r2) of the child's
     endgame gives divisors f1*f2 = target' with f1, f2 > 0 (see
@@ -284,8 +284,8 @@ def _expand_node(
     for j in _next_primes(state, i, limit, table, counters):
         child = absorb_prime(state, primes[j])
         if isinstance(child, Pruned):
-            # Candidates are feasible (see _next_primes), so on a reachable
-            # state this is the gcd test: p | q - 1 for a prefix prime p.
+            # The gcd test, absorb_prime's only prune: on a reachable state,
+            # p | q - 1 for a prefix prime p.
             counters.prune_corollary += 1
             continue
         children.append((child, j))
@@ -336,8 +336,8 @@ def _solve_last_level(
         for j in _next_primes(state, i, limit, table, counters):
             q = primes[j]
             # absorb_prime's arithmetic; its docstring proves that the gcd
-            # test rejects exactly the q with p | q - 1 for a prefix prime p
-            # and that a child passing it at a feasible q is a valid state.
+            # test, its only prune, rejects exactly the q with p | q - 1 for
+            # a prefix prime p, and a feasible q passing it is a valid child.
             a2 = alpha * (q - 1)
             b2 = beta * q
             g = gcd(a2, b2)

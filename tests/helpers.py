@@ -308,10 +308,14 @@ def literal_pairs(
 def absorb_chain(prefix: tuple[int, ...], extra: int = 2) -> EquationState | None:
     """State reached by absorbing ``prefix`` with ``extra`` primes left over.
 
-    Returns None when any absorption prunes.
+    Returns None when any absorption prunes or any q is infeasible, q <=
+    alpha // (alpha - beta), which the walk never offers and absorb_prime
+    refuses.
     """
     state = root_state(len(prefix) + extra)
     for q in prefix:
+        if q <= state.alpha // (state.alpha - state.beta):
+            return None
         nxt = absorb_prime(state, q)
         if isinstance(nxt, Pruned):
             return None

@@ -105,21 +105,30 @@ def test_absorb_chain_golden_values():
 def test_absorb_gcd_prune():
     st = absorb_prime(root_state(4), 5)
     pruned = absorb_prime(st, 11)
-    assert isinstance(pruned, Pruned)
-    assert pruned.reason == "gcd"
-    assert pruned.prime == 11
-    assert (pruned.alpha, pruned.beta) == (60, 55)
-    assert pruned.gcd == 5
+    assert pruned == Pruned(11, 60, 55, 5)
+    assert (pruned.prime, pruned.alpha, pruned.beta, pruned.gcd) == (11, 60, 55, 5)
     assert gcd(60, 55) == 5
 
 
-def test_absorb_infeasible_prune():
+def test_absorb_refuses_an_infeasible_child():
+    # (5, 7) leaves alpha = 36, beta = 35, so alpha // Delta = 36.  At 23,
+    # 36*22 = 792 <= 35*23 = 805 with gcd 1: no valid child, a refusal
     st = absorb_chain((5, 7))
-    pruned = absorb_prime(st, 23)
-    assert isinstance(pruned, Pruned)
-    assert pruned.reason == "infeasible"
-    assert (pruned.alpha, pruned.beta) == (36 * 22, 35 * 23)
-    assert pruned.gcd == 1
+    assert (36 * 22, 35 * 23) == (792, 805) and gcd(792, 805) == 1
+    with pytest.raises(ValueError):
+        absorb_prime(st, 23)
+    # an infeasible q that fails the gcd test still returns its evidence
+    assert absorb_prime(st, 11) == Pruned(11, 360, 385, 5)
+    # alpha = 13, beta = 12: Delta*q = alpha at q = 13, where alpha*(q - 1)
+    # = beta*q = 156.  With a reachable gamma in {1, 2} the gcd test rejects
+    # that q; with gamma = 156 it passes and normalizes to alpha = beta = 1,
+    # which is refused.  The next prime, 17, is feasible.
+    assert absorb_prime(EquationState((), 13, 12, 1, 3), 13) == Pruned(13, 156, 156, 156)
+    st = EquationState((), 13, 12, 156, 3)
+    with pytest.raises(ValueError):
+        absorb_prime(st, 13)
+    child = absorb_prime(st, 17)
+    assert (child.alpha, child.beta, child.gamma, child.remaining) == (52, 51, 39, 2)
 
 
 def test_absorb_rejects_bad_primes():
@@ -134,17 +143,20 @@ def test_absorb_rejects_bad_primes():
 
 def test_absorb_into_the_last_slot():
     # a state with one prime left has no child state: a q that prunes is
-    # reported as before, one that does not is refused
+    # reported as before, one that does not is refused, feasible or not
     with pytest.raises(ValueError):
         absorb_prime(root_state(1), 5)
-    assert absorb_prime(absorb_chain((5,), extra=1), 11).reason == "gcd"
-    assert absorb_prime(absorb_chain((5, 7), extra=1), 23).reason == "infeasible"
+    with pytest.raises(ValueError):
+        absorb_prime(absorb_chain((5,), extra=1), 7)
+    assert absorb_prime(absorb_chain((5,), extra=1), 11) == Pruned(11, 60, 55, 5)
+    with pytest.raises(ValueError):
+        absorb_prime(absorb_chain((5, 7), extra=1), 23)
 
 
 def test_gamma_stays_small_on_reachable_states():
     primes = [p for p in simple_sieve(200) if p >= 5]
     states = reachable_endgame_states(primes, max_product=200_000, max_len=3)
-    assert len(states) > 50
+    assert len(states) == 4498
     for st in states:
         assert st.gamma in (1, 2)
         assert gcd(st.alpha, st.beta) == 1

@@ -363,7 +363,7 @@ def test_gcd_and_finiteness_prunes_cannot_fire_on_reachable_states(monkeypatch, 
     for state, q, out in absorbed:
         corollary_fails = any((q - 1) % p == 0 for p in state.prefix)
         failed += corollary_fails
-        dead = isinstance(out, Pruned) and out.reason == "gcd"
+        dead = isinstance(out, Pruned)
         assert dead == corollary_fails, (state, q, out)
     assert failed > 0
     # every internal node had its finiteness bound taken, and it lies above the floor
@@ -599,7 +599,8 @@ def test_last_level_cut_boundary(prefix, alpha, beta, limit, uncut, candidates, 
 def test_candidates_start_past_the_infeasible_prefix(monkeypatch, walk):
     # At every internal node the candidates start past alpha // (alpha -
     # beta): each prime skipped above the floor up to that dies in
-    # absorb_prime, and no candidate kept is infeasible.  Only a node with
+    # absorb_prime, which prunes it on the gcd test or refuses it as
+    # infeasible, and no candidate kept is refused.  Only a node with
     # three primes left and a limit skips primes past it too (its lower cut;
     # test_last_level_cut_drops_only_children_without_pairs checks those).
     nodes = []
@@ -622,10 +623,14 @@ def test_candidates_start_past_the_infeasible_prefix(monkeypatch, walk):
             if q > top:
                 assert lower_cut, (state, q)
                 continue
-            assert isinstance(absorb_prime(state, q), Pruned), (state, q)
+            try:
+                out = absorb_prime(state, q)
+            except ValueError:
+                continue
+            assert isinstance(out, Pruned), (state, q)
         for q in kept:
-            out = absorb_prime(state, q)
-            assert q > top and not (isinstance(out, Pruned) and out.reason == "infeasible"), (state, q)
+            assert q > top, (state, q)
+            absorb_prime(state, q)  # raises on an infeasible q
         skipped += sum(q <= top for q in dropped)
     assert skipped > 0
 
