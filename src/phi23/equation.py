@@ -304,9 +304,13 @@ def two_prime_solve(
     The two-prime endgame on a state's coefficients (alpha > beta >= 1,
     gcd(alpha, beta) = 1, gamma >= 1), its floor and the product of its
     prefix, so the walk can solve a child without building it;
-    two_prime_args(state) gives them for a state.  A factoring failure
-    raises factorize's FactoringError, which names the target; callers
-    name the branch.
+    two_prime_args(state) gives them for a state.  The floor must be at
+    least 3, as on every walk state (the empty prefix's floor is 3): every
+    q > floor is then at least 4, so a q divisible by 2 or 3 is composite,
+    and the scan below skips it.  A smaller floor raises ValueError for
+    either source, since a scan past floor 2 would lose q = 3 unseen.  A
+    factoring failure raises factorize's FactoringError, which names the
+    target; callers name the branch.
 
     With delta = alpha - beta the equation is equivalent to
 
@@ -327,21 +331,24 @@ def two_prime_solve(
 
     The divisors come from one of two sources.  "factor" factors the target
     and walks all its divisors.  "scan" finds every divisor f1 = delta*q -
-    alpha with q an integer in lo <= q <= hi, where lo > floor keeps f1 >= 1
-    and hi = (rt + alpha) // delta, rt = isqrt(target), keeps f1 <=
-    sqrt(target).  The scan works from both ends of that range, split at
+    alpha with q an integer prime to 6 in lo <= q <= hi, where lo > floor
+    keeps f1 >= 1 and hi = (rt + alpha) // delta, rt = isqrt(target), keeps
+    f1 <= sqrt(target).  The scan works from both ends of that range, split at
     mid = (isqrt(target // delta) + alpha) // delta, which is at most hi as
     delta >= 1, raised to at least lo - 1 (so the range is empty when hi <
     lo), where f1 is about sqrt(target / delta):
 
-      - each q in [lo, mid] is tried: does f1 divide the target?
+      - each q in [lo, mid] prime to 6 is tried: does f1 divide the
+        target?  The q = 1 and the q = 5 (mod 6) are two runs of f1
+        stepped by 6*delta, whose divisors are merged.
       - each q in (mid, hi] is found through its sum s = q + r.  The
         equation reads delta*q*r = alpha*s + gamma - alpha, so q*r is an
         integer exactly when s = (alpha - gamma) / alpha (mod delta), which
         exists since gcd(alpha, delta) = gcd(alpha, beta) = 1.  Then q and r
         are the roots of x*x - s*x + q*r, so the pair exists exactly when
         s*s - 4*q*r is a square d*d, and q = (s - d) / 2.  No parity test is
-        needed: s*s - d*d = 4*q*r forces s = d (mod 2).
+        needed: s*s - d*d = 4*q*r forces s = d (mod 2).  A root q
+        divisible by 2 or 3 is dropped before it becomes a divisor.
 
     Why the sums cover (mid, hi] exactly: on f1 > 0 the sum of a real pair
     is S(q) = q + (target / f1 + alpha) / delta, with dS/dq = 1 - target /
@@ -354,36 +361,41 @@ def two_prime_solve(
     it is a non-square modulo a few small odd moduli, and gives the survivors
     the exact root test.
 
-    Cost: the first side takes about sqrt(target / delta) / delta steps and
-    the second about as many, so one scan takes about 2*sqrt(target) /
-    delta**1.5 steps, against sqrt(target) / delta for trying the whole
-    range; when delta**3 > target that is at most about 2 steps.  By
-    default the endgame scans when its step count, (mid - lo + 1) +
-    (floor(S(mid + 1)) - ceil(S(hi))) // delta + 1, is at most
+    Cost: [lo, mid] holds about sqrt(target / delta) / delta q, of which
+    the first side tries the third prime to 6, and the second side takes
+    about as many sum steps as [lo, mid] holds q, so one scan takes about
+    (4/3)*sqrt(target) / delta**1.5 steps; when delta**3 > target that is
+    at most about 2 steps.  By default the endgame scans when the steps it
+    would take, the count of q prime to 6 in [lo, mid] plus the
+    (floor(S(mid + 1)) - ceil(S(hi))) // delta + 1 sum steps, are at most
     target**(1/4), Brent rho's iteration count on a worst-case split, and
     factors the target otherwise.  The count is never negative (mid >= lo -
     1, and S falls on (mid, hi], so s_hi >= s_lo - 1), and for steps >= 0
     the test steps*steps <= rt holds exactly when steps**4 <= target, that
     is when steps <= floor(target**(1/4)).
     ``strategy`` forces one source (tests cross-check the two with it).  The
-    rule prices a sieved sum step like a tried q, though it is the cheaper
-    of the two on large targets.  An endgame with no scan step at all (no q
-    in [lo, mid] and no sum of the class in [s_lo, s_hi]) returns right
-    after its bounds, as does any scan that meets no divisor; on a limited
-    walk the residue bound closes most such endgames before their bounds.
-    The pairs come out by ascending q
-    unsorted: divisors() ascends, and the scan tries [lo, mid] upward, then
-    (mid, hi] by descending sum.
+    rule prices a tried q like a sieved sum step.  On the large targets of a
+    k = 7 walk a tried q costs about 2.5 to 3 sum steps, but the sum side
+    takes about 3 steps per tried q, so the two sides cost about alike.  An
+    endgame with no scan step at all (no q prime to 6 in [lo, mid] and no
+    sum of the class in [s_lo, s_hi]) returns right after its bounds, as
+    does any scan that meets no divisor; on a limited walk the residue
+    bound closes most such endgames before their bounds.  The pairs come
+    out by ascending q with no sort of the pairs: divisors() ascends, and
+    the scan sorts the few divisors its two runs over [lo, mid] meet, then
+    meets (mid, hi] by descending sum.
 
     ``counters`` (optional) receives the congruence prunes and which source
     ran; ``trace`` (optional) collects (f1, f2, q, r, verdict) tuples for
     every divisor pair seen.  Verdicts: "congruence" (f1 outside
     the residue class), "floor" (q <= floor), "ordering" (q >= r), "limit",
     "q_composite", "r_composite" and "accepted".  A scan sees only divisors
-    in the residue class with q in range, so its trace is the factor trace
-    without the "congruence" and "floor" entries and those with q > hi, and
-    it ticks no prune_congruence.
+    in the residue class with q in range and prime to 6, so its trace is the
+    factor trace without the "congruence" and "floor" entries and those
+    with q > hi or q divisible by 2 or 3, and it ticks no prune_congruence.
     """
+    if floor < 3:
+        raise ValueError(f"need floor >= 3, got {floor}")
     delta = alpha - beta
     target = alpha * beta + gamma * delta
     b = prefix_product
@@ -395,8 +407,8 @@ def two_prime_solve(
     if lo <= floor:
         lo = floor + 1
     hi = (rt + alpha) // delta
-    # q in [lo, mid] are tried one by one, q in (mid, hi] found through their
-    # sums q + r, which fill [s_lo, s_hi] (see above).
+    # q in [lo, mid] prime to 6 are tried one by one, q in (mid, hi] found
+    # through their sums q + r, which fill [s_lo, s_hi] (see above).
     mid = (isqrt(target // delta) + alpha) // delta
     if mid < lo:
         mid = lo - 1
@@ -409,15 +421,18 @@ def two_prime_solve(
     if strategy is None:
         # Brent rho needs about target**(1/4) iterations on a worst-case
         # split, so taking at most that many steps is never dearer.
-        steps = (mid - lo + 1) + (s_hi - s_lo) // delta + 1
+        steps = _prime_to_6(lo, mid) + (s_hi - s_lo) // delta + 1
         strategy = "scan" if steps * steps <= rt else "factor"
     if strategy == "scan":
-        # Every integer q, not just primes, so a composite q is traced as such.
+        # Only q prime to 6: q > floor >= 3, so any other q is composite.
         divisors = []
         if mid >= lo:
-            for f1 in range(delta * lo - alpha, delta * mid - alpha + 1, delta):
-                if not target % f1:
-                    divisors.append(f1)
+            # q = 1 and q = 5 (mod 6), merged so the divisors ascend
+            stop = delta * mid - alpha + 1
+            for q0 in (lo + (1 - lo) % 6, lo + (5 - lo) % 6):
+                divisors += [
+                    f1 for f1 in range(delta * q0 - alpha, stop, 6 * delta) if not target % f1]
+            divisors.sort()
         if s_lo <= s_hi:
             # The sums in the class that makes q*r = (gamma - alpha + alpha*s) / delta
             # integral, stepped as s = s0 + delta*j: then q and r are the roots
@@ -430,7 +445,8 @@ def two_prime_solve(
                 # descending s gives ascending q
                 for j in reversed(_square_steps(delta, c1, c0, (s_hi - s0) // delta + 1)):
                     q = (s0 + delta * j - isqrt((c2 * j + c1) * j + c0)) // 2
-                    divisors.append(delta * q - alpha)
+                    if q % 2 and q % 3:
+                        divisors.append(delta * q - alpha)
         if counters is not None:
             counters.endgame_scan += 1
         if not divisors:
@@ -473,6 +489,12 @@ def two_prime_solve(
         if verdict == "accepted":
             out.append((q, r))
     return out
+
+
+def _prime_to_6(lo: int, hi: int) -> int:
+    """How many q in [lo, hi] are prime to 6, for 1 <= lo <= hi + 1 (0 when
+    hi = lo - 1): (n + 1) // 6 + (n + 5) // 6 of them lie in [1, n]."""
+    return (hi + 1) // 6 + (hi + 5) // 6 - lo // 6 - (lo + 4) // 6
 
 
 @functools.cache

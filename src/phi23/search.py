@@ -106,8 +106,8 @@ class SearchCounters:
     pairs discarded by the endgame residue filter, which only factored
     endgames see.  endgame_scan and endgame_factor count the
     two-prime endgames by how they found their divisors: the two-sided scan
-    (small q tried one by one, the rest found through their sums q + r; see
-    two_prime_solve) or factoring.
+    (small q prime to 6 tried one by one, the rest found through their sums
+    q + r; see two_prime_solve) or factoring.
     """
 
     nodes_expanded: int = 0

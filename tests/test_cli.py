@@ -113,7 +113,7 @@ def test_search_stats_layout(capsys):
         KNOWN_TEXT_LINES[2],
         "# search k_min=3 k_max=3 limit=None threads=1 solutions=1 wall_time_sec=*",
         "# nodes_expanded=2 prune_limit=0 prune_corollary=0 prune_congruence=0 "
-        "endgame_scan=0 endgame_factor=1",
+        "endgame_scan=1 endgame_factor=0",
     ]
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
@@ -139,8 +139,8 @@ def test_search_stats_layout(capsys):
             "prune_limit": 0,
             "prune_corollary": 0,
             "prune_congruence": 0,
-            "endgame_scan": 0,
-            "endgame_factor": 1,
+            "endgame_scan": 1,
+            "endgame_factor": 0,
         },
     }
     assert list(report["counters"]) == list(phi23.search.SearchCounters().as_dict())
@@ -429,7 +429,8 @@ def test_count_forms(text, value):
 
 def test_factoring_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(phi23.equation, "factorize", give_up)
-    # the endgame after (5, 7, 37) takes 1295 scan steps, far above 1678321**(1/4) = 35
+    # the endgame after (5, 7, 37) takes 432 scan steps, the q prime to 6 in
+    # [1297, 2591], far above 1678321**(1/4) = 35
     code, out, err = run_cli(capsys, "search", "--k", "5", "--threads", "1")
     assert code == 3
     assert out == ""
@@ -441,9 +442,16 @@ def test_factoring_failure_exit_code(capsys, monkeypatch):
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("ks", [("--k", "2"), ("--k-min", "1", "--k-max", "2")], ids=["k2", "k1-2"])
 def test_factoring_failure_at_the_k2_root(capsys, monkeypatch, ks, threads):
-    # the k = 2 root's endgame factors its target 8 itself; its branch is empty
+    # a FactoringError raised by the k = 2 root's own endgame, whose branch is
+    # empty.  That endgame scans its target 8 in one step (q = 5) and never
+    # factors, so the endgame itself is made to give up on its target.
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setattr(phi23.equation, "factorize", give_up)
+
+    def endgame_gives_up(alpha, beta, gamma, floor, prefix_product, *_):
+        assert (alpha, beta, gamma, floor, prefix_product) == (3, 2, 2, 3, 1)
+        raise FactoringError(alpha * beta + gamma * (alpha - beta))
+
+    monkeypatch.setattr(phi23.search, "two_prime_solve", endgame_gives_up)
     code, out, err = run_cli(capsys, "search", *ks, "--threads", threads)
     assert (code, out) == (3, "")
     assert err == (

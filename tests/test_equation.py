@@ -42,6 +42,7 @@ from phi23.equation import (
     root_state,
     two_prime_args,
     two_prime_solve,
+    _prime_to_6,
     _square_steps,
 )
 from phi23.search import SearchConfig, SearchCounters, solve
@@ -608,9 +609,15 @@ def test_two_prime_default_strategy():
     assert trace == []
     assert counters.prune_congruence == 0
     assert (counters.endgame_scan, counters.endgame_factor) == (1, 0)
-    # at the root (delta = 1), q in 4..5 is 2 steps, above 8**(1/4) = 1: factored
+    # at the root (delta = 1), q in 4..5 holds one q prime to 6, 1 step, not
+    # above 8**(1/4) = 1: scanned
     counters = SearchCounters()
     assert two_prime_solve(*two_prime_args(root_state(2)), counters=counters) == [(5, 7)]
+    assert (counters.endgame_scan, counters.endgame_factor) == (1, 0)
+    # after (5, 7, 37) (delta = 1), the q prime to 6 in 1297..2591 are 432
+    # steps, above 1678321**(1/4) = 35: factored
+    counters = SearchCounters()
+    assert two_prime_solve(*two_prime_args(absorb_chain((5, 7, 37))), counters=counters) == []
     assert (counters.endgame_scan, counters.endgame_factor) == (0, 1)
 
 
@@ -628,8 +635,9 @@ def test_two_prime_default_strategy():
         # it is kept at
         ((177420672, 176935115, 1, 719, 176935115), (720, 719, 730), False, 176935115 * 122314909),
         # not from the walk: the floor puts lo = 101 far past hi = 5, so mid
-        # clips to lo - 1 and the step count is 0, not 5 - 101 + 1 = -95,
-        # whose fourth power would pass the target 8 and choose factoring
+        # clips to lo - 1 and the step count is 0, not the -31 q prime to 6
+        # that [101, 5] would count, whose square would pass isqrt(8) and
+        # choose factoring
         ((3, 2, 2, 100, 1), (101, 100, 5), False, 10**14),
     ],
     ids=["args0-split0-True", "args1-split1-False", "args2-split2-False", "args3-split3-False"],
@@ -677,11 +685,18 @@ def test_two_prime_golden_after_5_7():
 
 
 def test_two_prime_divisor_walk_square_target():
-    # target 5*4 + 16*1 = 36: every divisor up to and including its square
-    # root 6 is tried, ascending, each with its cofactor
+    # target 5*4 + 16*1 = 36: factoring tries every divisor up to and
+    # including its square root 6, ascending, each with its cofactor
+    args = two_prime_args(state((), 5, 4, 16, 2))
     trace = []
-    assert two_prime_solve(*two_prime_args(state((), 5, 4, 16, 2)), trace=trace) == [(7, 23)]
+    assert two_prime_solve(*args, trace=trace, strategy="factor") == [(7, 23)]
     assert [t[:2] for t in trace] == [(1, 36), (2, 18), (3, 12), (4, 9), (6, 6)]
+    assert trace[-1] == (6, 6, 11, 11, "ordering")
+    # the default scans q in 6..11 (2 steps, q = 7 and 11, not above isqrt(36)
+    # = 6) and meets only the divisors whose q is prime to 6
+    trace = []
+    assert two_prime_solve(*args, trace=trace) == [(7, 23)]
+    assert [t[:2] for t in trace] == [(2, 18), (6, 6)]
     assert trace[-1] == (6, 6, 11, 11, "ordering")
 
 
@@ -790,10 +805,12 @@ def test_two_prime_limit_precheck_keeps_every_pair_at_tight_limits():
     # residue gate closes the endgame, else the endgame's trace, primes or
     # not) are exactly the brute-force pairs under it: the gate closes no
     # endgame with a pair at its limit.  The residue bound needs a window
-    # below alpha, so the floor is also put just under each pair's q.
+    # below alpha, so the floor is also put just under each pair's q.  Both
+    # sides keep only the q prime to 6, the only q a scan meets (past a floor
+    # >= 3 the others are composite); a floor below 3 is refused.
     rng = random.Random(30)
     under = ("accepted", "q_composite", "r_composite")
-    checks = 0
+    checks = refused = 0
     while checks < 3000:
         alpha = rng.randrange(2, 200)
         beta = rng.randrange(1, alpha)
@@ -802,17 +819,24 @@ def test_two_prime_limit_precheck_keeps_every_pair_at_tight_limits():
         gamma = rng.choice((1, 2))
         everything = _integer_pairs(alpha, beta, gamma, 1)
         for floor in {1, rng.randrange(1, 20)} | {q - 1 for q, _ in everything if q > 1}:
-            pairs = [(q, r) for q, r in everything if q > floor]
+            pairs = [(q, r) for q, r in everything if q > floor and q % 2 and q % 3]
             b = rng.choice((1, 5, 35))
+            if floor < 3:
+                for strategy in ("scan", "factor"):
+                    with pytest.raises(ValueError, match="floor"):
+                        two_prime_solve(alpha, beta, gamma, floor, b, strategy=strategy)
+                refused += 1
+                continue
             for q, r in pairs:
                 for limit in (b * q * r, b * q * r - 1):
                     trace = []
                     if not residue_closes(alpha, beta, gamma, floor, b, limit):
                         two_prime_solve(alpha, beta, gamma, floor, b, limit, trace=trace)
-                    seen = {(t[2], t[3]) for t in trace if t[4] in under}
+                    seen = {(t[2], t[3]) for t in trace if t[4] in under and t[2] % 2 and t[2] % 3}
                     assert seen == {p for p in pairs if b * p[0] * p[1] <= limit}, (
                         alpha, beta, gamma, floor, b, limit)
                     checks += 1
+    assert refused > 0
 
 
 def test_two_prime_requires_two_remaining():
@@ -862,7 +886,7 @@ def _assert_strategies_agree(args, limit=None):
     assert scan_counters.prune_congruence == 0, where
     hi = _scan_split(args)[2]
     assert scan_trace == [
-        t for t in factor_trace if t[4] not in ("congruence", "floor") and t[2] <= hi
+        t for t in factor_trace if t[4] not in ("congruence", "floor") and t[2] <= hi and t[2] % 2 and t[2] % 3
     ], where
 
 
@@ -957,25 +981,36 @@ def test_every_primality_argument_is_in_the_proven_range(monkeypatch):
 @pytest.mark.parametrize(
     "coefficients, limit, split, qs",
     [
-        # delta = 1 (the root): every q is scanned, none is left to the sums
-        ((3, 2, 2), None, (4, 5, 5), [4, 5]),
+        # Every row's scan meets only the q prime to 6; the factor trace also
+        # holds the q divisible by 2 or 3, which are composite past a floor >= 3.
+        # delta = 1 (the root): every q is scanned, none is left to the sums;
+        # the pair at q = 4 is skipped
+        ((3, 2, 2), None, (4, 5, 5), [5]),
         # target 39 = 1 * 39 = 3 * 13, delta 2: a pair at q = mid
-        ((7, 5, 2), None, (4, 5, 6), [4, 5]),
-        # target 55 = 5 * 11, delta 2: the pair at q = mid has the sum 11, and
-        # the sum of q = 5 lies strictly between 10 and 11: no sum to step
-        ((3, 1, 26), None, (4, 4, 5), [4]),
+        ((7, 5, 2), None, (4, 5, 6), [5]),
+        # target 55 = 5 * 11, delta 2: the pair at q = mid = 4 (skipped) has the
+        # sum 11, and the sum of q = 5 lies strictly between 10 and 11: no sum to step
+        ((3, 1, 26), None, (4, 4, 5), []),
         # target 136 = 8 * 17, delta 3: a pair at q = mid + 1, the first q found by its sum
         ((13, 10, 2), None, (5, 6, 8), [5, 7]),
-        # target 91 = 7 * 13, delta 3: a pair at q = hi
-        ((11, 8, 1), None, (4, 5, 6), [4, 6]),
-        # target 1120 = 2**5 * 5 * 7, delta 3: four q scanned, then q = 15 and
-        # q = 19 through their sums 42 and 39, one step apart
-        ((25, 22, 190), None, (9, 14, 19), [9, 10, 11, 13, 15, 19]),
-        # square target 121, delta 4: f1 = f2 = 11 at q = hi, found by its sum
-        ((13, 9, 1), None, (4, 4, 6), [6]),
+        # target 91 = 7 * 13, delta 3: pairs at q = 4 and q = hi = 6, both skipped,
+        # the one at q = hi after its sum is stepped
+        ((11, 8, 1), None, (4, 5, 6), []),
+        # target 1120 = 2**5 * 5 * 7, delta 3: q = 11 and 13 scanned (9 and 10
+        # skipped), then q = 15 (skipped) and q = 19 through their sums 42 and
+        # 39, one step apart
+        ((25, 22, 190), None, (9, 14, 19), [11, 13, 19]),
+        # square target 121, delta 4: f1 = f2 = 11 at q = hi = 6, found by its
+        # sum and skipped
+        ((13, 9, 1), None, (4, 4, 6), []),
         # target 8 and b = 1 at limit 25: the endgame scans its whole range,
-        # whose pairs (4, 11), (5, 7) break the limit
-        ((3, 2, 2), 25, (4, 5, 5), [4, 5]),
+        # whose pairs (4, 11) (skipped) and (5, 7) break the limit
+        ((3, 2, 2), 25, (4, 5, 5), [5]),
+        # the two rows above whose pair at q = hi is skipped, with q = hi = 5:
+        # target 63 = 7 * 9, delta 2, a pair found by its sum
+        ((3, 1, 30), None, (4, 4, 5), [5]),
+        # square target 49, delta 2: f1 = f2 = 7, found by its sum
+        ((3, 1, 23), None, (4, 3, 5), [5]),
     ],
 )
 def test_two_prime_scan_split_edges(coefficients, limit, split, qs):
@@ -1002,11 +1037,15 @@ def test_two_prime_strategy_matches_linear_scan(primes_100k, prime_set_100k, str
 
 @pytest.mark.parametrize("strategy", ["scan", "factor"])
 def test_two_prime_strategy_edges(strategy):
-    # square target 36: f1 = 1 at the first q of the range, f1 = f2 = 6 at its last
+    # square target 36: f1 = 1 at the first q of the range, f1 = f2 = 6 at
+    # its last; the scan skips q = 6, 8 and 9, which are not prime to 6
     trace = []
     assert two_prime_solve(*two_prime_args(state((), 5, 4, 16, 2)), trace=trace, strategy=strategy) == [(7, 23)]
-    assert trace[0] == (1, 36, 6, 41, "q_composite")
-    assert [t[:2] for t in trace] == [(1, 36), (2, 18), (3, 12), (4, 9), (6, 6)]
+    if strategy == "factor":
+        assert trace[0] == (1, 36, 6, 41, "q_composite")
+        assert [t[:2] for t in trace] == [(1, 36), (2, 18), (3, 12), (4, 9), (6, 6)]
+    else:
+        assert [t[:2] for t in trace] == [(2, 18), (6, 6)]
     assert trace[-1] == (6, 6, 11, 11, "ordering")
     # q = floor + 1 is the first q tried; q = floor is not (the root's
     # equation behind a floor of 4, which no prime prefix can give)
@@ -1028,6 +1067,27 @@ def test_two_prime_strategy_edges(strategy):
     assert two_prime_solve(6, 5, 5, 3, 1, strategy=strategy) == [(7, 41), (11, 13)]
     assert two_prime_solve(13, 10, 10, 3, 1, strategy=strategy) == [(5, 31), (7, 11)]
     assert two_prime_solve(97, 92, 116, 3, 1, strategy=strategy) == [(29, 59), (37, 41)]
+
+
+def test_prime_to_6_counts_the_scanned_q():
+    # the default rule's count of the q side's steps, against the brute force
+    # on every range the scan can meet: lo = floor + 1 >= 4, and mid >= lo - 1
+    for mid in range(3, 80):
+        for lo in range(4, mid + 2):
+            assert _prime_to_6(lo, mid) == sum(1 for q in range(lo, mid + 1) if q % 2 and q % 3), (lo, mid)
+
+
+@pytest.mark.parametrize("strategy", ["scan", "factor", None])
+def test_two_prime_refuses_a_floor_below_3(strategy):
+    # the scan skips every q divisible by 2 or 3, which is composite only for
+    # q >= 4.  Past floor 2 the prime pair (3, 5) of 2(q-1)(r-1) = q*r + 1
+    # would be lost without a word, so both sources refuse a floor below 3.
+    assert _integer_pairs(2, 1, 1, 2) == [(3, 5)]
+    for floor in (2, 1, 0):
+        with pytest.raises(ValueError, match="floor"):
+            two_prime_solve(2, 1, 1, floor, 1, strategy=strategy)
+    assert two_prime_solve(2, 1, 1, 3, 1, strategy=strategy) == []
+    assert two_prime_solve(3, 2, 2, 3, 1, strategy=strategy) == [(5, 7)]
 
 
 def test_two_prime_rejects_unknown_strategy():

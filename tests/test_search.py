@@ -244,9 +244,9 @@ def test_unbounded_k1_6_counters_are_pinned(threads):
         "nodes_expanded": 460,
         "prune_limit": 0,
         "prune_corollary": 259,
-        "prune_congruence": 42,
-        "endgame_scan": 394,
-        "endgame_factor": 22,
+        "prune_congruence": 21,
+        "endgame_scan": 405,
+        "endgame_factor": 11,
     }
 
 
@@ -263,16 +263,35 @@ def test_limit_1e14_matches_the_paper_bound():
             "prune_limit": 10638,
             "prune_corollary": 4119,
         }
-        # all but 7 endgame calls take at most target**(1/4) scan steps
-        assert (counters.endgame_scan, counters.endgame_factor) == (616, 7)
+        # all but 2 endgame calls take at most target**(1/4) scan steps
+        assert (counters.endgame_scan, counters.endgame_factor) == (621, 2)
         assert stats == {
             "nodes_expanded": 2220,
             "prune_limit": 10638,
             "prune_corollary": 4119,
-            "prune_congruence": 6,
-            "endgame_scan": 616,
-            "endgame_factor": 7,
+            "prune_congruence": 0,
+            "endgame_scan": 621,
+            "endgame_factor": 2,
         }
+
+
+def test_limit_1e8_counters_are_pinned():
+    # perfbench's test_factoring_error_is_a_failed_pass_not_an_abort runs
+    # `search --limit 1e8 --threads 1` with a factorize that always gives up
+    # and expects the pass to fail, so it needs endgame_factor >= 1 on this
+    # walk; a change to the scan-or-factor rule moves this pin first
+    counters = SearchCounters()
+    sols = solve(SearchConfig(limit=10**8, threads=1), counters)
+    assert [s.n for s in sols] == KNOWN_N
+    assert counters.as_dict() == {
+        "nodes_expanded": 53,
+        "prune_limit": 28,
+        "prune_corollary": 10,
+        "prune_congruence": 0,
+        "endgame_scan": 18,
+        "endgame_factor": 1,
+    }
+    assert counters.endgame_factor >= 1
 
 
 def test_counters_merge():
