@@ -34,7 +34,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import accumulate
-from math import gcd, isqrt
+from math import gcd
 from operator import mul
 from typing import Callable, Iterable
 
@@ -94,9 +94,9 @@ class SearchCounters:
     endgames a node with three primes left solves without building their
     states (see _solve_last_level) count too: every counter ticks as if
     those states were built.  prune_limit counts the branches the limit
-    closes: each candidate the lower cut of a node with three primes left
-    drops (see _next_primes) and each child with two primes left of such a
-    node whose least pair product in its residue class modulo alpha is out
+    closes: each candidate the lower cut of any node under a limit drops
+    (see _next_primes) and each child with two primes left of a node with
+    three whose least pair product in its residue class modulo alpha is out
     of reach (see residue_closes), which is then not a node.  Both sources
     are in this module: the endgames close nothing on the limit, they only
     drop pairs over it.  prune_corollary counts the candidate primes q that
@@ -228,25 +228,25 @@ def _next_primes(
 
     With Delta = alpha - beta, they start past alpha // Delta, skipping exactly
     the infeasible q (absorb_prime refuses them): for every g, alpha*(q - 1)/g
-    <= beta*q/g <=> Delta*q <= alpha <=> q <= alpha // Delta.  With three primes
-    left and a limit, the low end also steps up past each q whose child has
-    no pair under the limit, by AM-GM.  A pair (r1, r2) of the child's
-    endgame gives divisors f1*f2 = target' with f1, f2 > 0 (see
-    two_prime_solve), so f1 + f2 >= 2*sqrt(target') and
+    <= beta*q/g <=> Delta*q <= alpha <=> q <= alpha // Delta.  Under a limit
+    the low end also steps up past each q whose child has no solution under
+    the limit.  With r = state.remaining (>= 3 at an internal node), the
+    child at q has alpha' = alpha*(q - 1)/g, beta' = beta*q/g and gamma' =
+    gamma/g >= 1, so over its r - 1 remaining primes p
 
-        r1*r2 = (target' + alpha'*(f1 + f2) + alpha'**2) / delta'**2
-              >= ((sqrt(target') + alpha') / delta')**2.
+        prod(1 - 1/p) = beta'/alpha' + gamma'/(alpha'*prod(p)) > beta'/alpha'.
 
-    With b = prefix_product and g the gcd absorb_prime divides out, the child
-    at q has alpha' = alpha*(q - 1)/g, delta' = (Delta*q - alpha)/g and
-    target' = (alpha*beta*q*(q - 1) + gamma*(Delta*q - alpha))/g**2, so in
-    that bound on n = b*q*r1*r2, g cancels.  As sqrt(target') >=
-    sqrt(alpha*beta)*(q - 1), every n of that child is at least
-    L(q) = b*K0**2*q*(q - 1)**2 / (Delta*q - alpha)**2, K0 = isqrt(alpha*beta) +
-    alpha.  The low end steps up while L(q) exceeds the limit, keeping a q at
-    equality: each q skipped is dead on its own, so the cut needs no
-    monotonicity, and as L(q) blows up when q falls toward alpha/Delta the run
-    it skips is short.  Each q it skips counts as a prune_limit.
+    Hence sum(1/p) < ln(alpha'/beta') <= (alpha' - beta')/beta' = (Delta*q -
+    alpha)/(beta*q), in which g cancels, and as the geometric mean of the p
+    is at least their harmonic mean, prod(p) > ((r - 1)*beta*q/(Delta*q -
+    alpha))**(r - 1).  So every n = b*q*prod(p) of that child, b =
+    prefix_product, exceeds the limit once
+
+        b*q*((r - 1)*beta*q)**(r - 1) >= limit*(Delta*q - alpha)**(r - 1),
+
+    and the low end steps up while this holds: each q skipped is dead on its
+    own, so the cut needs no monotonicity.  Each q it skips counts as a
+    prune_limit.
 
     The capped bound lies past i on every state the walk builds, so the
     range is never cut off at the floor: a root's first run of primes fits
@@ -262,12 +262,13 @@ def _next_primes(
     top = alpha // delta
     while lo <= m and primes[lo] <= top:
         lo += 1
-    if state.remaining == 3 and limit is not None:
-        c = state.prefix_product * (isqrt(alpha * beta) + alpha) ** 2
+    if limit is not None:
+        e = state.remaining - 1
+        b = state.prefix_product
         start = lo
         while lo <= m:
             q = primes[lo]
-            if c * q * (q - 1) ** 2 <= limit * (delta * q - alpha) ** 2:
+            if b * q * (e * beta * q) ** e < limit * (delta * q - alpha) ** e:
                 break
             lo += 1
         counters.prune_limit += lo - start

@@ -374,15 +374,11 @@ def walk_root(root: tuple[int, int, int], limit: int, table: PrimeTable) -> set[
     return found
 
 
-def check_populated_trees(bound: int) -> tuple[int, int]:
-    """Walk every populated root to ``bound`` and check that the walk finds
-    exactly the square-free n <= bound coprime to 6 with alpha*phi(n) =
-    beta*n + gamma, and again with the limit set to each of those n, which
-    catches a bound that prunes too much; returns the number of roots and
-    of solutions.
+@functools.lru_cache(maxsize=1)
+def populated_solutions(bound: int) -> dict[tuple[int, int, int], set[int]]:
+    """The square-free n <= bound coprime to 6 with alpha*phi(n) = beta*n +
+    gamma, by populated root, from the oracle's totient sieve alone.
 
-    Run it as ``cd tests && python -c "from helpers import
-    check_populated_trees; print(check_populated_trees(200_000_000))"``.
     The brute force holds the sieve's int64 totients, then about a third of
     them with their n.
     """
@@ -394,17 +390,28 @@ def check_populated_trees(bound: int) -> tuple[int, int]:
     n = np.flatnonzero(keep)
     del keep
     phi = phi[n]
-    roots = populated_roots()
+    return {
+        (alpha, beta, gamma): set(n[alpha * phi == beta * n + gamma].tolist())
+        for alpha, beta, gamma in populated_roots()
+    }
+
+
+def check_populated_trees(bound: int) -> tuple[int, int]:
+    """Walk every populated root to ``bound`` and check that the walk finds
+    exactly the brute-force solutions (populated_solutions), and again with
+    the limit set to each of them, which catches a bound that prunes too
+    much; returns the number of roots and of solutions.
+
+    Run it as ``cd tests && python -c "from helpers import
+    check_populated_trees; print(check_populated_trees(200_000_000))"``.
+    """
+    solutions = populated_solutions(bound)
     table = build_prime_table(1 << 12)
-    total = 0
-    for root in roots:
-        alpha, beta, gamma = root
-        want = set(n[alpha * phi == beta * n + gamma].tolist())
+    for root, want in solutions.items():
         assert walk_root(root, bound, table) == want, root
         for limit in want:
             assert walk_root(root, limit, table) == {m for m in want if m <= limit}, (root, limit)
-        total += len(want)
-    return len(roots), total
+    return len(solutions), sum(map(len, solutions.values()))
 
 
 @contextlib.contextmanager

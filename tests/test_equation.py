@@ -405,7 +405,7 @@ def test_gallop_matches_the_linear_scan_at_every_stop():
 
 # Entries per tail list, by remaining count, after the 1e14 walk: each list
 # reaches the furthest bound a node with that many primes left returned.
-LISTS_1E14 = {3: 537, 4: 97, 5: 39, 6: 27, 7: 14, 8: 11, 9: 6, 10: 5, 11: 3}
+LISTS_1E14 = {3: 537, 4: 83, 5: 39, 6: 16, 7: 12, 8: 11, 9: 6, 10: 5, 11: 3}
 
 
 @pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)

@@ -1,8 +1,10 @@
 """End-to-end tests for the pruned solver and its parallel driver."""
 
+import collections
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import signal
 import types
@@ -21,6 +23,7 @@ from helpers import (
     deadline,
     index_of,
     integer_root,
+    populated_solutions,
     simple_sieve,
     tight_limit_bound,
 )
@@ -259,16 +262,16 @@ def test_limit_1e14_matches_the_paper_bound():
         assert [s.n for s in sols] == KNOWN_N
         stats = counters.as_dict()
         assert {k: stats[k] for k in ("nodes_expanded", "prune_limit", "prune_corollary")} == {
-            "nodes_expanded": 2220,
-            "prune_limit": 10638,
-            "prune_corollary": 4119,
+            "nodes_expanded": 1588,
+            "prune_limit": 6060,
+            "prune_corollary": 3672,
         }
         # all but 2 endgame calls take at most target**(1/4) scan steps
         assert (counters.endgame_scan, counters.endgame_factor) == (621, 2)
         assert stats == {
-            "nodes_expanded": 2220,
-            "prune_limit": 10638,
-            "prune_corollary": 4119,
+            "nodes_expanded": 1588,
+            "prune_limit": 6060,
+            "prune_corollary": 3672,
             "prune_congruence": 0,
             "endgame_scan": 621,
             "endgame_factor": 2,
@@ -284,9 +287,9 @@ def test_limit_1e8_counters_are_pinned():
     sols = solve(SearchConfig(limit=10**8, threads=1), counters)
     assert [s.n for s in sols] == KNOWN_N
     assert counters.as_dict() == {
-        "nodes_expanded": 53,
-        "prune_limit": 28,
-        "prune_corollary": 10,
+        "nodes_expanded": 43,
+        "prune_limit": 17,
+        "prune_corollary": 9,
         "prune_congruence": 0,
         "endgame_scan": 18,
         "endgame_factor": 1,
@@ -367,6 +370,11 @@ def _walk_record(monkeypatch, config):
     return bounds, absorbed
 
 
+# Candidates the gcd test rejects, by walk: each walk's prune_corollary.  The
+# limit's cut drops every candidate of the k17 slice that it would reject.
+COROLLARY_FAILS = {"k1-6": 259, "limit-1e12": 400, "limit-1e14": 3672, "k17-1e28": 0}
+
+
 @pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
 def test_gcd_and_finiteness_prunes_cannot_fire_on_reachable_states(monkeypatch, config):
     # The walk counts no gcd or finiteness prunes; these are the facts it relies on.
@@ -384,7 +392,8 @@ def test_gcd_and_finiteness_prunes_cannot_fire_on_reachable_states(monkeypatch, 
         failed += corollary_fails
         dead = isinstance(out, Pruned)
         assert dead == corollary_fails, (state, q, out)
-    assert failed > 0
+    (walk,) = [name for name, c in WALKS.items() if c is config]
+    assert failed == COROLLARY_FAILS[walk]
     # every internal node had its finiteness bound taken, and it lies above the floor
     internal = {(s.prefix, s.remaining) for s in states if s.remaining > 2}
     assert sorted((s.prefix, s.remaining) for s, _ in bounds) == sorted(internal)
@@ -474,19 +483,24 @@ def test_fused_last_level_matches_the_unfused_path(monkeypatch, config):
 
 
 def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
-    # On every node of the 1e14 walk with three primes left, the candidates
-    # run up to the limit-capped finiteness index, and each one the limit
-    # cuts, past alpha // Delta and below the first one kept (the lower cut),
-    # either dies in absorb_prime or leaves an endgame with no pair under the
-    # limit, by the unlimited endgame.  Each child the residue gate closes in
-    # the fused loop has no pair under the limit either, by the unlimited
-    # endgame on both strategies, and the bound holds by a recomputation
-    # here.  prune_limit counts the branches the limit closes, and these are
-    # its only two sources: it is recounted here from the lower cuts and the
+    # On every internal node of the 1e14 walk, the candidates run up to the
+    # limit-capped finiteness index, and each one the limit cuts, past alpha
+    # // Delta and below the first one kept (the lower cut), either dies in
+    # absorb_prime or leaves a child with no solution under the limit: the
+    # child's own state, built by absorb_prime, has r primes left whose
+    # product Y is at most limit // b' and, by the lemma of _next_primes
+    # (test_lemma_holds_on_every_known_solution), above (r*beta'/Delta')**r.
+    # A child with two primes left has no pair under the limit by the
+    # unlimited endgame too.  Each child the residue gate closes in the fused
+    # loop has no pair under the limit either, by the unlimited endgame on
+    # both strategies, and the bound holds by a recomputation here.
+    # prune_limit counts the branches the limit closes, and these are its
+    # only two sources: it is recounted here from the lower cuts and the
     # gate's closures, and matches the counter on one worker and on two.
     nodes = []
     closed_children = []
     closed = {"lower": 0, "residue": 0}
+    lower_by_left = collections.Counter()
     limit = WALKS["limit-1e14"].limit
     table = build_prime_table(1 << 17)
     real_next = phi23.search._next_primes
@@ -495,8 +509,7 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
 
     def next_spy(state, i, limit, table, counters):
         candidates = real_next(state, i, limit, table, counters)
-        if state.remaining == 3:
-            nodes.append((state, i, candidates))
+        nodes.append((state, i, candidates))
         return candidates
 
     def residue_spy(alpha, beta, gamma, floor, b, limit):
@@ -526,13 +539,17 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
             if q <= top:
                 continue
             closed["lower"] += 1
+            lower_by_left[state.remaining] += 1
             child = absorb_prime(state, q)
             if isinstance(child, Pruned):
                 continue
-            endgames += 1
+            r = child.remaining
             b = child.prefix_product
-            pairs = two_prime_solve(*two_prime_args(child))
-            assert [(q2, r) for q2, r in pairs if b * q2 * r <= limit] == [], child
+            assert (limit // b) * (child.alpha - child.beta) ** r <= (r * child.beta) ** r, child
+            if r == 2:
+                endgames += 1
+                pairs = two_prime_solve(*two_prime_args(child))
+                assert [(q2, r2) for q2, r2 in pairs if b * q2 * r2 <= limit] == [], child
     for args in closed_children:
         alpha, beta, gamma, floor, b = args
         # q*r = -gamma/beta (mod alpha) and q*r > floor**2
@@ -542,11 +559,14 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
             pairs = two_prime_solve(*args, strategy=strategy)
             assert [(q, r) for q, r in pairs if b * q * r <= limit] == [], (args, strategy)
     closed["residue"] = len(closed_children)
-    assert len(nodes) == 1078
-    assert endgames == 3735
-    assert closed == {"lower": 6033, "residue": 4605}
+    assert collections.Counter(state.remaining for state, _, _ in nodes) == {
+        3: 693, 4: 168, 5: 57, 6: 26, 7: 12, 8: 4, 9: 2, 10: 1, 11: 1
+    }
+    assert endgames == 783
+    assert lower_by_left == {3: 1244, 4: 150, 5: 27, 6: 10, 7: 6, 8: 4, 9: 1, 10: 2, 11: 1}
+    assert closed == {"lower": 1445, "residue": 4615}
     recount = sum(closed.values())
-    assert counters.prune_limit == recount == 10638
+    assert counters.prune_limit == recount == 6060
     for threads in (1, 2):
         counters = SearchCounters()
         solve(dataclasses.replace(WALKS["limit-1e14"], threads=threads), counters)
@@ -556,17 +576,18 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
 @pytest.mark.parametrize(
     "prefix, alpha, beta, limit, uncut, candidates, prune_limit",
     [
-        # b = 13, alpha = 351, beta = 329: Delta = 22 and K0 = isqrt(351*329)
-        # + 351 = 690, alpha // Delta = 15.  The range runs up to the capped
-        # finiteness index, 23 at limits 269,100 and 269,099 alike, and the
-        # lower cut drops 17, 19 and 23: three prune_limit ticks.
+        # b = 13, alpha = 351, beta = 329: Delta = 22 and alpha // Delta = 15.
+        # The range runs up to the capped finiteness index, 23 at limits
+        # 269,100 and 269,099 alike, and the lower cut, which drops q while
+        # 13*q*(2*329*q)**2 >= limit*(22*q - 351)**2, drops 17, 19 and 23:
+        # three prune_limit ticks.
         ((13,), 351, 329, 269_100, 23, [], 3),
         ((13,), 351, 329, 269_099, 23, [], 3),
         # the run 17*19*23 fits; the lower cut drops 17: one tick
         ((13,), 351, 329, 100_000, 17, [], 1),
-        # b = 5, alpha = 11, beta = 10: Delta = 1, K0 = 10 + 11 = 21 and
-        # alpha // Delta = 11.  The infeasible prefix holds every candidate,
-        # and skipping it ticks no prune_limit.
+        # b = 5, alpha = 11, beta = 10: Delta = 1 and alpha // Delta = 11.
+        # The infeasible prefix holds every candidate, and skipping it ticks
+        # no prune_limit.
         ((5,), 11, 10, 11_340, 7, [], 0),
         ((5,), 11, 10, 11_339, 7, [], 0),
         # the run 7*11*13 fits under 5005 / 5 and the infeasible prefix
@@ -575,17 +596,18 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
         # ticks nothing
         ((5,), 11, 10, 5_005, 7, [], 0),
         ((5,), 11, 10, 5_004, 5, [], 0),
-        # the lower cut drops q while 5*21**2*q*(q - 1)**2 > limit*(q - 11)**2;
+        # the lower cut drops q while 5*q*(2*10*q)**2 >= limit*(q - 11)**2;
         # here it drops 13, 17 and 19, every candidate: three ticks
         ((5,), 11, 10, 100_000, 19, [], 3),
-        # at q = 17 its sides meet at limit 5*21**2*17*16**2 / 6**2 = 266560:
-        # 13 is dropped and 17 kept
-        ((5,), 11, 10, 266_560, 23, [17, 19, 23], 1),
-        # one less and 17 is dropped too, though its run 17*19*23 still fits
-        ((5,), 11, 10, 266_559, 23, [19, 23], 2),
+        # at q = 13 its sides meet at limit 5*13*260**2 / 2**2 = 1,098,500,
+        # where 13 is dropped, as every n of its child is then above the
+        # limit; one more and 13 is kept, and so is everything after it
+        ((5,), 11, 10, 1_098_501, 23, [13, 17, 19, 23], 0),
+        ((5,), 11, 10, 1_098_500, 23, [17, 19, 23], 1),
     ],
-    # The first five ids were named for a top cut the range no longer has;
-    # each row keeps its id.
+    # The first five ids were named for a top cut the range no longer has,
+    # and the last two for the equality limit of an earlier form of the
+    # lower cut; each row keeps its id.
     ids=[
         "269100-23-candidates0-0",
         "269099-23-candidates1-0",
@@ -600,7 +622,7 @@ def test_last_level_cut_drops_only_children_without_pairs(monkeypatch):
     ],
 )
 def test_last_level_cut_boundary(prefix, alpha, beta, limit, uncut, candidates, prune_limit):
-    # Not walk states.  The lower cut keeps a q at equality, and the range
+    # Not walk states.  The lower cut drops a q at equality, and the range
     # stops at the limit-capped finiteness index ``uncut``.
     st = EquationState(prefix=prefix, alpha=alpha, beta=beta, gamma=1, remaining=3)
     table = build_prime_table(1 << 12)
@@ -619,9 +641,10 @@ def test_candidates_start_past_the_infeasible_prefix(monkeypatch, walk):
     # At every internal node the candidates start past alpha // (alpha -
     # beta): each prime skipped above the floor up to that dies in
     # absorb_prime, which prunes it on the gcd test or refuses it as
-    # infeasible, and no candidate kept is refused.  Only a node with
-    # three primes left and a limit skips primes past it too (its lower cut;
-    # test_last_level_cut_drops_only_children_without_pairs checks those).
+    # infeasible, and no candidate kept is refused.  Only a node under a
+    # limit skips primes past it too, each one by the limit's lower cut
+    # (test_last_level_cut_drops_only_children_without_pairs checks that
+    # they have no solution under the limit).
     nodes = []
     real_next = phi23.search._next_primes
 
@@ -634,13 +657,18 @@ def test_candidates_start_past_the_infeasible_prefix(monkeypatch, walk):
     monkeypatch.setattr(phi23.search, "_next_primes", next_spy)
     solve(WALKS[walk])
     assert nodes
-    skipped = 0
+    limit = WALKS[walk].limit
+    skipped = cut = 0
     for state, dropped, kept in nodes:
-        top = state.alpha // (state.alpha - state.beta)
-        lower_cut = state.remaining == 3 and WALKS[walk].limit is not None
+        delta = state.alpha - state.beta
+        top = state.alpha // delta
+        e = state.remaining - 1
         for q in dropped:
             if q > top:
-                assert lower_cut, (state, q)
+                assert limit is not None, (state, q)
+                b = state.prefix_product
+                assert b * q * (e * state.beta * q) ** e >= limit * (delta * q - state.alpha) ** e, (state, q)
+                cut += 1
                 continue
             try:
                 out = absorb_prime(state, q)
@@ -651,7 +679,9 @@ def test_candidates_start_past_the_infeasible_prefix(monkeypatch, walk):
             assert q > top, (state, q)
             absorb_prime(state, q)  # raises on an infeasible q
         skipped += sum(q <= top for q in dropped)
-    assert skipped > 0
+    # primes skipped as infeasible and dropped by the cut: the cut leaves the
+    # k17 slice no node that would skip any
+    assert (skipped, cut) == {"k1-6": (256, 0), "limit-1e14": (848, 1445), "k17-1e28": (0, 9)}[walk]
 
 
 def test_candidates_start_past_alpha_over_delta():
@@ -674,6 +704,38 @@ def test_populated_trees_match_brute_force():
     # limit set to each of its solutions, which catches a bound that prunes
     # too much.  A manual workflow runs the same check to 2e8.
     assert check_populated_trees(2_000_000) == (358, 55)
+
+
+def test_lemma_holds_on_every_known_solution():
+    # The lemma behind the limit's lower cut (see _next_primes): on a state
+    # with r primes left of product Y, prod(1 - 1/p) = beta/alpha +
+    # gamma/(alpha*Y) > beta/alpha, so sum(1/p) < ln(alpha/beta) <=
+    # Delta/beta and, as the geometric mean of the p is at least their
+    # harmonic mean, Y*Delta**r > (r*beta)**r.  Checked at every split of
+    # every brute-force solution of every populated root below 2e6, and of
+    # the four known solutions, into a prefix and r >= 1 remaining primes.
+    small = simple_sieve(math.isqrt(2_000_000))
+    cases = [(root, n) for root, ns in populated_solutions(2_000_000).items() for n in ns]
+    cases += [((3, 2, 2), n) for n in KNOWN_N]
+    splits = 0
+    for (alpha, beta, gamma), n in cases:
+        factors, m = [], n
+        for p in small:
+            if m % p == 0:
+                factors.append(p)
+                m //= p
+        if m > 1:
+            factors.append(m)
+        assert math.prod(factors) == n, n  # square-free
+        state = EquationState((), alpha, beta, gamma, len(factors))
+        for j, q in enumerate(factors):
+            r = len(factors) - j
+            y = math.prod(factors[j:])
+            assert y * (state.alpha - state.beta) ** r > (r * state.beta) ** r, (state, factors)
+            splits += 1
+            if r > 1:
+                state = absorb_prime(state, q)
+    assert (len(cases), splits) == (59, 110)
 
 
 @pytest.mark.parametrize("config", WALKS.values(), ids=WALKS)
@@ -782,7 +844,7 @@ def test_walk_looks_up_no_floor_by_value(monkeypatch, fake_pool, walk, threads):
     assert all(a is phi23.search._SMALLEST_N_BY_K for a in lookups)
     assert fake_pool == ([2] if threads == 2 else [])
     if walk == "limit-1e14":
-        assert counters.nodes_expanded == 2_220
+        assert counters.nodes_expanded == 1_588
 
 
 def test_pool_size_is_capped_by_the_cores(monkeypatch, fake_pool):
